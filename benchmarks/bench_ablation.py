@@ -1,4 +1,5 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the operator-level design choices of the
+engine ``docs/architecture.md`` maps.
 
 * **Threshold mode**: paper-faithful "drawn" emission thresholds (corner
   bounds from the last tuple drawn) vs the tighter "live" bounds (producer

@@ -1,8 +1,8 @@
 """Batched columnar execution vs row-at-a-time Volcano on unranked segments.
 
-The lowering (:func:`repro.optimizer.plans.lower_to_batch` for the
-unconditional mode, the cost-governed decision of
-:mod:`repro.optimizer.hybrid` under ``batch_execution="auto"``) swaps the
+The lowering (:func:`repro.optimizer.plans.lower_to_batch` forced onto
+hand-built plans, the cost-governed decision of
+:mod:`repro.optimizer.hybrid` under ``execution="auto"``) swaps the
 ``P = φ`` segments of a plan onto the batch operators of
 :mod:`repro.execution.batch`; rank-aware operators stay tuple-at-a-time.
 This bench measures the end-to-end wall-clock effect on the §6.1 plans at
@@ -358,8 +358,8 @@ def test_parallel_dop_sweep(benchmark, monkeypatch):
 
 
 def test_auto_mode_decisions_and_parity(benchmark):
-    """``batch_execution="auto"``: the costed decision lowers the
-    bench-scale traditional plan (and matches the unconditional path's
+    """``execution="auto"``: the costed decision lowers the bench-scale
+    traditional plan (and every execution mode returns the row-mode
     results exactly) while a tiny-table twin of the same query stays
     tuple-at-a-time."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
@@ -371,36 +371,30 @@ def test_auto_mode_decisions_and_parity(benchmark):
 
     # Large (bench-scale) workload: the traditional plan's segment lowers.
     large = cached_workload()
-    planner = large.database.planner
-    previous_mode = planner.batch_execution
-    try:
-        planner.batch_execution = "auto"
-        entry, __ = planner.prepare(
-            sql, strategy="traditional", sample_ratio=0.05, seed=7, use_cache=False
+    runs = {}
+    for mode in ("row", "batch", "auto", "compiled"):
+        entry, __ = large.database.planner.prepare(
+            sql,
+            strategy="traditional",
+            sample_ratio=0.05,
+            seed=7,
+            use_cache=False,
+            execution=mode,
         )
-        assert entry.decisions
-        lowered_segments = [
-            n for n in entry.executable.walk() if isinstance(n, BatchSegmentPlan)
-        ]
-        assert lowered_segments, "bench-scale traditional plan must lower"
-        top = lowered_segments[0].decision
         start = time.perf_counter()
-        auto_result = large.database.execute(
+        result = large.database.execute(
             entry.executable, entry.scoring, k=entry.k, evaluators=entry.evaluators
         )
-        auto_time = time.perf_counter() - start
-        # Parity against the pure row-mode twin of the same template.
-        planner.batch_execution = False
-        row_entry, __ = planner.prepare(
-            sql, strategy="traditional", sample_ratio=0.05, seed=7, use_cache=False
-        )
-        row_result = large.database.execute(
-            row_entry.executable, row_entry.scoring, k=row_entry.k
-        )
-        assert auto_result.rows == row_result.rows
-        assert auto_result.scores == row_result.scores
-    finally:
-        planner.batch_execution = previous_mode
+        runs[mode] = (entry, result, time.perf_counter() - start)
+        assert result.rows == runs["row"][1].rows, mode
+        assert result.scores == runs["row"][1].scores, mode
+    entry, auto_result, auto_time = runs["auto"]
+    assert entry.decisions
+    lowered_segments = [
+        n for n in entry.executable.walk() if isinstance(n, BatchSegmentPlan)
+    ]
+    assert lowered_segments, "bench-scale traditional plan must lower"
+    top = lowered_segments[0].decision
     record_result(
         name="batch_execution[auto:traditional-large]",
         mode="auto",
@@ -422,10 +416,9 @@ def test_auto_mode_decisions_and_parity(benchmark):
     tiny = build_workload(
         WorkloadConfig(table_size=64, join_selectivity=0.15, k=10, seed=7)
     )
-    tiny.database.planner.batch_execution = "auto"
     tiny_sql = "SELECT * FROM A WHERE A.b ORDER BY f1(A.p1) + f2(A.p2) LIMIT 10"
     tiny_entry, __ = tiny.database.planner.prepare(
-        tiny_sql, strategy="traditional", sample_ratio=0.5, seed=7
+        tiny_sql, strategy="traditional", sample_ratio=0.5, seed=7, execution="auto"
     )
     assert tiny_entry.decisions, "tiny segment must be priced"
     row_kept = [d for d in tiny_entry.decisions if d.winner == "row"]

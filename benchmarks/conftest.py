@@ -1,6 +1,7 @@
 """Shared benchmark fixtures and helpers.
 
-Scale note (see DESIGN.md §3): the paper ran on PostgreSQL with tables of
+Scale note (``docs/architecture.md`` quotes results "at default bench
+scale" — this is that scale): the paper ran on PostgreSQL with tables of
 10k–1M rows; a pure-Python engine is ~100–1000× slower per tuple, so the
 default benchmark scale divides table sizes by 50 while *preserving the
 join fanout* ``j × s`` (the quantity that shapes the Figure 12 curves).

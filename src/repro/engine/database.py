@@ -63,6 +63,7 @@ from ..optimizer.enumeration import RankAwareOptimizer
 from ..optimizer.plans import PlanNode
 from ..optimizer.query_spec import QuerySpec
 from ..planner import Planner, PreparedQuery, Session
+from ..planner.planner import normalize_execution, normalize_parallelism
 from ..storage.catalog import Catalog
 from ..storage.faults import NO_FAULTS
 from ..storage.index import ColumnIndex, MultiKeyIndex, RankIndex
@@ -85,64 +86,17 @@ DURABILITY_MODES = ("wal", "checkpoint")
 ColumnSpec = "str | tuple[str, DataType] | Column"
 
 
-def _default_batch_execution() -> "bool | str":
-    """The engine-wide default execution mode: ``"auto"`` (cost-governed
-    hybrid), overridable via the ``REPRO_BATCH_EXECUTION`` environment
-    variable (``false`` | ``true`` | ``auto``) so whole test suites and CI
-    jobs can pin a mode without touching call sites."""
-    raw = os.environ.get("REPRO_BATCH_EXECUTION")
+def _from_env(name: str, default: Any, normalize: Callable[[str], Any]) -> Any:
+    """An engine-wide default, overridable via the environment variable
+    ``name`` so whole test suites and CI jobs can pin it without touching
+    call sites.  A bad value fails loudly, naming the variable."""
+    raw = os.environ.get(name)
     if raw is None:
-        return "auto"
-    value = raw.strip().lower()
-    if value in ("false", "0", "off", "row"):
-        return False
-    if value in ("true", "1", "on", "always"):
-        return True
-    if value == "auto":
-        return "auto"
-    raise ValueError(
-        f"unknown REPRO_BATCH_EXECUTION value {raw!r}; "
-        "expected false, true or auto"
-    )
-
-
-def _default_execution() -> str:
-    """The engine-wide execution-regime default: ``"auto"`` (cost-governed
-    across row, batch and compiled), overridable via the
-    ``REPRO_COMPILED_EXECUTION`` environment variable (``1``/``true``/
-    ``on``/``always`` force compilation, ``0``/``false``/``off`` keep the
-    interpreted batch path, or an explicit mode name) so whole test suites
-    and CI jobs can pin the regime without touching call sites."""
-    from ..planner.planner import execution_mode_from_env
-
-    mode = execution_mode_from_env(os.environ.get("REPRO_COMPILED_EXECUTION"))
-    return "auto" if mode is None else mode
-
-
-def _default_parallelism() -> "int | str":
-    """The engine-wide DOP ceiling default: ``1`` (serial), overridable via
-    the ``REPRO_PARALLELISM`` environment variable (a positive integer or
-    ``auto`` = core count) so CI jobs can turn on intra-query parallelism
-    for a whole suite without touching call sites."""
-    raw = os.environ.get("REPRO_PARALLELISM")
-    if raw is None:
-        return 1
-    value = raw.strip().lower()
-    if value == "auto":
-        return "auto"
+        return default
     try:
-        parsed = int(value)
-    except ValueError:
-        raise ValueError(
-            f"unknown REPRO_PARALLELISM value {raw!r}; "
-            "expected a positive integer or auto"
-        ) from None
-    if parsed < 1:
-        raise ValueError(
-            f"unknown REPRO_PARALLELISM value {raw!r}; "
-            "expected a positive integer or auto"
-        )
-    return parsed
+        return normalize(raw)
+    except ValueError as error:
+        raise ValueError(f"{name}: {error}") from None
 
 
 class Database:
@@ -152,23 +106,28 @@ class Database:
     :meth:`close`, hence ``with Database(...)``) writes the catalog and all
     table data there, so scripts cannot exit with half-written state.
 
-    ``batch_execution`` selects how unranked (``P = φ``) plan segments
-    reach the batched columnar executor (:mod:`repro.execution.batch`);
-    results, scores and tie order are identical in every mode:
+    ``execution`` is the one execution-regime selector (overridable per
+    statement via ``query(..., execution=...)``); results, scores and tie
+    order are identical in every mode:
 
     * ``"auto"`` (default) — **cost-governed hybrid execution**: the
-      optimizer prices each segment's row-regime and batch-regime costs in
-      one cost model and lowers only where batch wins, so tiny segments
-      stay tuple-at-a-time while large drained segments run columnar.
-      ``explain`` shows both candidates' costs and the winner per segment.
-    * ``True`` — unconditionally lower every segment (the pre-costed
-      behaviour, kept for benchmarking the decision itself).
-    * ``False`` — pure tuple-at-a-time (Volcano) execution everywhere —
-      the row-mode escape hatch for debugging or apples-to-apples operator
+      optimizer prices each unranked (``P = φ``) segment as row, batch
+      (:mod:`repro.execution.batch`, at every candidate DOP) **and**
+      compiled (plan-to-code, :mod:`repro.execution.codegen`) in one cost
+      model, and the cheapest regime wins — tiny segments stay
+      tuple-at-a-time while large drained segments run columnar or
+      fused.  ``explain`` shows every candidate's cost and the winner
+      per segment.
+    * ``"row"`` — pure tuple-at-a-time (Volcano) execution everywhere —
+      the escape hatch for debugging or apples-to-apples operator
       benchmarking.
+    * ``"batch"`` — cost-governed row-vs-batch with compilation disabled.
+    * ``"compiled"`` — force compilation of every supported segment;
+      unsupported shapes silently fall back to the interpreted batch
+      pipeline.
 
-    When omitted, the mode honours the ``REPRO_BATCH_EXECUTION``
-    environment variable (``false`` | ``true`` | ``auto``).
+    When omitted, honours the ``REPRO_EXECUTION`` environment variable
+    (exactly those four names).
 
     ``parallelism`` is the **DOP ceiling** for morsel-driven intra-query
     parallelism: the optimizer may choose any per-segment degree of
@@ -176,41 +135,21 @@ class Database:
     (the default) disables the parallel regime entirely; ``"auto"``
     resolves to the machine's core count.  When omitted, honours the
     ``REPRO_PARALLELISM`` environment variable.
-
-    ``execution`` is the session-level regime selector across all three
-    execution strategies:
-
-    * ``"auto"`` (default) — cost-governed: each lowerable segment is
-      priced as row, batch (at every candidate DOP) **and** compiled
-      (plan-to-code, :mod:`repro.execution.codegen`), and the cheapest
-      regime wins.  ``explain`` footers show all three costs.
-    * ``"row"`` — pure tuple-at-a-time execution (same as
-      ``batch_execution=False``).
-    * ``"batch"`` — cost-governed row-vs-batch with compilation disabled.
-    * ``"compiled"`` — force compilation of every supported segment;
-      unsupported shapes silently fall back to the interpreted batch
-      pipeline (results are identical in every mode).
-
-    When omitted, honours the ``REPRO_COMPILED_EXECUTION`` environment
-    variable.
     """
 
     def __init__(
         self,
         persist_dir: "str | Path | None" = None,
-        batch_execution: "bool | str | None" = None,
         parallelism: "int | str | None" = None,
         execution: "str | None" = None,
         durability: "str | None" = None,
         fsync: str = "commit",
         fault_injector: Any = None,
     ) -> None:
-        if batch_execution is None:
-            batch_execution = _default_batch_execution()
         if parallelism is None:
-            parallelism = _default_parallelism()
+            parallelism = _from_env("REPRO_PARALLELISM", 1, normalize_parallelism)
         if execution is None:
-            execution = _default_execution()
+            execution = _from_env("REPRO_EXECUTION", "auto", normalize_execution)
         self.catalog = Catalog()
         #: the engine's observability pair: every query gets a trace in
         #: :attr:`tracer` (``REPRO_TRACE`` / ``REPRO_SLOW_QUERY_MS``
@@ -221,7 +160,6 @@ class Database:
         self.registry = MetricsRegistry()
         self.planner = Planner(
             self.catalog,
-            batch_execution=batch_execution,
             parallelism=parallelism,
             execution=execution,
             tracer=self.tracer,
@@ -255,11 +193,6 @@ class Database:
                 fsync=fsync,
                 fault_injector=fault_injector,
             )
-
-    @property
-    def batch_execution(self) -> "bool | str":
-        """The engine's execution mode (``False`` | ``True`` | ``"auto"``)."""
-        return self.planner.batch_execution
 
     @property
     def parallelism(self) -> int:
@@ -952,11 +885,11 @@ class Database:
     ) -> str:
         """The optimizer's chosen plan for a query, pretty-printed.
 
-        Under ``batch_execution="auto"`` the tree marks every lowered
-        segment (``batch segment (row cost=… vs batch cost=… -> batch)``)
-        and a footer lists the per-segment pricing for segments that
-        stayed row-mode as well — every priced regime's cost (row, batch,
-        and compiled when the execution mode enables it) and which won.
+        Unless ``execution="row"`` the tree marks every lowered segment
+        (``batch segment (row cost=… vs batch cost=… -> batch)``) and a
+        footer lists the per-segment pricing for segments that stayed
+        row-mode as well — every priced regime's cost (row, batch, and
+        compiled when the execution mode enables it) and which won.
         """
         self._check_open()
         entry, __ = self.planner.prepare(query, strategy=strategy, **kwargs)

@@ -26,11 +26,12 @@ This module is that bulk path:
   that unpacks batches back into ``ScoredRow`` tuples, preserving rid
   tie-order and the ``bound()`` / ``predicates()`` contracts.
 
-The planner's lowering pass
-(:func:`repro.optimizer.plans.lower_to_batch`) swaps maximal ``P = φ``
-descriptor subtrees onto this path; rank-aware operators (µ, HRJN/NRJN,
-rank set-ops, rank-scans) are never lowered — batching them would destroy
-the incremental emission the ranking principle is about.
+The planner's costed lowering pass
+(:func:`repro.optimizer.hybrid.decide_batch_lowering`) swaps maximal
+``P = φ`` descriptor subtrees onto this path where batch prices cheaper;
+rank-aware operators (µ, HRJN/NRJN, rank set-ops, rank-scans) are never
+lowered — batching them would destroy the incremental emission the
+ranking principle is about.
 """
 
 from __future__ import annotations

@@ -87,7 +87,7 @@ def _configure_from_env() -> None:
         return
     name = raw.strip().lower()
     if name not in BACKENDS:
-        # Fail loudly on typos (consistent with REPRO_BATCH_EXECUTION);
+        # Fail loudly on typos (consistent with REPRO_EXECUTION);
         # only a *missing numpy* is gated silently.
         raise ValueError(
             f"unknown REPRO_VECTOR_BACKEND value {raw!r}; "

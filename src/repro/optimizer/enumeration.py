@@ -97,17 +97,16 @@ class RankAwareOptimizer:
         enumeration dimension (signature component ``SB``), so expensive
         filters can be scheduled anywhere — interleaved with µ operators or
         deferred above joins — instead of always pushed to the scans.
-    batch_execution:
-        ``"auto"`` makes batch lowering a *fourth costed decision* inside
-        the DP: every generated plan that is a pure ``P = φ`` segment also
+    price_batch:
+        Make batch lowering a *fourth costed decision* inside the DP:
+        every generated plan that is a pure ``P = φ`` segment also
         spawns a :class:`~repro.optimizer.plans.BatchSegmentPlan`
         alternative, priced by the same cost model (batch-regime dispatch
         rates, per-segment setup, BatchToRow frontier) and competing in the
         same memo bucket — so the choice between tuple-at-a-time and bulk
         columnar execution is made per segment, per signature, and can in
         turn shift join-order and µ-scheduling decisions.  The default
-        (``False``) keeps enumeration purely row-mode (lowering, if any,
-        happens in a later pass).
+        (``False``) keeps enumeration purely row-mode.
     """
 
     def __init__(
@@ -123,7 +122,7 @@ class RankAwareOptimizer:
         enumerate_selections: bool = False,
         threshold_mode: str = "drawn",
         allow_cartesian: bool = False,
-        batch_execution: "bool | str" = False,
+        price_batch: bool = False,
     ):
         self.catalog = catalog
         self.spec = spec
@@ -137,8 +136,8 @@ class RankAwareOptimizer:
         self.enumerate_selections = enumerate_selections
         self.threshold_mode = threshold_mode
         self.allow_cartesian = allow_cartesian
-        #: "auto" prices BatchSegmentPlan alternatives during enumeration
-        self.batch_execution = batch_execution
+        #: price BatchSegmentPlan alternatives during enumeration
+        self.price_batch = price_batch
         #: memo: signature -> {physical_key -> Candidate}
         self.memo: dict[Signature, dict[tuple, Candidate]] = {}
         #: number of plans generated (for enumeration-efficiency reports)
@@ -310,7 +309,7 @@ class RankAwareOptimizer:
     ) -> None:
         """Cost a generated plan and keep it if it wins its physical class.
 
-        Under ``batch_execution="auto"`` a plan that is a pure ``P = φ``
+        Under ``price_batch`` a plan that is a pure ``P = φ``
         segment also spawns its lowered (BatchSegmentPlan) alternative.
         The wrapper shares the row plan's signature and physical
         properties, so the two compete in the same bucket and only the
@@ -319,7 +318,7 @@ class RankAwareOptimizer:
         """
         alternatives = [plan]
         if (
-            self.batch_execution == "auto"
+            self.price_batch
             and not isinstance(plan, BatchSegmentPlan)
             and segment_lowerable(plan)
         ):
@@ -539,9 +538,7 @@ class RankAwareOptimizer:
             for candidate in self._candidates(*signature):
                 plan = SortPlan(candidate.plan, all_predicates)
                 out.append(Candidate(plan, self.cost_model.cost(plan)))
-                if self.batch_execution == "auto" and segment_lowerable(
-                    plan.children[0]
-                ):
+                if self.price_batch and segment_lowerable(plan.children[0]):
                     # The batch twin of the materialize-then-sort shape:
                     # the sort is the segment's frontier (BatchSort).
                     wrapped = BatchSegmentPlan(plan)

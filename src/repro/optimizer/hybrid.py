@@ -1,60 +1,57 @@
-"""Cost-governed hybrid execution: batch lowering as an optimizer decision.
+"""Cost-governed hybrid execution: the execution regime as an optimizer decision.
 
-The batched columnar path (:mod:`repro.execution.batch`) used to be applied
-by an unconditional post-pass — every ``P = φ`` segment was lowered, always.
-That contradicts the paper's central argument: the optimizer should *price*
+The paper's central argument is that the optimizer should *price*
 alternative execution strategies in one cost model and pick per plan, the
 same way it prices rank-aware against traditional plans.  This module is
-the pricing pass for the row-vs-batch dimension:
+that pricing pass for the execution-regime dimension.  Every maximal
+unranked (``P = φ``) segment of a physical plan is priced as
 
-* :class:`SegmentDecision` — one priced comparison: a maximal ``P = φ``
-  segment, its estimated row-regime and batch-regime costs, and the winner;
-* :func:`decide_batch_lowering` — walk a physical plan top-down, find every
-  maximal lowerable segment (exactly the segments the unconditional
-  :func:`~repro.optimizer.plans.lower_to_batch` pass would lower), compare
-  the two regimes under the plan's own :class:`~repro.optimizer.cost_model.CostModel`,
-  and wrap the segment in a :class:`~repro.optimizer.plans.BatchSegmentPlan`
-  only when the batch regime is estimated cheaper.
+* **row** — tuple-at-a-time, the plan as enumerated;
+* **batch@dop** — the lowered columnar twin (:mod:`repro.execution.batch`)
+  at every candidate degree of parallelism up to the statement's
+  ``parallelism`` ceiling
+  (:meth:`~repro.optimizer.cost_model.CostModel.parallel_segment_cost`);
+* **compiled** — the fused generated function
+  (:mod:`repro.execution.codegen`,
+  :meth:`~repro.optimizer.cost_model.CostModel.compiled_segment_cost`),
+  when ``compiled_mode`` enables it and the generator supports the shape;
+
+and the cheapest regime wins:
+
+* :class:`SegmentDecision` — one priced comparison: the segment, each
+  regime's estimated cost, and the winner;
+* :func:`decide_batch_lowering` — walk a plan top-down, price every
+  maximal lowerable segment under the plan's own
+  :class:`~repro.optimizer.cost_model.CostModel`, and wrap it in a
+  :class:`~repro.optimizer.plans.BatchSegmentPlan` (stamped with the
+  chosen DOP) only when a lowered regime is estimated cheaper.
 
 Small segments stay tuple-at-a-time: the per-segment setup and the
 per-tuple ``BatchToRow`` frontier conversion (``BATCH_SETUP_UNIT``,
 ``FRONTIER_TUPLE_UNIT``) outweigh the dispatch savings below a few hundred
-tuples.  Large drained segments lower: the bulk regime replaces row-mode
-per-tuple dispatch (``MOVE_UNIT``) with per-batch dispatch plus a ~5×
-smaller per-tuple handling cost.
+tuples, and worker setup plus morsel dispatch keep them at DOP 1.  Large
+drained segments lower — the bulk regime replaces row-mode per-tuple
+dispatch (``MOVE_UNIT``) with per-batch dispatch plus a ~5× smaller
+per-tuple handling cost — and segments whose morsel count exceeds the DOP
+divide their work and win.
 
-Since PR 6 the same pass also prices the segment's **degree of
-parallelism**: every candidate DOP up to the session's ``parallelism``
-knob is costed with the parallel-regime formulas
-(:meth:`~repro.optimizer.cost_model.CostModel.parallel_segment_cost`), and
-the cheapest candidate is stamped on the wrapper
-(:attr:`~repro.optimizer.plans.BatchSegmentPlan.dop`).  Small segments
-keep DOP 1 — worker setup and morsel dispatch overheads dominate — while
-segments whose morsel count exceeds the DOP divide their work and win.
+Under ``compiled_mode="auto"`` the compiled regime must beat *both*
+others; under ``"always"`` (``execution="compiled"``) every supported
+segment compiles.  Segments the generator cannot reproduce
+(non-sort-topped, rank-carrying, exotic operators) are never priced for
+compilation and keep their costed row-vs-batch outcome — the interpreter
+remains the fallback and the parity oracle.
 
-The pass also runs over plans the enumerator already decided (its
-``batch_execution="auto"`` knob prices :class:`BatchSegmentPlan`
-alternatives *during* the DP): existing wrappers are re-priced and
-annotated, never re-wrapped, so the recorded decisions always reflect the
-one cost model that produced the plan.
-
-Since PR 9 the pass prices a **third regime**: plan-to-code compilation
-(:mod:`repro.execution.codegen`).  When the session's execution mode
-enables it (``compiled_mode="auto"`` / ``"always"``), every segment the
-code generator supports is additionally priced with
-:meth:`~repro.optimizer.cost_model.CostModel.compiled_segment_cost` and
-the explain footer shows all three candidates — ``row vs batch vs
-compiled`` — with the winner.  In ``auto`` the compiled regime must beat
-*both* others; in ``always`` (the forced ``execution="compiled"`` knob)
-every supported segment compiles and unsupported segments demonstrably
-fall back to the batch pipeline.  Segments the generator cannot reproduce
-(non-sort-topped, rank-carrying, exotic operators) are simply never
-priced for compilation — the interpreter remains the fallback and the
-parity oracle.
+The enumerator prices :class:`BatchSegmentPlan` alternatives *during* the
+DP (its ``price_batch`` knob), so the pass also runs over wrappers that
+already exist: they are re-priced and annotated, never re-wrapped, so the
+recorded decisions always reflect the one cost model that produced the
+plan.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from .cost_model import CostModel
@@ -64,8 +61,6 @@ from .plans import (
     SortPlan,
     segment_lowerable,
 )
-
-import copy
 
 
 @dataclass

@@ -674,11 +674,12 @@ def lower_to_batch(plan: PlanNode, parallelism: int = 1) -> PlanNode:
     in row mode so consumer-side contracts (cursors, limit stripping,
     top-k hints) are unchanged.
 
-    ``parallelism`` is stamped on every created wrapper as its degree of
-    parallelism — this is the *unconditional* lowering pass
-    (``batch_execution=True``), so the DOP is the caller's knob verbatim;
-    the cost-governed pass (:func:`repro.optimizer.hybrid
-    .decide_batch_lowering`) prices DOP per segment instead.
+    This is the *forced*-lowering reference: parity sweeps and benchmarks
+    apply it to hand-built or row-mode plans to get the lowered twin
+    regardless of size, and ``parallelism`` is stamped verbatim on every
+    created wrapper as its degree of parallelism.  The planner never calls
+    it — the cost-governed pass (:func:`repro.optimizer.hybrid
+    .decide_batch_lowering`) prices lowering and DOP per segment instead.
 
     Nodes are treated as immutable: rewritten interior nodes are shallow
     copies with new child tuples, so a cached row-mode plan and its lowered

@@ -8,20 +8,12 @@ clients.  See ``docs/architecture.md`` for the full lifecycle map.
 """
 
 from .cache import CachedPlan, PlanCache, PlanCacheStats
-from .planner import (
-    BATCH_MODES,
-    Planner,
-    PlannerMetrics,
-    STRATEGIES,
-    normalize_batch_mode,
-)
+from .planner import Planner, PlannerMetrics, STRATEGIES
 from .prepared import PreparedQuery, Session, strip_limit
 from .signature import QuerySignature, plan_signature, spec_signature
 
 __all__ = [
-    "BATCH_MODES",
     "CachedPlan",
-    "normalize_batch_mode",
     "PlanCache",
     "PlanCacheStats",
     "Planner",

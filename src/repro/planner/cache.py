@@ -65,15 +65,9 @@ class CachedPlan:
     k: int = 0
     scoring: ScoringFunction | None = None
     hits: int = 0
-    #: the executable twin of ``plan``.  Under ``batch_execution=True``
-    #: (the unconditional legacy mode) ``plan`` stays row-mode for
-    #: explain/analyze and this carries the blindly-lowered twin; under
-    #: ``"auto"`` the costed decision is part of the chosen plan itself and
-    #: this equals ``plan``; ``None`` means row-mode execution.
-    exec_plan: PlanNode | None = None
-    #: per-segment row-vs-batch pricing records
-    #: (:class:`~repro.optimizer.hybrid.SegmentDecision`), populated under
-    #: ``batch_execution="auto"`` — what explain renders
+    #: per-segment regime pricing records
+    #: (:class:`~repro.optimizer.hybrid.SegmentDecision`) — what explain
+    #: renders; ``None`` under ``execution="row"`` (nothing is priced)
     decisions: "list | None" = None
     #: how expensive this entry was to build (measured planning seconds) —
     #: the weight cost-aware eviction protects it with
@@ -81,7 +75,7 @@ class CachedPlan:
     #: the DOP ceiling the plan was decided under (part of the signature;
     #: the chosen per-segment DOPs live on the BatchSegmentPlan wrappers)
     parallelism: int = 1
-    #: how many of ``exec_plan``'s lowered segments carry a compiled fused
+    #: how many of ``plan``'s lowered segments carry a compiled fused
     #: function (the artifacts live on the BatchSegmentPlan wrappers; 0 =
     #: fully interpreted execution)
     compiled_segments: int = 0
@@ -104,15 +98,11 @@ class CachedPlan:
     def regime(self) -> str:
         """The execution regime this entry runs under: ``compiled`` when
         any segment carries a fused function, ``batch@dop`` / ``batch``
-        when the executable plan holds lowered segments, else ``row``.
-        (Presence of ``exec_plan`` alone is not enough — under ``auto``
-        it equals ``plan``, which may have stayed fully row-mode.)"""
+        when the plan holds lowered segments, else ``row``."""
         if self.compiled_segments:
             return "compiled"
         segments = [
-            node
-            for node in self.executable.walk()
-            if isinstance(node, BatchSegmentPlan)
+            node for node in self.plan.walk() if isinstance(node, BatchSegmentPlan)
         ]
         if segments:
             dop = max(segment.dop for segment in segments)
@@ -121,8 +111,9 @@ class CachedPlan:
 
     @property
     def executable(self) -> PlanNode:
-        """The plan executions should build (lowered when available)."""
-        return self.exec_plan if self.exec_plan is not None else self.plan
+        """The plan executions should build: the costed lowering decision
+        is part of the chosen plan itself."""
+        return self.plan
 
     def executable_for(self, k: int | None) -> tuple[PlanNode, int]:
         """The executable plan and effective result size for a ``k``

@@ -39,7 +39,7 @@ from ..optimizer.cost_model import CostModel
 from ..optimizer.enumeration import RankAwareOptimizer
 from ..optimizer.compile import compile_plan
 from ..optimizer.hybrid import decide_batch_lowering
-from ..optimizer.plans import PlanNode, lower_to_batch
+from ..optimizer.plans import PlanNode
 from ..optimizer.query_spec import QuerySpec
 from ..optimizer.rule_based import RuleBasedOptimizer
 from ..sql.binder import Binder
@@ -51,10 +51,8 @@ from .signature import plan_signature
 #: the optimization strategies the planner unifies
 STRATEGIES = ("rank-aware", "traditional", "rule-based")
 
-#: accepted ``batch_execution`` modes (``"auto"`` = cost-governed hybrid)
-BATCH_MODES = (False, True, "auto")
-
-#: accepted ``execution`` modes — the session-level regime selector:
+#: accepted ``execution`` modes — the one regime selector (per engine and
+#: per statement):
 #:
 #: * ``"auto"`` — cost-governed: every segment is priced across all
 #:   enabled regimes (row, batch at every candidate DOP, compiled) and
@@ -65,17 +63,9 @@ BATCH_MODES = (False, True, "auto")
 #:   unsupported shapes fall back to the interpreted batch pipeline.
 EXECUTION_MODES = ("auto", "row", "batch", "compiled")
 
-
-def normalize_batch_mode(mode: "bool | str") -> "bool | str":
-    """Validate and normalize a ``batch_execution`` mode value."""
-    if isinstance(mode, str):
-        mode = mode.strip().lower()
-        if mode in ("auto",):
-            return "auto"
-        raise ValueError(
-            f"unknown batch_execution mode {mode!r}; expected one of {BATCH_MODES}"
-        )
-    return bool(mode)
+#: the compilation regime the costed lowering pass prices under each
+#: non-row execution mode (``"row"`` never reaches the pass)
+COMPILED_MODES = {"auto": "auto", "batch": "off", "compiled": "always"}
 
 
 def normalize_execution(mode: str) -> str:
@@ -86,30 +76,6 @@ def normalize_execution(mode: str) -> str:
             return text
     raise ValueError(
         f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}"
-    )
-
-
-def execution_mode_from_env(value: "str | None") -> "str | None":
-    """Map a ``REPRO_COMPILED_EXECUTION`` environment value to an
-    execution mode (``None`` when unset/empty — caller picks the default).
-
-    Truthy spellings force compilation, falsy ones disable it while
-    keeping the interpreted batch path, and any mode name passes through.
-    """
-    if value is None:
-        return None
-    text = value.strip().lower()
-    if not text:
-        return None
-    if text in ("1", "true", "on", "always"):
-        return "compiled"
-    if text in ("0", "false", "off"):
-        return "batch"
-    if text in EXECUTION_MODES:
-        return text
-    raise ValueError(
-        f"bad REPRO_COMPILED_EXECUTION value {value!r}; expected a boolean "
-        f"spelling or one of {EXECUTION_MODES}"
     )
 
 
@@ -173,7 +139,6 @@ class Planner:
         self,
         catalog: Catalog,
         cache_capacity: int = 256,
-        batch_execution: "bool | str" = "auto",
         parallelism: "int | str" = 1,
         execution: str = "auto",
         tracer: Any = None,
@@ -184,27 +149,13 @@ class Planner:
         #: one is attached — the planner reports parse/bind/optimize/
         #: compile spans and cache hit/miss into the active query trace.
         self.tracer = tracer
-        #: how unranked (``P = φ``) plan segments reach the batched
-        #: columnar path:
-        #:
-        #: * ``"auto"`` (default) — a costed optimizer decision: the DP
-        #:   prices BatchSegmentPlan alternatives per segment and the
-        #:   decision pass records both candidates' costs;
-        #: * ``True`` — the legacy unconditional post-pass
-        #:   (:func:`repro.optimizer.plans.lower_to_batch`), every segment
-        #:   lowers regardless of size;
-        #: * ``False`` — pure tuple-at-a-time (Volcano) execution.
-        self.batch_execution = normalize_batch_mode(batch_execution)
         #: maximum per-segment degree of parallelism the optimizer may
         #: choose (1 = serial; "auto" resolved to the core count at
         #: construction).  Overridable per statement via the
         #: ``parallelism=`` prepare knob.
         self.parallelism = normalize_parallelism(parallelism)
-        #: session-level execution regime selector (see EXECUTION_MODES).
-        #: ``"auto"`` defers to ``batch_execution`` for the batch dimension
-        #: and prices compilation whenever the costed hybrid pass runs;
-        #: the explicit modes override both.  Overridable per statement
-        #: via the ``execution=`` prepare knob.
+        #: the execution regime selector (see EXECUTION_MODES).
+        #: Overridable per statement via the ``execution=`` prepare knob.
         self.execution = normalize_execution(execution)
         self.metrics = PlannerMetrics()
         #: bumped on every invalidation; cached artifacts carry the value
@@ -240,26 +191,6 @@ class Planner:
 
     def _resolve(self, query: "str | QuerySpec") -> QuerySpec:
         return self.bind(query) if isinstance(query, str) else query
-
-    def resolve_execution(self, execution: str) -> "tuple[bool | str, str]":
-        """Resolve an execution mode to ``(batch_mode, compiled_mode)``.
-
-        ``batch_mode`` feeds the existing row-vs-batch machinery (a
-        BATCH_MODES value); ``compiled_mode`` governs the compilation
-        regime (``"off"`` / ``"auto"`` / ``"always"``).  Compilation is
-        only priced when the costed hybrid pass runs (``batch_mode ==
-        "auto"``): the legacy unconditional and pure-row paths have no
-        decision records to attach a third regime to.
-        """
-        execution = normalize_execution(execution)
-        if execution == "row":
-            return False, "off"
-        if execution == "batch":
-            return "auto", "off"
-        if execution == "compiled":
-            return "auto", "always"
-        batch_mode = self.batch_execution
-        return batch_mode, "auto" if batch_mode == "auto" else "off"
 
     # ------------------------------------------------------------------
     # samples (shared by every optimizer; data-dependent, so invalidated)
@@ -362,7 +293,6 @@ class Planner:
         # regimes are different plans (a compiled entry must never serve a
         # row-mode session and vice versa).
         execution = normalize_execution(knobs.pop("execution", self.execution))
-        batch_mode, compiled_mode = self.resolve_execution(execution)
         signature = plan_signature(
             spec,
             strategy,
@@ -390,25 +320,28 @@ class Planner:
             self.tracer.annotate(cache="miss")
         bind_slots(spec.parameters, params)
         start = time.perf_counter()
+        # "row" prices no regime anywhere; every other mode prices batch
+        # alternatives in the DP and runs the costed lowering pass.
+        costed = execution != "row"
         with self._span("optimize", strategy=strategy):
             plan, cost_model = self._optimize(
-                spec, strategy, sample_ratio, seed, batch_mode, knobs
+                spec, strategy, sample_ratio, seed, costed, knobs
             )
         decisions = None
         compiled_segments = 0
         compile_seconds = 0.0
-        if batch_mode == "auto":
+        if costed:
             # Cost-governed hybrid execution: lower each maximal P = φ
             # segment iff the batch regime prices cheaper.  Plans from the
             # DP (rank-aware / traditional strategies) already embed the
             # decision; the pass re-prices those wrappers for the record
             # and decides any segment the DP did not see (rule-based
             # plans, post-DP λ/π tops).
+            compiled_mode = COMPILED_MODES[execution]
             with self._span("lower"):
                 plan, decisions = decide_batch_lowering(
                     plan, cost_model, max_dop=parallelism, compiled_mode=compiled_mode
                 )
-            exec_plan: PlanNode | None = plan
             if compiled_mode != "off":
                 # Plan-to-code compilation: stamp a fused function onto
                 # every lowered segment whose decision elected the
@@ -416,13 +349,8 @@ class Planner:
                 # warm execution of this cached entry reuses the artifact.
                 with self._span("compile"):
                     compiled_segments, compile_seconds = compile_plan(
-                        exec_plan, self.catalog, spec.scoring, mode=compiled_mode
+                        plan, self.catalog, spec.scoring, mode=compiled_mode
                     )
-        elif batch_mode:
-            with self._span("lower"):
-                exec_plan = lower_to_batch(plan, parallelism=parallelism)
-        else:
-            exec_plan = None
         elapsed = time.perf_counter() - start
         with self._lock:
             self.metrics.plan_seconds += elapsed
@@ -442,7 +370,6 @@ class Planner:
             generation=generation,
             k=spec.k,
             scoring=spec.scoring,
-            exec_plan=exec_plan,
             decisions=decisions,
             plan_cost=elapsed,
             parallelism=parallelism,
@@ -459,20 +386,20 @@ class Planner:
         strategy: str,
         sample_ratio: float,
         seed: int,
-        batch_mode: "bool | str",
+        price_batch: bool,
         knobs: dict[str, Any],
     ) -> tuple[PlanNode, CostModel]:
         """Run the strategy's optimizer; returns the plan *and* the cost
         model that priced it (the hybrid decision pass reuses it, so
-        row-vs-batch is judged by the same model that chose the plan)."""
+        row-vs-batch is judged by the same model that chose the plan).
+
+        With ``price_batch`` the DP itself prices BatchSegmentPlan
+        alternatives per signature — batch lowering is a fourth
+        enumeration decision, not only a post-pass rewrite."""
         sample = self.sample(sample_ratio, seed)
-        # Under "auto", the DP itself prices BatchSegmentPlan alternatives
-        # per signature — batch lowering becomes a fourth enumeration
-        # decision instead of a post-pass rewrite.
-        dp_batch = "auto" if batch_mode == "auto" else False
         if strategy == "rank-aware":
             optimizer = RankAwareOptimizer(
-                self.catalog, spec, sample=sample, batch_execution=dp_batch, **knobs
+                self.catalog, spec, sample=sample, price_batch=price_batch, **knobs
             )
             return optimizer.optimize(), optimizer.cost_model
         if strategy == "traditional":
@@ -485,7 +412,7 @@ class Planner:
                 spec,
                 sample=sample,
                 enumerate_ranking=False,
-                batch_execution=dp_batch,
+                price_batch=price_batch,
             )
             return optimizer.optimize(), optimizer.cost_model
         rule_based = RuleBasedOptimizer(self.catalog, spec, sample=sample, **knobs)
@@ -506,8 +433,10 @@ class Planner:
             self.catalog, spec, sample=self.sample(sample_ratio, seed), **knobs
         )
         plan = optimizer.optimize(logical=logical)
-        self.metrics.plan_seconds += time.perf_counter() - start
-        self.metrics.plans_built += 1
+        elapsed = time.perf_counter() - start
+        with self._lock:
+            self.metrics.plan_seconds += elapsed
+            self.metrics.plans_built += 1
         return plan
 
     # ------------------------------------------------------------------

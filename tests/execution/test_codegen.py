@@ -189,8 +189,8 @@ class TestFallback:
     def test_supports_rejects_rank_carrying_segments(self):
         """The pre-check itself: every lowered segment of a rank-aware plan
         is refused (sort-topped P = φ pipelines only).  execution="batch"
-        prices batch lowering even when REPRO_BATCH_EXECUTION=false (the
-        CI row-mode sweep), so the plan reliably has wrappers to refuse."""
+        prices batch lowering even under REPRO_EXECUTION=row (the CI
+        row-mode sweep), so the plan reliably has wrappers to refuse."""
         db = build_db("batch")
         sql = "SELECT * FROM T WHERE T.k > 5 ORDER BY pa(T.x) LIMIT 8"
         entry, __ = db.planner.prepare(sql)

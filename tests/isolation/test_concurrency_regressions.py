@@ -146,7 +146,7 @@ class TestParallelExecutionInsideTransactions:
     SQL = "SELECT * FROM T WHERE T.k > 1 ORDER BY pa(T.x) LIMIT 10"
 
     def build_db(self, n: int = 8000) -> Database:
-        db = Database(batch_execution="auto", parallelism=4)
+        db = Database(execution="auto", parallelism=4)
         db.create_table("T", [("k", DataType.INT), ("x", DataType.FLOAT)])
         rng = random.Random(11)
         db.insert(

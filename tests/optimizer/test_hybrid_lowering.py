@@ -1,6 +1,6 @@
 """Cost-governed hybrid execution: the row-vs-batch decision.
 
-The acceptance bar for ``batch_execution="auto"``: the optimizer prices
+The acceptance bar for ``execution="auto"``: the optimizer prices
 both execution regimes per ``P = φ`` segment in one cost model and
 demonstrably chooses — small segments stay tuple-at-a-time, large drained
 segments lower to the batched columnar path — with identical results
@@ -35,6 +35,7 @@ from repro.optimizer.plans import (
     SeqScanPlan,
 )
 from repro.optimizer.query_spec import QuerySpec
+from repro.planner.planner import EXECUTION_MODES
 from repro.algebra.expressions import col
 from repro.algebra.predicates import BooleanPredicate, RankingPredicate, ScoringFunction
 from repro.storage import Catalog, DataType, Schema
@@ -45,8 +46,8 @@ SQL = (
 )
 
 
-def single_table_db(n: int, batch_execution="auto", **kwargs) -> Database:
-    db = Database(batch_execution=batch_execution, **kwargs)
+def single_table_db(n: int, execution="auto", **kwargs) -> Database:
+    db = Database(execution=execution, **kwargs)
     db.create_table("T", [("k", DataType.INT), ("x", DataType.FLOAT)])
     rng = random.Random(11)
     db.insert("T", [(rng.randrange(5), round(rng.random(), 6)) for __ in range(n)])
@@ -266,7 +267,7 @@ class TestEnumerationPricesBatchAlternatives:
         w = self.workload(2000)
         optimizer = RankAwareOptimizer(
             w.catalog, w.spec, sample_ratio=0.2, seed=1,
-            enumerate_ranking=False, batch_execution="auto",
+            enumerate_ranking=False, price_batch=True,
         )
         plan = optimizer.optimize()
         wrappers = [n for n in plan.walk() if isinstance(n, BatchSegmentPlan)]
@@ -285,10 +286,10 @@ class TestEnumerationPricesBatchAlternatives:
         from repro.execution import ExecutionContext, run_plan
 
         outs = []
-        for knob in (False, "auto"):
+        for knob in (False, True):
             optimizer = RankAwareOptimizer(
                 w.catalog, w.spec, sample_ratio=0.2, seed=1,
-                enumerate_ranking=False, batch_execution=knob,
+                enumerate_ranking=False, price_batch=knob,
             )
             context = ExecutionContext(w.catalog, w.scoring)
             out = run_plan(optimizer.optimize().build(), context, k=8)
@@ -297,8 +298,8 @@ class TestEnumerationPricesBatchAlternatives:
 
 
 class TestAutoModeEndToEnd:
-    """Database(batch_execution="auto"): per-query decisions, visible in
-    explain, with results identical to both forced modes."""
+    """Database(execution="auto"): per-query decisions, visible in
+    explain, with results identical to every other execution mode."""
 
     def test_tiny_table_stays_row_and_explain_says_so(self):
         db = single_table_db(60)
@@ -327,12 +328,18 @@ class TestAutoModeEndToEnd:
 
     @pytest.mark.parametrize("n", [60, 2000])
     def test_results_identical_across_modes(self, n):
+        """60 rows stay tuple-at-a-time, 2000 rows lower or compile — the
+        rows, scores and simulated work are the same in all four modes."""
         results = {}
-        for mode in (False, True, "auto"):
-            db = single_table_db(n, batch_execution=mode)
+        for mode in EXECUTION_MODES:
+            db = single_table_db(n, execution=mode)
             result = db.query(SQL, sample_ratio=0.5, seed=1)
-            results[mode] = (result.rows, result.scores)
-        assert results[False] == results[True] == results["auto"]
+            results[mode] = (result.rows, result.scores, result.metrics.summary())
+        rows, scores, work = results["row"]
+        for mode in EXECUTION_MODES:
+            assert results[mode][:2] == (rows, scores), mode
+            # bulk charging sums the same cost units in a different order
+            assert results[mode][2] == pytest.approx(work), mode
 
     def test_explain_analyze_descends_into_lowered_segment(self):
         db = single_table_db(2000)
@@ -342,15 +349,15 @@ class TestAutoModeEndToEnd:
         # per-operator actuals inside the segment stay visible
         assert "filter(" in text and "seqScan(T)" in text
 
-    def test_workload_query_auto_vs_forced_modes(self):
+    def test_workload_query_same_in_every_mode(self):
         """The §6 workload query: one small segment decision per strategy,
         same rows and scores in every mode."""
         results = {}
-        for mode in (False, True, "auto"):
+        for mode in EXECUTION_MODES:
             w = build_workload(
                 WorkloadConfig(table_size=300, join_selectivity=0.04, k=8, seed=3)
             )
-            w.database.planner.batch_execution = mode
+            w.database.planner.execution = mode
             for strategy in ("rank-aware", "traditional"):
                 r = w.database.session(
                     strategy=strategy, sample_ratio=0.2, seed=1
@@ -361,4 +368,4 @@ class TestAutoModeEndToEnd:
                 )
                 results.setdefault(strategy, []).append((r.rows, r.scores))
         for strategy, versions in results.items():
-            assert versions[0] == versions[1] == versions[2], strategy
+            assert all(version == versions[0] for version in versions), strategy

@@ -4,8 +4,7 @@ A writer thread keeps inserting and deleting high-scoring rows while
 readers run the workload queries.  Every read must observe a *single
 consistent version*: re-executing the same statement serially against the
 snapshot captured at admission must reproduce the concurrent result
-byte-for-byte — in ``auto``, row (``False``) and batch (``True``)
-execution modes alike.
+byte-for-byte — in all four ``execution`` modes alike.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import threading
 
 import pytest
 
+from repro.planner.planner import EXECUTION_MODES
 from repro.workloads import WorkloadConfig, build_workload
 
 #: the workload queries every reader runs (3-way Q, µ-over-scan, plain rank)
@@ -38,7 +38,7 @@ def build_db(mode):
         WorkloadConfig(table_size=150, join_selectivity=0.05, seed=11, k=10)
     )
     db = workload.database
-    db.planner.batch_execution = {"auto": "auto", "row": False, "batch": True}[mode]
+    db.planner.execution = mode
     db.planner.invalidate()
     return db
 
@@ -47,7 +47,7 @@ def transcript_of(result) -> tuple:
     return (tuple(map(tuple, result.rows)), tuple(result.scores))
 
 
-@pytest.mark.parametrize("mode", ["auto", "row", "batch"])
+@pytest.mark.parametrize("mode", EXECUTION_MODES)
 class TestSnapshotVisibility:
     def test_concurrent_readers_see_one_consistent_version(self, mode):
         db = build_db(mode)

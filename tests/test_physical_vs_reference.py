@@ -224,52 +224,59 @@ def test_workload_query_parity(strategy):
     assert_paths_identical(workload.catalog, workload.scoring, plan)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_generated_query_parity_across_execution_modes(seed):
-    """End-to-end: the same SQL returns identical rows and scores whether
-    the Database runs pure row mode, unconditional batch lowering, or the
-    cost-governed ``"auto"`` hybrid, for every generated query."""
+GENERATED_QUERIES = [
+    "SELECT * FROM L ORDER BY pa(L.x) LIMIT 7",
+    "SELECT * FROM L WHERE L.k > 1 ORDER BY pa(L.x) LIMIT 9",
+    "SELECT * FROM L, R WHERE L.k = R.k ORDER BY pa(L.x) + pb(R.x) LIMIT 6",
+    "SELECT * FROM L, R WHERE L.k = R.k AND R.k < 4 "
+    "ORDER BY pa(L.x) + pb(R.x) LIMIT 12",
+]
+
+
+def generated_database(seed, **kwargs):
+    """Two seeded 40-row tables the generated queries run over."""
     from repro.engine.database import Database
     from repro.storage.schema import DataType
 
-    queries = [
-        "SELECT * FROM L ORDER BY pa(L.x) LIMIT 7",
-        "SELECT * FROM L WHERE L.k > 1 ORDER BY pa(L.x) LIMIT 9",
-        "SELECT * FROM L, R WHERE L.k = R.k ORDER BY pa(L.x) + pb(R.x) LIMIT 6",
-        "SELECT * FROM L, R WHERE L.k = R.k AND R.k < 4 "
-        "ORDER BY pa(L.x) + pb(R.x) LIMIT 12",
-    ]
+    db = Database(**kwargs)
+    for name in ("L", "R"):
+        db.create_table(name, [("k", DataType.INT), ("x", DataType.FLOAT)])
+        local = random.Random(seed if name == "L" else seed + 99)
+        db.insert(
+            name,
+            [(local.randrange(5), round(local.random(), 2)) for __ in range(40)],
+        )
+    db.register_predicate("pa", ["L.x"], lambda x: x)
+    db.register_predicate("pb", ["R.x"], lambda x: 1 - x)
+    db.analyze()
+    return db
 
-    def make(batch_execution):
-        db = Database(batch_execution=batch_execution)
-        for name in ("L", "R"):
-            db.create_table(name, [("k", DataType.INT), ("x", DataType.FLOAT)])
-            local = random.Random(seed if name == "L" else seed + 99)
-            db.insert(
-                name,
-                [
-                    (local.randrange(5), round(local.random(), 2))
-                    for __ in range(40)
-                ],
-            )
-        db.register_predicate("pa", ["L.x"], lambda x: x)
-        db.register_predicate("pb", ["R.x"], lambda x: 1 - x)
-        db.analyze()
-        return db
 
-    databases = {mode: make(mode) for mode in (False, True, "auto")}
-    for sql in queries:
+def forced_lowering(db, sql, strategy, dop=1):
+    """Plan ``sql`` in pure row mode, then force every segment of that
+    plan onto the batch path at ``dop`` — the costed pass would keep
+    40-row segments tuple-at-a-time, so parity of the lowered operators on
+    generated plans needs the forced reference.  Returns the row-mode
+    entry and the lowered twin's result."""
+    entry, __ = db.planner.prepare(
+        sql, strategy=strategy, sample_ratio=0.5, seed=1, execution="row"
+    )
+    lowered = lower_to_batch(entry.plan, parallelism=dop)
+    assert any(isinstance(node, BatchSegmentPlan) for node in lowered.walk())
+    return entry, db.execute(lowered, entry.scoring, k=entry.k)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generated_query_forced_lowering_parity(seed):
+    """Every generated plan, forced onto the batch path regardless of
+    size, returns the rows and scores of its row-mode twin."""
+    db = generated_database(seed)
+    for sql in GENERATED_QUERIES:
         for strategy in ("rank-aware", "traditional"):
-            outputs = {
-                mode: db.session(
-                    strategy=strategy, sample_ratio=0.5, seed=1
-                ).execute(sql)
-                for mode, db in databases.items()
-            }
-            want = outputs[False]
-            for mode in (True, "auto"):
-                assert outputs[mode].rows == want.rows, (sql, strategy, mode)
-                assert outputs[mode].scores == want.scores, (sql, strategy, mode)
+            entry, got = forced_lowering(db, sql, strategy)
+            want = db.execute(entry.plan, entry.scoring, k=entry.k)
+            assert got.rows == want.rows, (sql, strategy)
+            assert got.scores == want.scores, (sql, strategy)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -278,37 +285,9 @@ def test_generated_query_parity_across_execution_regimes(seed):
     forced plan-to-code compilation must return identical rows and scores
     for every generated query — and the compiled engine must actually have
     compiled something, so the sweep is never vacuously green."""
-    from repro.engine.database import Database
-    from repro.storage.schema import DataType
-
-    queries = [
-        "SELECT * FROM L ORDER BY pa(L.x) LIMIT 7",
-        "SELECT * FROM L WHERE L.k > 1 ORDER BY pa(L.x) LIMIT 9",
-        "SELECT * FROM L, R WHERE L.k = R.k ORDER BY pa(L.x) + pb(R.x) LIMIT 6",
-        "SELECT * FROM L, R WHERE L.k = R.k AND R.k < 4 "
-        "ORDER BY pa(L.x) + pb(R.x) LIMIT 12",
-    ]
-
-    def make(execution):
-        db = Database(execution=execution)
-        for name in ("L", "R"):
-            db.create_table(name, [("k", DataType.INT), ("x", DataType.FLOAT)])
-            local = random.Random(seed if name == "L" else seed + 99)
-            db.insert(
-                name,
-                [
-                    (local.randrange(5), round(local.random(), 2))
-                    for __ in range(40)
-                ],
-            )
-        db.register_predicate("pa", ["L.x"], lambda x: x)
-        db.register_predicate("pb", ["R.x"], lambda x: 1 - x)
-        db.analyze()
-        return db
-
     modes = ("row", "batch", "auto", "compiled")
-    databases = {mode: make(mode) for mode in modes}
-    for sql in queries:
+    databases = {mode: generated_database(seed, execution=mode) for mode in modes}
+    for sql in GENERATED_QUERIES:
         for strategy in ("rank-aware", "traditional"):
             outputs = {
                 mode: db.session(
@@ -376,45 +355,13 @@ def test_fig11_plan_parallel_parity(plan_name, dop, vector_backend, tiny_morsels
 @pytest.mark.parametrize("dop", [2, 8])
 @pytest.mark.parametrize("seed", range(4))
 def test_generated_query_parity_across_dop(seed, dop, vector_backend, tiny_morsels):
-    """End-to-end over the Database API: a parallelism ceiling must never
-    change any generated query's rows or scores, in either backend."""
-    from repro.engine.database import Database
-    from repro.storage.schema import DataType
-
-    queries = [
-        "SELECT * FROM L ORDER BY pa(L.x) LIMIT 7",
-        "SELECT * FROM L WHERE L.k > 1 ORDER BY pa(L.x) LIMIT 9",
-        "SELECT * FROM L, R WHERE L.k = R.k ORDER BY pa(L.x) + pb(R.x) LIMIT 6",
-        "SELECT * FROM L, R WHERE L.k = R.k AND R.k < 4 "
-        "ORDER BY pa(L.x) + pb(R.x) LIMIT 12",
-    ]
-
-    def make(parallelism):
-        db = Database(batch_execution=True, parallelism=parallelism)
-        for name in ("L", "R"):
-            db.create_table(name, [("k", DataType.INT), ("x", DataType.FLOAT)])
-            local = random.Random(seed if name == "L" else seed + 99)
-            db.insert(
-                name,
-                [
-                    (local.randrange(5), round(local.random(), 2))
-                    for __ in range(40)
-                ],
-            )
-        db.register_predicate("pa", ["L.x"], lambda x: x)
-        db.register_predicate("pb", ["R.x"], lambda x: 1 - x)
-        db.analyze()
-        return db
-
-    serial_db, parallel_db = make(1), make(dop)
-    for sql in queries:
+    """A forced degree of parallelism must never change any generated
+    query's rows or scores, in either backend."""
+    db = generated_database(seed)
+    for sql in GENERATED_QUERIES:
         for strategy in ("rank-aware", "traditional"):
-            want = serial_db.session(
-                strategy=strategy, sample_ratio=0.5, seed=1
-            ).execute(sql)
-            got = parallel_db.session(
-                strategy=strategy, sample_ratio=0.5, seed=1
-            ).execute(sql)
+            __, want = forced_lowering(db, sql, strategy)
+            __, got = forced_lowering(db, sql, strategy, dop=dop)
             assert got.rows == want.rows, (sql, strategy, dop)
             assert got.scores == want.scores, (sql, strategy, dop)
 
