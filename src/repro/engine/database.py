@@ -59,6 +59,7 @@ from ..algebra.predicates import RankingPredicate, ScoringFunction
 from ..execution.iterator import EvaluatorCache, ExecutionContext, collect_plan
 from ..observe import MetricsRegistry, Tracer
 from ..observe import system_tables as _system_tables
+from ..optimizer.cardinality import DEFAULT_SAMPLE_RATIO, CardinalityEstimator
 from ..optimizer.enumeration import RankAwareOptimizer
 from ..optimizer.plans import PlanNode
 from ..optimizer.query_spec import QuerySpec
@@ -447,10 +448,10 @@ class Database:
         feedback = entry.feedback
         if feedback is None:
             try:
-                from ..optimizer.cardinality import CardinalityEstimator
-
                 estimator = CardinalityEstimator(
-                    self.catalog, entry.spec, sample=self.planner.sample(0.001, 0)
+                    self.catalog,
+                    entry.spec,
+                    sample=self.planner.sample(*entry.sample_settings),
                 )
             except Exception:
                 estimator = None
@@ -667,7 +668,7 @@ class Database:
     def optimizer(
         self,
         spec: QuerySpec,
-        sample_ratio: float = 0.001,
+        sample_ratio: float = DEFAULT_SAMPLE_RATIO,
         seed: int = 0,
         **kwargs: Any,
     ) -> RankAwareOptimizer:
@@ -903,7 +904,7 @@ class Database:
     def explain_analyze(
         self,
         query: "str | QuerySpec",
-        sample_ratio: float = 0.01,
+        sample_ratio: float = DEFAULT_SAMPLE_RATIO,
         seed: int = 0,
         params: Any = None,
         strategy: str = "rank-aware",
@@ -940,7 +941,7 @@ class Database:
         logical: LogicalOperator,
         spec: QuerySpec,
         k: int | None = None,
-        sample_ratio: float = 0.001,
+        sample_ratio: float = DEFAULT_SAMPLE_RATIO,
         seed: int = 0,
         **kwargs: Any,
     ) -> QueryResult:

@@ -7,7 +7,6 @@ from .batch import (
     BatchColumnOrderScan,
     BatchFilter,
     BatchHashJoin,
-    BatchLimit,
     BatchNestedLoopJoin,
     BatchOperator,
     BatchProject,
@@ -53,7 +52,6 @@ __all__ = [
     "BatchColumnOrderScan",
     "BatchFilter",
     "BatchHashJoin",
-    "BatchLimit",
     "BatchNestedLoopJoin",
     "BatchOperator",
     "BatchProject",

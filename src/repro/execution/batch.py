@@ -14,17 +14,22 @@ This module is that bulk path:
 
 * :class:`Batch` — a column-vector slice of tuples (value vectors + rid
   vector + evaluated-score vectors), the unit batch operators exchange;
-* batch operators (:class:`BatchScan`, :class:`BatchFilter`,
-  :class:`BatchProject`, :class:`BatchHashJoin`,
+* batch operators (:class:`BatchScan`, :class:`BatchColumnOrderScan`,
+  :class:`BatchFilter`, :class:`BatchProject`, :class:`BatchHashJoin`,
   :class:`BatchSortMergeJoin`, :class:`BatchNestedLoopJoin`,
-  :class:`BatchSort`, :class:`BatchLimit`) — vectorized equivalents of the
-  row operators, producing the *same tuples in the same order* while
-  charging :class:`~repro.execution.metrics.ExecutionMetrics` in per-batch
-  increments (``charge_*(count)``) instead of one call per tuple;
+  :class:`BatchSort`) — vectorized equivalents of the row operators,
+  producing the *same tuples in the same order* while charging
+  :class:`~repro.execution.metrics.ExecutionMetrics` in per-batch
+  increments (``charge_*(count)``) instead of one call per tuple.  Each
+  writes its work once, as one piece of a :class:`MorselChain`: a source,
+  an order-preserving per-batch stage, or a blocking phase;
 * :class:`BatchToRow` — the adapter at the frontier where a rank-aware
   consumer begins: a :class:`~repro.execution.iterator.PhysicalOperator`
-  that unpacks batches back into ``ScoredRow`` tuples, preserving rid
-  tie-order and the ``bound()`` / ``predicates()`` contracts.
+  that runs the segment's chain and unpacks batches back into
+  ``ScoredRow`` tuples, preserving rid tie-order and the ``bound()`` /
+  ``predicates()`` contracts.  At DOP 1 it walks the chain lazily, one
+  batch per pull; at DOP > 1 it runs one task per morsel on the shared
+  pool (:mod:`repro.execution.morsels`).
 
 The planner's costed lowering pass
 (:func:`repro.optimizer.hybrid.decide_batch_lowering`) swaps maximal
@@ -36,7 +41,10 @@ ranking principle is about.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import heapq
+import itertools
 import math
 import time
 from typing import Any, Callable, Iterator
@@ -160,34 +168,37 @@ class Batch:
 
 
 # ----------------------------------------------------------------------
-# morsel decomposition (the parallel path)
+# the pipeline: sources, stages and morsel chains
 # ----------------------------------------------------------------------
 #
-# A MorselChain is a *random-access* decomposition of a batch pipeline:
-# a source that can produce any morsel's batches independently, plus the
-# per-batch stages of the operators stacked above it.  BatchToRow turns a
-# chain into one task per morsel and runs the tasks on the shared pool
-# (morsels.run_tasks), gathering results in morsel order.
+# Every batch segment runs as a MorselChain: a random-access source plus
+# the per-batch stages of the operators stacked above it.  A blocking
+# operator (hash build, sort-merge collection, nested-loop inner, sort)
+# runs its input chain to completion as *runs* — the whole input as one
+# run at DOP 1, one run per morsel on the shared pool otherwise —
+# finalizes each run, merges the results in morsel order, and starts a
+# new chain (the probe side's, or a source over its own output).
 #
 # Determinism contract: morsel boundaries partition the source in its
-# serial emission order and every stage is order-preserving within a
-# batch, so the ordered concatenation of per-morsel outputs is exactly
-# the serial output — rid tie-order included.
+# emission order and every stage is order-preserving within a batch, so
+# the ordered concatenation of per-morsel outputs is exactly the DOP-1
+# output — rid tie-order included.
 #
-# Metrics contract: every stage replicates the serial operator's charges,
-# per tuple and under the same operator-stats names, into the task's
-# *private* ExecutionMetrics sink (workers never touch shared state); the
-# consuming thread merges each sink as it gathers the morsel's result.
-# Charges that are formulas over the whole input (sort / merge-join
-# comparison estimates) are applied once, on the statement's metrics, by
-# the operator that owns them — so for fully-drained segments parallel
-# totals equal serial totals exactly.  Blocking phases (hash build,
-# sort-merge collection, sort materialization) run on the statement
-# thread and fan out their own morsels before the probe chain is built.
+# Metrics contract: sources, stages and finalizers charge the sink they
+# are handed, per batch and under their operator's stats name — the
+# statement's metrics at DOP 1, a task-private ExecutionMetrics at DOP > 1
+# (workers never touch shared state), merged on the statement thread as
+# each morsel's result is gathered.  Charges that are formulas over the
+# whole input (sort / merge-join comparison estimates) are applied once,
+# by the merge step — so fully-drained totals are identical at every DOP.
+# Per-operator wall_seconds is busy time everywhere: every source batch,
+# stage call, finalizer and merge step is timed on its own (summed across
+# workers at DOP > 1, so a DOP-4 node shows ~4× busy per elapsed second).
 
 
 class _Stage:
-    """One operator's per-batch transform inside a morsel task."""
+    """One operator's order-preserving per-batch transform; returns None
+    for a batch that left nothing to emit."""
 
     __slots__ = ("name", "fn")
 
@@ -202,106 +213,86 @@ class _Stage:
 
 
 def _emit(batch: Batch, name: str, sink: ExecutionMetrics) -> Batch:
-    """The serial emission accounting (:meth:`BatchOperator.next_batch`)
-    for a batch produced inside a morsel task."""
+    """Emission accounting: ``len(batch)`` tuples out of operator ``name``,
+    each moved across one operator boundary."""
     count = len(batch)
     sink.stats_for(name).tuples_out += count
     sink.charge_move(count)
     return batch
 
 
-class _ViewSource:
-    """Morsels over a table's :class:`~repro.storage.table.ColumnarView`
-    (:class:`BatchScan`'s parallel twin)."""
+class _Source:
+    """A chain's source: parallel tuple vectors served in ``BATCH_SIZE``
+    slices of any tuple range.
 
-    def __init__(self, view, name: str):
-        self.view = view
-        self.name = name
-        self.width = morsels.morsel_size()
-
-    def morsel_count(self) -> int:
-        return math.ceil(len(self.view) / self.width)
-
-    def batches(self, index: int, sink: ExecutionMetrics) -> Iterator[Batch]:
-        view = self.view
-        stop = min((index + 1) * self.width, len(view))
-        position = index * self.width
-        while position < stop:
-            end = min(position + BATCH_SIZE, stop)
-            sink.charge_scan(end - position)
-            yield _emit(
-                Batch(
-                    view.schema,
-                    view.rids[position:end],
-                    columns=tuple(c[position:end] for c in view.columns),
-                    rows=view.rows[position:end],
-                ),
-                self.name,
-                sink,
-            )
-            position = end
-
-
-class _RowSource:
-    """Morsels over a materialized row list (column-order scans)."""
-
-    def __init__(self, rows: list[Row], schema: Schema, name: str):
-        self.rows = rows
-        self.schema = schema
-        self.name = name
-        self.width = morsels.morsel_size()
-
-    def morsel_count(self) -> int:
-        return math.ceil(len(self.rows) / self.width)
-
-    def batches(self, index: int, sink: ExecutionMetrics) -> Iterator[Batch]:
-        rows = self.rows
-        stop = min((index + 1) * self.width, len(rows))
-        position = index * self.width
-        while position < stop:
-            end = min(position + BATCH_SIZE, stop)
-            chunk = rows[position:end]
-            sink.charge_scan(len(chunk))
-            yield _emit(
-                Batch(self.schema, [r.rid for r in chunk], rows=chunk),
-                self.name,
-                sink,
-            )
-            position = end
-
-
-class _TupleSource:
-    """Morsels over a blocking operator's materialized (values, rids)
-    output (sort-merge join emission): no scan charge, emission accounting
-    only — exactly what the serial wrapper charges."""
+    It serves a table's columnar view (:class:`BatchScan`), a column-ordered
+    row list (:class:`BatchColumnOrderScan`), or a blocking operator's
+    materialized output (sort-merge join, and the score-ordered output of
+    :class:`RankedFrontier`).  Scans charge their reads; every slice counts
+    as operator ``name``'s emission.  A score-ordered output also carries
+    each tuple's ``F`` (``bounds``), from which :meth:`bound_hint` reads the
+    next pending tuple's.
+    """
 
     def __init__(
-        self, values: list[tuple], rids: "list[Rid]", schema: Schema, name: str
+        self,
+        name: str,
+        schema: Schema,
+        rids: "list[Rid]",
+        *,
+        columns: "tuple[list, ...] | None" = None,
+        values: "list[tuple] | None" = None,
+        rows: "list[Row] | None" = None,
+        scores: "dict[str, list[float]] | None" = None,
+        bounds: "list[float] | None" = None,
+        scanned: bool = False,
     ):
-        self.values = values
-        self.rids = rids
-        self.schema = schema
         self.name = name
-        self.width = morsels.morsel_size()
+        self.schema = schema
+        self.rids = rids
+        self.columns = columns
+        self.values = values
+        self.rows = rows
+        self.scores = scores or {}
+        self.bounds = bounds
+        self.scanned = scanned
+        #: end of the last slice served — the next pending tuple of an
+        #: output walked in order (only score-ordered outputs are read)
+        self.position = 0
 
-    def morsel_count(self) -> int:
-        return math.ceil(len(self.values) / self.width)
+    def __len__(self) -> int:
+        return len(self.rids)
 
-    def batches(self, index: int, sink: ExecutionMetrics) -> Iterator[Batch]:
-        stop = min((index + 1) * self.width, len(self.values))
-        position = index * self.width
+    def batches(self, start: int, stop: int, sink: ExecutionMetrics) -> Iterator[Batch]:
+        columns, values, rows = self.columns, self.values, self.rows
+        position = start
         while position < stop:
             end = min(position + BATCH_SIZE, stop)
-            yield _emit(
-                Batch(
-                    self.schema,
-                    self.rids[position:end],
-                    values=self.values[position:end],
+            if self.scanned:
+                sink.charge_scan(end - position)
+            batch = Batch(
+                self.schema,
+                self.rids[position:end],
+                columns=(
+                    tuple(c[position:end] for c in columns)
+                    if columns is not None
+                    else None
                 ),
-                self.name,
-                sink,
+                values=values[position:end] if values is not None else None,
+                rows=rows[position:end] if rows is not None else None,
+                scores={
+                    name: vector[position:end]
+                    for name, vector in self.scores.items()
+                },
             )
-            position = end
+            self.position = position = end
+            yield _emit(batch, self.name, sink)
+
+    def bound_hint(self) -> float:
+        assert self.bounds is not None, "not a score-ordered output"
+        if self.position >= len(self.bounds):
+            return -math.inf
+        return self.bounds[self.position]
 
 
 class MorselChain:
@@ -309,62 +300,82 @@ class MorselChain:
 
     __slots__ = ("source", "stages")
 
-    def __init__(self, source, stages: tuple[_Stage, ...] = ()):
+    def __init__(self, source: _Source, stages: tuple[_Stage, ...] = ()):
         self.source = source
         self.stages = tuple(stages)
 
     def extended(self, stage: _Stage) -> "MorselChain":
         return MorselChain(self.source, self.stages + (stage,))
 
-    def tasks(self, finalize=None) -> list:
-        """One closure per morsel.
+    def batches(self, start: int, stop: int, sink: ExecutionMetrics) -> Iterator[Batch]:
+        """The surviving batches of source tuples ``[start, stop)``, pulled
+        one at a time through every stage, charging ``sink`` and each
+        operator's busy time."""
+        source_stats = sink.stats_for(self.source.name)
+        stages = [(stage, sink.stats_for(stage.name)) for stage in self.stages]
+        iterator = self.source.batches(start, stop, sink)
+        while True:
+            started = time.perf_counter()
+            batch = next(iterator, None)
+            source_stats.wall_seconds += time.perf_counter() - started
+            if batch is None:
+                return
+            for stage, stats in stages:
+                started = time.perf_counter()
+                batch = stage(batch, sink)
+                stats.wall_seconds += time.perf_counter() - started
+                if batch is None:
+                    break
+            else:
+                yield batch
 
-        Each task runs its morsel's batches through the stages with a
-        private metrics sink, accumulating every operator's busy time
-        into the sink's per-operator ``wall_seconds``, and returns
-        ``(result, sink)`` — where ``result`` is the surviving batch
-        list, or ``finalize(batches, sink)`` when a finalizer is given.
+    def tasks(self, name: str, finalize: Callable) -> list:
+        """One closure per morsel: it runs the morsel's batches on a private
+        metrics sink, applies ``finalize(batches, sink)`` (timed as operator
+        ``name``'s busy time) and returns ``(result, sink)``."""
+        n = len(self.source)
+        width = morsels.morsel_size()
+        return [
+            functools.partial(self._task, start, min(start + width, n), name, finalize)
+            for start in range(0, n, width)
+        ]
+
+    def runs(
+        self, name: str, finalize: Callable, dop: int, metrics: ExecutionMetrics
+    ) -> list:
+        """A blocking phase's per-run ``finalize`` results, in morsel order.
+
+        At DOP 1 the whole input is a single run, charged straight to the
+        statement's ``metrics``; otherwise each morsel is a run on the
+        shared pool and its sink is merged into ``metrics`` as gathered.
         """
-        source = self.source
-        stages = self.stages
-        out = []
-        for index in range(source.morsel_count()):
+        if dop <= 1:
+            return [self._finalize(0, len(self.source), name, finalize, metrics)]
+        results = []
+        for result, sink in morsels.run_tasks(self.tasks(name, finalize), dop):
+            metrics.merge(sink)
+            results.append(result)
+        return results
 
-            def task(index: int = index):
-                sink = ExecutionMetrics()
-                source_stats = sink.stats_for(source.name)
-                produced: list[Batch] = []
-                iterator = source.batches(index, sink)
-                while True:
-                    started = time.perf_counter()
-                    batch = next(iterator, None)
-                    source_stats.wall_seconds += time.perf_counter() - started
-                    if batch is None:
-                        break
-                    for stage in stages:
-                        started = time.perf_counter()
-                        batch = stage(batch, sink)
-                        sink.stats_for(stage.name).wall_seconds += (
-                            time.perf_counter() - started
-                        )
-                        if batch is None:
-                            break
-                    else:
-                        produced.append(batch)
-                result = produced if finalize is None else finalize(produced, sink)
-                return result, sink
+    def _task(self, start: int, stop: int, name: str, finalize: Callable):
+        sink = ExecutionMetrics()
+        return self._finalize(start, stop, name, finalize, sink), sink
 
-            out.append(task)
-        return out
+    def _finalize(self, start, stop, name, finalize, sink) -> Any:
+        batches = list(self.batches(start, stop, sink))
+        started = time.perf_counter()
+        result = finalize(batches, sink)
+        sink.stats_for(name).wall_seconds += time.perf_counter() - started
+        return result
 
 
 class BatchOperator:
     """Base class of batch (vector-at-a-time) operators.
 
-    Mirrors the :class:`~repro.execution.iterator.PhysicalOperator`
-    lifecycle — ``open(context)`` / ``next_batch()`` / ``close()`` — with
-    the same per-operator stats and bulk metric charging: every emitted
-    batch counts ``len(batch)`` tuples out and moves in one call.
+    Lifecycle: ``open(context)`` registers the operator's stats under its
+    unique name; :meth:`morsel_chain` — called once, at the frontier's
+    first pull — returns the chain producing the operator's output;
+    ``close()`` releases it.
     """
 
     kind = "batchOperator"
@@ -374,7 +385,8 @@ class BatchOperator:
         self._stats: OperatorStats | None = None
         self._opened = False
         #: the segment's costed degree of parallelism (installed by
-        #: :class:`BatchToRow` before open; 1 = the serial path)
+        #: :class:`BatchToRow` before open; 1 = one run on the statement
+        #: thread)
         self._dop = 1
 
     # -- lifecycle ------------------------------------------------------
@@ -383,26 +395,6 @@ class BatchOperator:
         self._stats = context.metrics.stats_for(context.unique_name(self.describe()))
         self._opened = True
         self._open()
-
-    def next_batch(self) -> Batch | None:
-        """The next non-empty batch, or None when exhausted."""
-        if not self._opened:
-            raise RuntimeError(f"{self.describe()}: next_batch() before open()")
-        started = time.perf_counter()
-        try:
-            while True:
-                batch = self._next_batch()
-                if batch is None:
-                    return None
-                if len(batch):
-                    assert self._stats is not None and self._context is not None
-                    self._stats.tuples_out += len(batch)
-                    self._context.metrics.charge_move(len(batch))
-                    return batch
-        finally:
-            # inclusive wall time (children's pulls run inside this call);
-            # morsel stages instead time their own busy share per worker
-            self.stats.wall_seconds += time.perf_counter() - started
 
     def close(self) -> None:
         if self._opened:
@@ -415,7 +407,7 @@ class BatchOperator:
 
     def predicates(self) -> frozenset[str]:
         """Evaluated ranking-predicate set ``P`` of the output (φ for every
-        batch operator except :class:`BatchSort`)."""
+        batch operator except a :class:`RankedFrontier`)."""
         return frozenset()
 
     def column_order(self) -> str | None:
@@ -427,8 +419,8 @@ class BatchOperator:
         return self.context.scoring.max_possible()
 
     def notify_limit(self, k: int) -> None:
-        """See :meth:`PhysicalOperator.notify_limit`; only
-        :class:`BatchSort` reacts."""
+        """See :meth:`PhysicalOperator.notify_limit`; only a
+        :class:`RankedFrontier` reacts."""
 
     def describe(self) -> str:
         return self.kind
@@ -448,22 +440,17 @@ class BatchOperator:
     def dop(self) -> int:
         return self._dop
 
-    def morsel_chain(self) -> "MorselChain | None":
-        """A random-access morsel decomposition of this operator's output,
-        or None when the subtree cannot be decomposed (the serial
-        ``next_batch`` path remains the fallback, always correct).
+    def morsel_chain(self) -> MorselChain:
+        """This operator's output as a source plus the stages above it.
 
-        Called only after ``open()`` and only with ``dop > 1`` installed.
-        Blocking phases below (hash build, sort-merge collection) may run
-        — themselves fanned out over morsels — as a side effect.
+        Called once, after ``open()``.  Blocking phases below (hash build,
+        sort-merge collection, sort) run as a side effect — as one run at
+        DOP 1, fanned out over morsels otherwise.
         """
-        return None
+        raise NotImplementedError
 
     # -- subclass hooks ---------------------------------------------------
     def _open(self) -> None:
-        raise NotImplementedError
-
-    def _next_batch(self) -> Batch | None:
         raise NotImplementedError
 
     def _close(self) -> None:
@@ -481,16 +468,20 @@ class BatchOperator:
         assert self._stats is not None, "operator not opened"
         return self._stats
 
-    def _record_input(self, count: int) -> None:
-        self.stats.tuples_in += count
+    def _runs(self, child: "BatchOperator", finalize: Callable) -> list:
+        """Run ``child``'s chain as this operator's blocking phase (see
+        :meth:`MorselChain.runs`)."""
+        return child.morsel_chain().runs(
+            self.stats.name, finalize, self._dop, self.context.metrics
+        )
 
-    def _drain(self, child: "BatchOperator") -> Iterator[Batch]:
-        while True:
-            batch = child.next_batch()
-            if batch is None:
-                return
-            self._record_input(len(batch))
-            yield batch
+    @contextlib.contextmanager
+    def _busy(self):
+        """Time a statement-thread step (a merge) as this operator's busy
+        time."""
+        started = time.perf_counter()
+        yield
+        self.stats.wall_seconds += time.perf_counter() - started
 
 
 # ----------------------------------------------------------------------
@@ -507,7 +498,6 @@ class BatchScan(BatchOperator):
         self.table_name = table_name
         self._schema: Schema | None = None
         self._view = None
-        self._position = 0
 
     def describe(self) -> str:
         return f"batchScan({self.table_name})"
@@ -521,27 +511,20 @@ class BatchScan(BatchOperator):
         table = self.context.catalog.table(self.table_name)
         self._schema = table.schema
         self._view = table.columns()
-        self._position = 0
 
-    def _next_batch(self) -> Batch | None:
+    def morsel_chain(self) -> MorselChain:
         view = self._view
         assert view is not None
-        start = self._position
-        if start >= len(view):
-            return None
-        end = min(start + BATCH_SIZE, len(view))
-        self._position = end
-        self.context.metrics.charge_scan(end - start)
-        return Batch(
-            view.schema,
-            view.rids[start:end],
-            columns=tuple(column[start:end] for column in view.columns),
-            rows=view.rows[start:end],
+        return MorselChain(
+            _Source(
+                self.stats.name,
+                view.schema,
+                view.rids,
+                columns=view.columns,
+                rows=view.rows,
+                scanned=True,
+            )
         )
-
-    def morsel_chain(self) -> "MorselChain | None":
-        assert self._view is not None
-        return MorselChain(_ViewSource(self._view, self.stats.name))
 
     def _close(self) -> None:
         self._view = None
@@ -563,7 +546,6 @@ class BatchColumnOrderScan(BatchOperator):
         self.column = column
         self._schema: Schema | None = None
         self._rows: list[Row] | None = None
-        self._position = 0
 
     def describe(self) -> str:
         return f"batchScan_{self.column}({self.table_name})"
@@ -586,25 +568,19 @@ class BatchColumnOrderScan(BatchOperator):
             self._rows = list(index.scan_ascending())
         else:
             self._rows = sorted_column_order(table, self.column, self.context.metrics)
-        self._position = 0
 
-    def _next_batch(self) -> Batch | None:
+    def morsel_chain(self) -> MorselChain:
         rows = self._rows
         assert rows is not None
-        start = self._position
-        if start >= len(rows):
-            return None
-        end = min(start + BATCH_SIZE, len(rows))
-        self._position = end
-        chunk = rows[start:end]
-        self.context.metrics.charge_scan(len(chunk))
-        return Batch(self.schema(), [r.rid for r in chunk], rows=chunk)
-
-    def morsel_chain(self) -> "MorselChain | None":
-        # The ordered row list was materialized (and any fallback-sort
-        # comparisons charged) serially in _open; morsels just slice it.
-        assert self._rows is not None
-        return MorselChain(_RowSource(self._rows, self.schema(), self.stats.name))
+        return MorselChain(
+            _Source(
+                self.stats.name,
+                self.schema(),
+                [r.rid for r in rows],
+                rows=rows,
+                scanned=True,
+            )
+        )
 
     def _close(self) -> None:
         self._rows = None
@@ -643,24 +619,7 @@ class BatchFilter(BatchOperator):
         self._evaluator = self.condition.compile(self.child.schema())
         self._kernel = vectors.boolean_kernel(self.condition, self.child.schema())
 
-    def _next_batch(self) -> Batch | None:
-        evaluate = self._evaluator
-        assert evaluate is not None
-        batch = self.child.next_batch()
-        if batch is None:
-            return None
-        n = len(batch)
-        self._record_input(n)
-        self.context.metrics.charge_boolean(n, cost=self.condition.cost)
-        keep = vectors.keep_indices(self._kernel, evaluate, batch)
-        if len(keep) == n:
-            return batch
-        return batch.select(keep)
-
-    def morsel_chain(self) -> "MorselChain | None":
-        chain = self.child.morsel_chain()
-        if chain is None:
-            return None
+    def morsel_chain(self) -> MorselChain:
         name = self.stats.name
         condition = self.condition
         evaluate = self._evaluator
@@ -672,13 +631,13 @@ class BatchFilter(BatchOperator):
             sink.stats_for(name).tuples_in += n
             sink.charge_boolean(n, cost=condition.cost)
             keep = vectors.keep_indices(kernel, evaluate, batch)
+            if not keep:
+                return None
             if len(keep) != n:
                 batch = batch.select(keep)
-            if not len(batch):
-                return None  # the serial wrapper skips empty batches too
             return _emit(batch, name, sink)
 
-        return chain.extended(_Stage(name, stage))
+        return self.child.morsel_chain().extended(_Stage(name, stage))
 
 
 class BatchProject(BatchOperator):
@@ -710,25 +669,7 @@ class BatchProject(BatchOperator):
         self._positions = [child_schema.index_of(c) for c in self.columns]
         self._schema = child_schema.project(self.columns)
 
-    def _next_batch(self) -> Batch | None:
-        positions = self._positions
-        assert positions is not None and self._schema is not None
-        batch = self.child.next_batch()
-        if batch is None:
-            return None
-        self._record_input(len(batch))
-        vectors = batch.columns
-        return Batch(
-            self._schema,
-            batch.rids,
-            columns=tuple(vectors[p] for p in positions),
-            scores=dict(batch.scores),
-        )
-
-    def morsel_chain(self) -> "MorselChain | None":
-        chain = self.child.morsel_chain()
-        if chain is None:
-            return None
+    def morsel_chain(self) -> MorselChain:
         name = self.stats.name
         positions = self._positions
         schema = self._schema
@@ -748,50 +689,7 @@ class BatchProject(BatchOperator):
                 sink,
             )
 
-        return chain.extended(_Stage(name, stage))
-
-
-class BatchLimit(BatchOperator):
-    """λ_k over batches: truncate the stream after ``k`` tuples."""
-
-    kind = "batchLimit"
-
-    def __init__(self, child: BatchOperator, k: int):
-        super().__init__()
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        self.child = child
-        self.k = k
-        self._emitted = 0
-
-    def describe(self) -> str:
-        return f"batchLimit({self.k})"
-
-    def children(self) -> tuple[BatchOperator, ...]:
-        return (self.child,)
-
-    def schema(self) -> Schema:
-        return self.child.schema()
-
-    def predicates(self) -> frozenset[str]:
-        return self.child.predicates()
-
-    def _open(self) -> None:
-        self.child.open(self.context)
-        self._emitted = 0
-
-    def _next_batch(self) -> Batch | None:
-        remaining = self.k - self._emitted
-        if remaining <= 0:
-            return None
-        batch = self.child.next_batch()
-        if batch is None:
-            return None
-        self._record_input(len(batch))
-        if len(batch) > remaining:
-            batch = batch.select(list(range(remaining)))
-        self._emitted += len(batch)
-        return batch
+        return self.child.morsel_chain().extended(_Stage(name, stage))
 
 
 # ----------------------------------------------------------------------
@@ -839,7 +737,6 @@ class BatchHashJoin(_BatchBinaryJoin):
         super().__init__(left, right)
         self.left_key = left_key
         self.right_key = right_key
-        self._hash: dict[Any, list[tuple[tuple, Rid]]] | None = None
         self._left_position = -1
 
     def describe(self) -> str:
@@ -847,55 +744,37 @@ class BatchHashJoin(_BatchBinaryJoin):
 
     def _open(self) -> None:
         self._open_children()
-        self._hash = None
         self._left_position = self.left.schema().index_of(self.left_key)
 
-    def _build(self) -> None:
+    def _build(self) -> dict[Any, list[tuple[tuple, Rid]]]:
         position = self.right.schema().index_of(self.right_key)
-        table: dict[Any, list[tuple[tuple, Rid]]] = {}
-        chain = self.right.morsel_chain() if self._dop > 1 else None
-        if chain is not None:
-            name = self.stats.name
+        name = self.stats.name
 
-            def finalize(batches: list[Batch], sink: ExecutionMetrics):
-                partition: dict[Any, list[tuple[tuple, Rid]]] = {}
-                stats = sink.stats_for(name)
-                for batch in batches:
-                    stats.tuples_in += len(batch)
-                    keys = batch.columns[position]
-                    values = batch.value_tuples()
-                    rids = batch.rids
-                    for i, key in enumerate(keys):
-                        partition.setdefault(key, []).append((values[i], rids[i]))
-                return partition
+        def finalize(batches: list[Batch], sink: ExecutionMetrics):
+            partition: dict[Any, list[tuple[tuple, Rid]]] = {}
+            stats = sink.stats_for(name)
+            for batch in batches:
+                stats.tuples_in += len(batch)
+                keys = batch.columns[position]
+                values = batch.value_tuples()
+                rids = batch.rids
+                for i, key in enumerate(keys):
+                    partition.setdefault(key, []).append((values[i], rids[i]))
+            return partition
 
-            # Merging the per-morsel partitions in morsel order reproduces
-            # both the per-key partner order and the dict's key insertion
-            # order of the serial build exactly.
-            for partition, sink in morsels.run_tasks(
-                chain.tasks(finalize), self._dop
-            ):
-                self.context.metrics.merge(sink)
+        # Merging the per-run partitions in morsel order reproduces both
+        # the per-key partner order and the dict's key insertion order of
+        # one build over the whole input exactly.
+        partitions = self._runs(self.right, finalize)
+        with self._busy():
+            table = partitions[0] if partitions else {}
+            for partition in partitions[1:]:
                 for key, entries in partition.items():
                     table.setdefault(key, []).extend(entries)
-            self._hash = table
-            return
-        for batch in self._drain(self.right):
-            keys = batch.columns[position]
-            values = batch.value_tuples()
-            rids = batch.rids
-            for i, key in enumerate(keys):
-                table.setdefault(key, []).append((values[i], rids[i]))
-        self._hash = table
+        return table
 
-    def morsel_chain(self) -> "MorselChain | None":
-        if self._hash is None:
-            self._build()
-        chain = self.left.morsel_chain()
-        if chain is None:
-            return None  # the built table still serves the serial probe
-        table = self._hash
-        assert table is not None
+    def morsel_chain(self) -> MorselChain:
+        table = self._build()
         position = self._left_position
         schema = self.schema()
         name = self.stats.name
@@ -923,37 +802,7 @@ class BatchHashJoin(_BatchBinaryJoin):
                 return None
             return _emit(Batch(schema, out_rids, values=out_values), name, sink)
 
-        return chain.extended(_Stage(name, stage))
-
-    def _next_batch(self) -> Batch | None:
-        if self._hash is None:
-            self._build()
-        table = self._hash
-        assert table is not None
-        while True:
-            batch = self.left.next_batch()
-            if batch is None:
-                return None
-            self._record_input(len(batch))
-            keys = batch.columns[self._left_position]
-            values = batch.value_tuples()
-            rids = batch.rids
-            out_values: list[tuple] = []
-            out_rids: list[Rid] = []
-            pairs = 0
-            for i, key in enumerate(keys):
-                partners = table.get(key)
-                if not partners:
-                    continue
-                value, rid = values[i], rids[i]
-                pairs += len(partners)
-                for partner_value, partner_rid in partners:
-                    out_values.append(value + partner_value)
-                    out_rids.append(rid + partner_rid)
-            if pairs:
-                self.context.metrics.charge_join_pair(pairs)
-            if out_values:
-                return Batch(self.schema(), out_rids, values=out_values)
+        return self.left.morsel_chain().extended(_Stage(name, stage))
 
 
 class BatchSortMergeJoin(_BatchBinaryJoin):
@@ -977,8 +826,6 @@ class BatchSortMergeJoin(_BatchBinaryJoin):
         super().__init__(left, right)
         self.left_key = left_key
         self.right_key = right_key
-        self._output: "tuple[list[tuple], list[Rid]] | None" = None
-        self._position = 0
 
     def describe(self) -> str:
         return f"batchSMJ({self.left_key}={self.right_key})"
@@ -988,44 +835,16 @@ class BatchSortMergeJoin(_BatchBinaryJoin):
 
     def _open(self) -> None:
         self._open_children()
-        self._output = None
-        self._position = 0
 
     def _collect(
         self, side: BatchOperator, key_name: str
     ) -> tuple[list, list[tuple], list[Rid]]:
-        """Drain one input; return (key vector, value tuples, rids) sorted
-        by ``(key, rid)``, charging sort comparisons unless the input
-        already delivers the key's interesting order."""
+        """One input as (key vector, value tuples, rids) sorted by
+        ``(key, rid)``: per-run sorts, k-way merged.  Rids are unique, so
+        ``(key, rid)`` is a total order and the merge equals one global
+        sort.  Sort comparisons over the whole input are charged unless
+        the input already delivers the key's interesting order."""
         position = side.schema().index_of(key_name)
-        chain = side.morsel_chain() if self._dop > 1 else None
-        if chain is not None:
-            return self._parallel_collect(side, key_name, position, chain)
-        keys: list = []
-        values: list[tuple] = []
-        rids: list[Rid] = []
-        for batch in self._drain(side):
-            keys.extend(batch.columns[position])
-            values.extend(batch.value_tuples())
-            rids.extend(batch.rids)
-        n = len(keys)
-        if side.column_order() != key_name:
-            self.context.metrics.charge_comparisons(
-                int(n * max(1, math.log2(n or 1)))
-            )
-        order = sorted(range(n), key=lambda i: (keys[i], rids[i]))
-        return (
-            [keys[i] for i in order],
-            [values[i] for i in order],
-            [rids[i] for i in order],
-        )
-
-    def _parallel_collect(
-        self, side: BatchOperator, key_name: str, position: int, chain: "MorselChain"
-    ) -> tuple[list, list[tuple], list[Rid]]:
-        """Per-morsel ``(key, rid)``-sorted runs, k-way merged.  Rids are
-        unique, so ``(key, rid)`` is a total order and the run merge is
-        identical to the serial side's one global sort."""
         name = self.stats.name
 
         def finalize(batches: list[Batch], sink: ExecutionMetrics):
@@ -1038,93 +857,72 @@ class BatchSortMergeJoin(_BatchBinaryJoin):
                 keys.extend(batch.columns[position])
                 values.extend(batch.value_tuples())
                 rids.extend(batch.rids)
-            m = len(keys)
-            order = sorted(range(m), key=lambda i: (keys[i], rids[i]))
+            order = sorted(range(len(keys)), key=lambda i: (keys[i], rids[i]))
             return (
                 [keys[i] for i in order],
                 [values[i] for i in order],
                 [rids[i] for i in order],
             )
 
-        runs = []
-        total = 0
-        for run, sink in morsels.run_tasks(chain.tasks(finalize), self._dop):
-            self.context.metrics.merge(sink)
-            total += len(run[0])
-            if run[0]:
-                runs.append(run)
-        if side.column_order() != key_name:
-            # the serial comparison formula over the whole input, once
-            self.context.metrics.charge_comparisons(
-                int(total * max(1, math.log2(total or 1)))
-            )
-        keys = []
-        values = []
-        rids = []
-        for key, value, rid in heapq.merge(
-            *(zip(*run) for run in runs), key=lambda item: (item[0], item[2])
-        ):
-            keys.append(key)
-            values.append(value)
-            rids.append(rid)
-        return keys, values, rids
+        runs = self._runs(side, finalize)
+        with self._busy():
+            total = sum(len(run[0]) for run in runs)
+            if side.column_order() != key_name:
+                self.context.metrics.charge_comparisons(
+                    int(total * max(1, math.log2(total or 1)))
+                )
+            if len(runs) == 1:
+                return runs[0]
+            keys = []
+            values = []
+            rids = []
+            for key, value, rid in heapq.merge(
+                *(zip(*run) for run in runs), key=lambda item: (item[0], item[2])
+            ):
+                keys.append(key)
+                values.append(value)
+                rids.append(rid)
+            return keys, values, rids
 
-    def morsel_chain(self) -> "MorselChain | None":
-        if self._output is None:
-            self._merge()
-        values, rids = self._output  # type: ignore[misc]
-        return MorselChain(
-            _TupleSource(values, rids, self.schema(), self.stats.name)
-        )
-
-    def _merge(self) -> None:
-        context = self.context
+    def morsel_chain(self) -> MorselChain:
         left_keys, left_values, left_rids = self._collect(self.left, self.left_key)
         right_keys, right_values, right_rids = self._collect(
             self.right, self.right_key
         )
-        out_values: list[tuple] = []
-        out_rids: list[Rid] = []
-        i = j = 0
-        n_left, n_right = len(left_keys), len(right_keys)
-        comparisons = 0
-        pairs = 0
-        while i < n_left and j < n_right:
-            comparisons += 1
-            lk = left_keys[i]
-            rk = right_keys[j]
-            if lk < rk:
-                i += 1
-            elif lk > rk:
-                j += 1
-            else:
-                j_end = j
-                while j_end < n_right and right_keys[j_end] == lk:
-                    j_end += 1
-                i_end = i
-                while i_end < n_left and left_keys[i_end] == lk:
-                    i_end += 1
-                for a in range(i, i_end):
-                    left_value, left_rid = left_values[a], left_rids[a]
-                    for b in range(j, j_end):
-                        out_values.append(left_value + right_values[b])
-                        out_rids.append(left_rid + right_rids[b])
-                pairs += (i_end - i) * (j_end - j)
-                i, j = i_end, j_end
-        context.metrics.charge_comparisons(comparisons)
-        context.metrics.charge_join_pair(pairs)
-        self._output = (out_values, out_rids)
-
-    def _next_batch(self) -> Batch | None:
-        if self._output is None:
-            self._merge()
-        values, rids = self._output  # type: ignore[misc]
-        start = self._position
-        if start >= len(values):
-            return None
-        end = min(start + BATCH_SIZE, len(values))
-        self._position = end
-        return Batch(self.schema(), rids[start:end], values=values[start:end])
+        with self._busy():
+            out_values: list[tuple] = []
+            out_rids: list[Rid] = []
+            i = j = 0
+            n_left, n_right = len(left_keys), len(right_keys)
+            comparisons = 0
+            pairs = 0
+            while i < n_left and j < n_right:
+                comparisons += 1
+                lk = left_keys[i]
+                rk = right_keys[j]
+                if lk < rk:
+                    i += 1
+                elif lk > rk:
+                    j += 1
+                else:
+                    j_end = j
+                    while j_end < n_right and right_keys[j_end] == lk:
+                        j_end += 1
+                    i_end = i
+                    while i_end < n_left and left_keys[i_end] == lk:
+                        i_end += 1
+                    for a in range(i, i_end):
+                        left_value, left_rid = left_values[a], left_rids[a]
+                        for b in range(j, j_end):
+                            out_values.append(left_value + right_values[b])
+                            out_rids.append(left_rid + right_rids[b])
+                    pairs += (i_end - i) * (j_end - j)
+                    i, j = i_end, j_end
+            self.context.metrics.charge_comparisons(comparisons)
+            self.context.metrics.charge_join_pair(pairs)
+        return MorselChain(
+            _Source(self.stats.name, self.schema(), out_rids, values=out_values)
+        )
 
 
 class BatchNestedLoopJoin(_BatchBinaryJoin):
@@ -1143,7 +941,6 @@ class BatchNestedLoopJoin(_BatchBinaryJoin):
     ):
         super().__init__(left, right)
         self.condition = condition
-        self._inner: "tuple[list[tuple], list[Rid]] | None" = None
         self._evaluator: Evaluator | None = None
 
     def describe(self) -> str:
@@ -1152,48 +949,31 @@ class BatchNestedLoopJoin(_BatchBinaryJoin):
 
     def _open(self) -> None:
         self._open_children()
-        self._inner = None
         self._evaluator = (
             self.condition.compile(self.schema()) if self.condition else None
         )
 
-    def _materialize_inner(self) -> None:
-        values: list[tuple] = []
-        rids: list[Rid] = []
-        chain = self.right.morsel_chain() if self._dop > 1 else None
-        if chain is not None:
-            name = self.stats.name
+    def _materialize_inner(self) -> tuple[list[tuple], list[Rid]]:
+        name = self.stats.name
 
-            def finalize(batches: list[Batch], sink: ExecutionMetrics):
-                stats = sink.stats_for(name)
-                part_values: list[tuple] = []
-                part_rids: list[Rid] = []
-                for batch in batches:
-                    stats.tuples_in += len(batch)
-                    part_values.extend(batch.value_tuples())
-                    part_rids.extend(batch.rids)
-                return part_values, part_rids
+        def finalize(batches: list[Batch], sink: ExecutionMetrics):
+            stats = sink.stats_for(name)
+            values: list[tuple] = []
+            rids: list[Rid] = []
+            for batch in batches:
+                stats.tuples_in += len(batch)
+                values.extend(batch.value_tuples())
+                rids.extend(batch.rids)
+            return values, rids
 
-            for (part_values, part_rids), sink in morsels.run_tasks(
-                chain.tasks(finalize), self._dop
-            ):
-                self.context.metrics.merge(sink)
-                values.extend(part_values)
-                rids.extend(part_rids)
-            self._inner = (values, rids)
-            return
-        for batch in self._drain(self.right):
-            values.extend(batch.value_tuples())
-            rids.extend(batch.rids)
-        self._inner = (values, rids)
+        runs = self._runs(self.right, finalize)
+        with self._busy():
+            values = [value for part, __ in runs for value in part]
+            rids = [rid for __, part in runs for rid in part]
+        return values, rids
 
-    def morsel_chain(self) -> "MorselChain | None":
-        if self._inner is None:
-            self._materialize_inner()
-        chain = self.left.morsel_chain()
-        if chain is None:
-            return None
-        inner_values, inner_rids = self._inner  # type: ignore[misc]
+    def morsel_chain(self) -> MorselChain:
+        inner_values, inner_rids = self._materialize_inner()
         evaluate = self._evaluator
         condition = self.condition
         schema = self.schema()
@@ -1223,75 +1003,91 @@ class BatchNestedLoopJoin(_BatchBinaryJoin):
                 return None
             return _emit(Batch(schema, out_rids, values=out_values), name, sink)
 
-        return chain.extended(_Stage(name, stage))
-
-    def _next_batch(self) -> Batch | None:
-        if self._inner is None:
-            self._materialize_inner()
-        inner_values, inner_rids = self._inner  # type: ignore[misc]
-        context = self.context
-        evaluate = self._evaluator
-        condition = self.condition
-        while True:
-            batch = self.left.next_batch()
-            if batch is None:
-                return None
-            self._record_input(len(batch))
-            out_values: list[tuple] = []
-            out_rids: list[Rid] = []
-            pairs = len(batch) * len(inner_values)
-            booleans = 0
-            for outer_value, outer_rid in zip(batch.value_tuples(), batch.rids):
-                for partner_value, partner_rid in zip(inner_values, inner_rids):
-                    merged = outer_value + partner_value
-                    if evaluate is not None:
-                        booleans += 1
-                        if not evaluate(merged):
-                            continue
-                    out_values.append(merged)
-                    out_rids.append(outer_rid + partner_rid)
-            if pairs:
-                context.metrics.charge_join_pair(pairs)
-            if booleans:
-                assert condition is not None
-                context.metrics.charge_boolean(booleans, cost=condition.cost)
-            if out_values:
-                return Batch(self.schema(), out_rids, values=out_values)
+        return self.left.morsel_chain().extended(_Stage(name, stage))
 
 
 # ----------------------------------------------------------------------
-# sort (the frontier of lowered traditional plans)
+# the ranked frontier (sort, and the compiled segment source)
 # ----------------------------------------------------------------------
 
-class BatchSort(BatchOperator):
+class RankedFrontier(BatchOperator):
+    """A blocking segment root that emits in rank order.
+
+    Its :meth:`_materialize` runs the segment and returns every tuple with
+    all ranking predicates evaluated, in ``(−F, rid)`` order — only the
+    top ``fetch_limit`` when a directly-enclosing λ_k announced its ``k``
+    via :meth:`notify_limit` (cursor plans strip the λ and therefore always
+    get the full ordering).  That output is served as a score-ordered
+    :class:`_Source`, so ``P`` is the full predicate set and the bound hint
+    is the next pending tuple's ``F``.
+    """
+
+    def __init__(self, fetch_limit: int | None = None):
+        super().__init__()
+        self.fetch_limit = fetch_limit
+        self._output: _Source | None = None
+
+    def notify_limit(self, k: int) -> None:
+        if self.fetch_limit is None:
+            self.fetch_limit = k
+
+    def predicates(self) -> frozenset[str]:
+        return frozenset(self.context.scoring.predicate_names)
+
+    def bound_hint(self) -> float:
+        if self._output is None:
+            return self.context.scoring.max_possible()
+        return self._output.bound_hint()
+
+    def morsel_chain(self) -> MorselChain:
+        self._output = self._materialize()
+        return MorselChain(self._output)
+
+    def _materialize(self) -> _Source:
+        raise NotImplementedError
+
+    def _ordered_source(
+        self,
+        items: list,
+        rids: "list[Rid]",
+        rows_kept: bool,
+        scores: dict[str, list[float]],
+        bounds: list[float],
+    ) -> _Source:
+        """The output source over rank-ordered carriers: base ``Row``
+        objects when ``rows_kept``, plain value tuples otherwise."""
+        return _Source(
+            self.stats.name,
+            self.schema(),
+            rids,
+            rows=items if rows_kept else None,
+            values=None if rows_kept else items,
+            scores=scores,
+            bounds=bounds,
+        )
+
+    def _close(self) -> None:
+        super()._close()
+        self._output = None
+
+
+class BatchSort(RankedFrontier):
     """Blocking τ_F over batches: drain, evaluate every remaining ranking
     predicate as a score vector, argsort by ``(−F, rid)``, emit in rank
-    order with the score vectors attached.
-
-    Like the row :class:`~repro.execution.sort.Sort`, it keeps only a
-    bounded top-k selection when a directly-enclosing λ_k announces its
-    ``k`` via :meth:`notify_limit` (cursor plans strip the λ and therefore
-    always get the full ordering).
+    order with the score vectors attached — like the row
+    :class:`~repro.execution.sort.Sort`, a bounded top-k under λ_k.
     """
 
     kind = "batchSort"
 
     def __init__(self, child: BatchOperator, fetch_limit: int | None = None):
-        super().__init__()
+        super().__init__(fetch_limit)
         self.child = child
-        self.fetch_limit = fetch_limit
-        self._ordered: "tuple[list, dict[str, list[float]], list[float]] | None" = None
-        self._position = 0
-        self._rows_kept = False
 
     def describe(self) -> str:
         if self.fetch_limit is not None:
             return f"batchSort(top {self.fetch_limit})"
         return "batchSort"
-
-    def notify_limit(self, k: int) -> None:
-        if self.fetch_limit is None:
-            self.fetch_limit = k
 
     def children(self) -> tuple[BatchOperator, ...]:
         return (self.child,)
@@ -1299,92 +1095,12 @@ class BatchSort(BatchOperator):
     def schema(self) -> Schema:
         return self.child.schema()
 
-    def predicates(self) -> frozenset[str]:
-        return frozenset(self.context.scoring.predicate_names)
-
-    def bound_hint(self) -> float:
-        if self._ordered is None:
-            return self.context.scoring.max_possible()
-        if self._position >= len(self._ordered[0]):
-            return -math.inf
-        return self._ordered[2][self._position]
-
     def _open(self) -> None:
         self.child.open(self.context)
-        self._ordered = None
-        self._position = 0
 
-    def _materialize(self) -> None:
-        if self._dop > 1 and self._parallel_materialize():
-            return
-        context = self.context
-        scoring = context.scoring
-        schema = self.child.schema()
-        items: list = []  # Row objects or value tuples, kept per-source
-        rids: list[Rid] = []
-        rows: "list[Row] | None" = []
-        scores: dict[str, list[float]] = {}
-        for batch in self._drain(self.child):
-            if rows is not None and batch.rows is not None:
-                rows.extend(batch.rows)
-            else:
-                rows = None
-            items.extend(batch.tuples())
-            rids.extend(batch.rids)
-            for name, vector in batch.scores.items():
-                scores.setdefault(name, []).extend(vector)
-        n = len(items)
-        missing = [
-            name
-            for name in scoring.predicate_names
-            if name not in scores or len(scores[name]) != n
-        ]
-        if missing:
-            # One synthetic batch over the whole materialized input lets
-            # the vector kernels (and the bulk python loop) score each
-            # remaining predicate column-wise in a single pass.
-            whole = Batch(
-                schema,
-                rids,
-                rows=rows if rows is not None else None,
-                values=None if rows is not None else items,
-            )
-            for name in missing:
-                evaluate, cost = context.evaluators.entry(name, schema)
-                kernel = vectors.ranking_kernel(scoring.predicate(name), schema)
-                scores[name] = vectors.score_vector(kernel, evaluate, whole)
-                context.metrics.charge_predicate(cost, n)
-        names = scoring.predicate_names
-        score_columns = [scores[name] for name in names]
-        # Per-row F via the same upper_bound arithmetic as the row path, so
-        # scores (and the sort order they induce) are bit-identical.
-        bounds = [
-            scoring.upper_bound(dict(zip(names, per_row)))
-            for per_row in zip(*score_columns)
-        ] if n else []
-        k = self.fetch_limit
-        if k is not None and k < n:
-            context.metrics.charge_comparisons(int(n * max(1, math.log2(max(2, k)))))
-            order = heapq.nsmallest(k, range(n), key=lambda i: (-bounds[i], rids[i]))
-        else:
-            context.metrics.charge_comparisons(int(n * max(1, math.log2(n or 1))))
-            order = sorted(range(n), key=lambda i: (-bounds[i], rids[i]))
-        carrier = rows if rows is not None else items
-        self._ordered = (
-            [(carrier[i], rids[i]) for i in order],
-            {name: [scores[name][i] for i in order] for name in names},
-            [bounds[i] for i in order],
-        )
-        self._rows_kept = rows is not None
-
-    def _parallel_materialize(self) -> bool:
-        """Per-morsel score + sort (+ top-k), k-way merged by the same
-        ``(-F, rid)`` total order — identical output to the serial
-        materialization.  Returns False when the child has no morsel
-        decomposition (the caller falls back to the serial body)."""
-        chain = self.child.morsel_chain()
-        if chain is None:
-            return False
+    def _materialize(self) -> _Source:
+        """Per-run score + sort (+ top-k), k-way merged by the same
+        ``(-F, rid)`` total order, so every DOP yields one sort's output."""
         context = self.context
         scoring = context.scoring
         schema = self.child.schema()
@@ -1403,7 +1119,7 @@ class BatchSort(BatchOperator):
 
         def finalize(batches: list[Batch], sink: ExecutionMetrics):
             stats = sink.stats_for(sort_name)
-            items: list = []
+            items: list = []  # Row objects or value tuples, kept per-source
             rids: list[Rid] = []
             rows: "list[Row] | None" = []
             scores: dict[str, list[float]] = {}
@@ -1418,134 +1134,101 @@ class BatchSort(BatchOperator):
                 for name, vector in batch.scores.items():
                     scores.setdefault(name, []).extend(vector)
             n = len(items)
-            missing = [
-                name
-                for name in names
-                if name not in scores or len(scores[name]) != n
-            ]
-            if missing and n:
-                whole = Batch(
-                    schema,
-                    rids,
-                    rows=rows if rows is not None else None,
-                    values=None if rows is not None else items,
+            # One synthetic batch over the whole run lets the vector
+            # kernels (and the bulk python loop) score each remaining
+            # predicate column-wise in a single pass.
+            whole = Batch(
+                schema, rids, rows=rows, values=None if rows is not None else items
+            )
+            for name in names:
+                if name in scores and len(scores[name]) == n:
+                    continue
+                evaluate, cost, kernel = prepared[name]
+                scores[name] = (
+                    vectors.score_vector(kernel, evaluate, whole) if n else []
                 )
-                for name in missing:
-                    evaluate, cost, kernel = prepared[name]
-                    scores[name] = vectors.score_vector(kernel, evaluate, whole)
-                    sink.charge_predicate(cost, n)
-            elif missing:
-                for name in missing:
-                    scores[name] = []
+                sink.charge_predicate(cost, n)
+            # Per-row F via the same upper_bound arithmetic as the row
+            # path, so scores (and the order they induce) are bit-identical.
             score_columns = [scores[name] for name in names]
             bounds = [
                 scoring.upper_bound(dict(zip(names, per_row)))
                 for per_row in zip(*score_columns)
-            ] if n else []
+            ]
             if k is not None and k < n:
                 order = heapq.nsmallest(
                     k, range(n), key=lambda i: (-bounds[i], rids[i])
                 )
             else:
                 order = sorted(range(n), key=lambda i: (-bounds[i], rids[i]))
-            run = [
-                (
-                    bounds[i],
-                    rids[i],
-                    items[i],
-                    tuple(scores[name][i] for name in names),
+            return (
+                n,
+                rows is not None,
+                [bounds[i] for i in order],
+                [rids[i] for i in order],
+                [items[i] for i in order],
+                [[column[i] for i in order] for column in score_columns],
+            )
+
+        runs = self._runs(self.child, finalize)
+        with self._busy():
+            n = sum(run[0] for run in runs)
+            # The comparison formulas over the whole input, charged once —
+            # simulated cost is the same at every DOP.
+            if k is not None and k < n:
+                context.metrics.charge_comparisons(
+                    int(n * max(1, math.log2(max(2, k))))
                 )
-                for i in order
-            ]
-            return n, rows is not None, run
-
-        total = 0
-        rows_kept = True
-        runs = []
-        for (count, kept, run), sink in morsels.run_tasks(
-            chain.tasks(finalize), self._dop
-        ):
-            context.metrics.merge(sink)
-            total += count
-            rows_kept = rows_kept and kept
-            if run:
-                runs.append(run)
-        n = total
-        # The serial comparison formulas over the whole input, charged once
-        # — simulated cost stays identical to the serial sort.
-        if k is not None and k < n:
-            context.metrics.charge_comparisons(
-                int(n * max(1, math.log2(max(2, k))))
-            )
-            limit = k
-        else:
-            context.metrics.charge_comparisons(int(n * max(1, math.log2(n or 1))))
-            limit = n
-        ordered: list[tuple] = []
-        for entry in heapq.merge(*runs, key=lambda e: (-e[0], e[1])):
-            if len(ordered) >= limit:
-                break
-            ordered.append(entry)
-        # When every morsel carried base rows, items *are* those Row
-        # objects (Batch.tuples returns rows when present), matching the
-        # serial carrier choice in both representations.
-        self._ordered = (
-            [(item, rid) for __, rid, item, __ in ordered],
-            {
-                name: [per_row[position] for __, __, __, per_row in ordered]
-                for position, name in enumerate(names)
-            },
-            [bound for bound, __, __, __ in ordered],
-        )
-        self._rows_kept = rows_kept
-        return True
-
-    def _next_batch(self) -> Batch | None:
-        if self._ordered is None:
-            self._materialize()
-        ordered, score_vectors, __ = self._ordered  # type: ignore[misc]
-        start = self._position
-        if start >= len(ordered):
-            return None
-        end = min(start + BATCH_SIZE, len(ordered))
-        self._position = end
-        chunk = ordered[start:end]
-        rids = [rid for __, rid in chunk]
-        sliced_scores = {
-            name: vector[start:end] for name, vector in score_vectors.items()
-        }
-        if self._rows_kept:
-            return Batch(
-                self.schema(),
-                rids,
-                rows=[item for item, __ in chunk],
-                scores=sliced_scores,
-            )
-        return Batch(
-            self.schema(),
+                limit = k
+            else:
+                context.metrics.charge_comparisons(
+                    int(n * max(1, math.log2(n or 1)))
+                )
+                limit = n
+            if len(runs) == 1:
+                __, __, bounds, rids, items, score_columns = runs[0]
+            else:
+                merged = itertools.islice(
+                    heapq.merge(
+                        *(zip(run[2], run[3], run[4], *run[5]) for run in runs),
+                        key=lambda entry: (-entry[0], entry[1]),
+                    ),
+                    limit,
+                )
+                columns = [list(column) for column in zip(*merged)]
+                bounds, rids, items, *score_columns = columns or [
+                    [] for __ in range(3 + len(names))
+                ]
+        # When every run carried base rows, items *are* those Row objects
+        # (Batch.tuples returns rows when present).
+        return self._ordered_source(
+            items,
             rids,
-            values=[item for item, __ in chunk],
-            scores=sliced_scores,
+            all(run[1] for run in runs),
+            dict(zip(names, score_columns)),
+            bounds,
         )
-
-    def _close(self) -> None:
-        self.child.close()
-        self._ordered = None
 
 
 # ----------------------------------------------------------------------
 # the frontier adapter
 # ----------------------------------------------------------------------
 
+def _scored_rows(batches: list[Batch], sink: ExecutionMetrics) -> list[ScoredRow]:
+    """The frontier conversion of a run of batches (a morsel finalizer)."""
+    return [scored for batch in batches for scored in batch.to_scored_rows()]
+
+
 class BatchToRow(PhysicalOperator):
     """Adapter from a batch segment back to the rank-aware iterator world.
 
-    Sits exactly where a rank-aware consumer begins.  It pulls batches from
-    the segment root and re-emits them one :class:`ScoredRow` at a time,
-    preserving tuple order (hence rid tie-order), evaluated scores, and the
-    ``bound()`` / ``predicates()`` contracts of the operator it replaces:
-    ``F_φ`` until exhausted for an unranked segment, the next pending
-    tuple's score for a segment topped by :class:`BatchSort`.
+    Sits exactly where a rank-aware consumer begins.  It runs the segment
+    root's :class:`MorselChain` and re-emits its batches one
+    :class:`ScoredRow` at a time, preserving tuple order (hence rid
+    tie-order), evaluated scores, and the ``bound()`` / ``predicates()``
+    contracts of the operator it replaces: ``F_φ`` until exhausted for an
+    unranked segment, the next pending tuple's score for a segment topped
+    by a :class:`RankedFrontier`.
 
     Moves are *not* re-charged here — the segment root already charged its
     emitted tuples — so a lowered plan's ``tuples_moved`` stays comparable
@@ -1572,15 +1255,18 @@ class BatchToRow(PhysicalOperator):
       conversion.  Membership-only, order-preserving, and charged here
       (same evaluation count the row filter would have charged).
 
-    **Morsel-driven parallelism.**  At ``parallelism > 1`` the adapter
-    asks the segment root for a :class:`MorselChain` and drives it as one
-    task per morsel on the shared pool (:mod:`repro.execution.morsels`),
-    gathering per-morsel ``ScoredRow`` lists **in morsel order** — the
+    Both run as the adapter's own stage at the top of the chain.
+
+    **Execution.**  At the first ``next()`` — after λ_k announced its
+    limit and the consumer registered its prescores/prefilters — the
+    adapter asks the segment root for its chain.  At DOP 1 it walks the
+    chain lazily on the statement thread, one batch per pull.  At
+    ``parallelism > 1`` it runs one task per morsel on the shared pool and
+    gathers per-morsel ``ScoredRow`` lists **in morsel order** — the
     order-restoring gather that keeps parallel output byte-identical to
-    serial execution.  Frontier prefilters/prescores and the row
-    conversion run inside the tasks.  Segments without a decomposition
-    (e.g. topped by :class:`BatchSort`, which instead parallelizes its
-    own materialization) fall back to the serial pull path transparently.
+    DOP 1.  A ranked segment root has already done its blocking work (in
+    parallel at DOP > 1) and is always walked lazily, so :meth:`bound`
+    can follow its next pending score.
     """
 
     kind = "batchSegment"
@@ -1598,10 +1284,8 @@ class BatchToRow(PhysicalOperator):
         self._exhausted = False
         self._prescore: list[str] = []
         self._prescore_kernels: dict[str, tuple] = {}
-        self._prefilters: list[BooleanPredicate] = []
         self._prefilter_compiled: list[tuple] = []
-        self._driver: "Iterator | None" = None
-        self._driver_started = False
+        self._driver: "Iterator[list[ScoredRow]] | None" = None
         #: trace spans (None when the query is untraced): the segment
         #: span lives from open to close; the dispatch span covers the
         #: parallel morsel drain
@@ -1628,8 +1312,8 @@ class BatchToRow(PhysicalOperator):
         """Register a ranking predicate for per-batch evaluation.
 
         Accepted only while the segment is unranked (``P = φ``) — above a
-        :class:`BatchSort` frontier every predicate is already evaluated,
-        and a non-empty ``P`` would make the extra score entries interfere
+        :class:`RankedFrontier` every predicate is already evaluated, and
+        a non-empty ``P`` would make the extra score entries interfere
         with the descending-order contract.
         """
         if self.source.predicates():
@@ -1655,39 +1339,49 @@ class BatchToRow(PhysicalOperator):
         condition was pushed down.
         """
         schema = self.source.schema()
-        self._prefilters.append(condition)
         self._prefilter_compiled.append(
             (
                 condition,
                 condition.compile(schema),
                 vectors.boolean_kernel(condition, schema),
-                stats,
+                stats.name if stats is not None else None,
             )
         )
         return True
 
-    def _prepare_batch(self, batch: Batch) -> Batch:
-        """Apply registered prefilters and prescores to an incoming batch."""
-        metrics = self.context.metrics
-        for condition, evaluate, kernel, stats in self._prefilter_compiled:
-            n = len(batch)
-            if not n:
-                break
-            if stats is not None:
-                stats.tuples_in += n
-            metrics.charge_boolean(n, cost=condition.cost)
-            keep = vectors.keep_indices(kernel, evaluate, batch)
-            if len(keep) != n:
-                batch = batch.select(keep)
-        n = len(batch)
-        if n:
-            for name in self._prescore:
-                if name in batch.scores:
+    def _frontier_stage(self) -> _Stage:
+        """The adapter's own per-batch work: count the input, then apply
+        the registered prefilters and prescores (captured now, at the first
+        pull, so the stage sees the final frontier configuration)."""
+        name = self.stats.name
+        prefilters = list(self._prefilter_compiled)
+        prescores = [
+            (predicate_name, *self._prescore_kernels[predicate_name])
+            for predicate_name in self._prescore
+        ]
+
+        def stage(batch: Batch, sink: ExecutionMetrics) -> Batch | None:
+            sink.stats_for(name).tuples_in += len(batch)
+            for condition, evaluate, kernel, stats_name in prefilters:
+                n = len(batch)
+                if stats_name is not None:
+                    sink.stats_for(stats_name).tuples_in += n
+                sink.charge_boolean(n, cost=condition.cost)
+                keep = vectors.keep_indices(kernel, evaluate, batch)
+                if not keep:
+                    return None
+                if len(keep) != n:
+                    batch = batch.select(keep)
+            for predicate_name, evaluate, cost, kernel in prescores:
+                if predicate_name in batch.scores:
                     continue  # already evaluated below (e.g. by BatchSort)
-                evaluate, cost, kernel = self._prescore_kernels[name]
-                batch.scores[name] = vectors.score_vector(kernel, evaluate, batch)
-                metrics.charge_predicate(cost, n)
-        return batch
+                batch.scores[predicate_name] = vectors.score_vector(
+                    kernel, evaluate, batch
+                )
+                sink.charge_predicate(cost, len(batch))
+            return batch
+
+        return _Stage(name, stage)
 
     def bound(self) -> float:
         if self._position < len(self._pending):
@@ -1724,10 +1418,8 @@ class BatchToRow(PhysicalOperator):
         self._exhausted = False
         self._prescore = []
         self._prescore_kernels = {}
-        self._prefilters = []
         self._prefilter_compiled = []
         self._driver = None
-        self._driver_started = False
         self._dispatch_span = None
         tracer = getattr(self.context, "tracer", None)
         self._segment_span = (
@@ -1740,68 +1432,21 @@ class BatchToRow(PhysicalOperator):
             else None
         )
 
-    def _start_driver(self) -> "Iterator | None":
-        """Build the parallel morsel driver, or None for the serial path.
-
-        Runs at the first ``next()`` — after the consumer registered its
-        prescores/prefilters and λ_k announced its limit — so the morsel
-        stages capture the final frontier configuration.  The driver
-        yields ``(scored_rows, sink)`` per morsel **in morsel order**
-        (the order-restoring gather), with at most ``parallelism``
-        morsels in flight.
-        """
-        if self.parallelism <= 1:
-            return None
-        chain = self.source.morsel_chain()
-        if chain is None:
-            return None
-        name = self.stats.name
-        prefilters = [
-            (
-                condition,
-                evaluate,
-                kernel,
-                stats.name if stats is not None else None,
-            )
-            for condition, evaluate, kernel, stats in self._prefilter_compiled
-        ]
-        prescore = list(self._prescore)
-        prescore_kernels = dict(self._prescore_kernels)
-
-        def finalize(batches: list[Batch], sink: ExecutionMetrics):
-            # The morsel-side twin of _record_input + _prepare_batch +
-            # to_scored_rows, charging the private sink under the same
-            # operator names the serial path uses.
-            started = time.perf_counter()
-            stats = sink.stats_for(name)
-            scored: list[ScoredRow] = []
-            for batch in batches:
-                stats.tuples_in += len(batch)
-                for condition, evaluate, kernel, stats_name in prefilters:
-                    n = len(batch)
-                    if not n:
-                        break
-                    if stats_name is not None:
-                        sink.stats_for(stats_name).tuples_in += n
-                    sink.charge_boolean(n, cost=condition.cost)
-                    keep = vectors.keep_indices(kernel, evaluate, batch)
-                    if len(keep) != n:
-                        batch = batch.select(keep)
-                n = len(batch)
-                if n:
-                    for predicate_name in prescore:
-                        if predicate_name in batch.scores:
-                            continue
-                        evaluate, cost, kernel = prescore_kernels[predicate_name]
-                        batch.scores[predicate_name] = vectors.score_vector(
-                            kernel, evaluate, batch
-                        )
-                        sink.charge_predicate(cost, n)
-                    scored.extend(batch.to_scored_rows())
-            stats.wall_seconds += time.perf_counter() - started
-            return scored
-
-        tasks = chain.tasks(finalize)
+    def _drive(self) -> Iterator[list[ScoredRow]]:
+        """The segment's output as ``ScoredRow`` lists, in order: one per
+        batch when walked lazily, one per morsel when run on the pool
+        (at most ``parallelism`` morsels in flight)."""
+        chain = self.source.morsel_chain().extended(self._frontier_stage())
+        metrics = self.context.metrics
+        if self.parallelism <= 1 or self.source.predicates():
+            stats = self.stats
+            for batch in chain.batches(0, len(chain.source), metrics):
+                started = time.perf_counter()
+                scored = batch.to_scored_rows()
+                stats.wall_seconds += time.perf_counter() - started
+                yield scored
+            return
+        tasks = chain.tasks(self.stats.name, _scored_rows)
         if self._segment_span is not None:
             from ..observe.trace import Span
 
@@ -1813,38 +1458,24 @@ class BatchToRow(PhysicalOperator):
             )
             self._segment_span.children.append(dispatch)
             self._dispatch_span = dispatch
-        return morsels.run_tasks(tasks, self.parallelism)
+        for scored, sink in morsels.run_tasks(tasks, self.parallelism):
+            metrics.merge(sink)
+            yield scored
+        if self._dispatch_span is not None:
+            self._dispatch_span.finish()
 
     def _next(self) -> ScoredRow | None:
         while self._position >= len(self._pending):
             if self._exhausted:
                 return None
-            if not self._driver_started:
-                self._driver_started = True
-                self._driver = self._start_driver()
-            if self._driver is not None:
-                step = next(self._driver, None)
-                if step is None:
-                    self._exhausted = True
-                    if self._dispatch_span is not None:
-                        self._dispatch_span.finish()
-                    return None
-                scored, sink = step
-                self.context.metrics.merge(sink)
-                self._pending = scored
-                self._position = 0
-                continue
-            started = time.perf_counter()
-            batch = self.source.next_batch()
-            if batch is None:
+            if self._driver is None:
+                self._driver = self._drive()
+            scored = next(self._driver, None)
+            if scored is None:
                 self._exhausted = True
-                self.stats.wall_seconds += time.perf_counter() - started
                 return None
-            self._record_input(len(batch))
-            batch = self._prepare_batch(batch)
-            self._pending = batch.to_scored_rows()
+            self._pending = scored
             self._position = 0
-            self.stats.wall_seconds += time.perf_counter() - started
         scored = self._pending[self._position]
         self._position += 1
         return scored

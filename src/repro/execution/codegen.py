@@ -21,9 +21,10 @@ own loop before the probe loop that uses it, and the sort materializes
 after the main loop.  The µ frontier and all rank-aware (row-mode)
 operators stay on the interpreter — the compiled function sits under the
 existing :class:`~repro.execution.batch.BatchToRow` seam, wrapped in
-:class:`CompiledSegmentSource`, which speaks the same ``next_batch`` /
-``predicates`` / ``bound_hint`` contracts as the
-:class:`~repro.execution.batch.BatchSort` frontier it replaces.
+:class:`CompiledSegmentSource` — a
+:class:`~repro.execution.batch.RankedFrontier` like the
+:class:`~repro.execution.batch.BatchSort` it replaces, serving the fused
+function's ordered result through the same source and contracts.
 
 **Parity contract.**  The interpreter is the oracle: a compiled segment
 must produce byte-identical results — rows, scores, rid tie order — *and*
@@ -61,7 +62,7 @@ from ..algebra.expressions import (
 from ..algebra.parameters import Parameter
 from ..algebra.predicates import ScoringFunction
 from ..storage.schema import Schema
-from .batch import BATCH_SIZE, Batch, BatchOperator
+from .batch import RankedFrontier
 
 
 class UnsupportedSegment(Exception):
@@ -87,12 +88,12 @@ class CompiledArtifact:
     """One segment's generated source and compiled fused function.
 
     ``function(context, fetch_limit)`` runs the whole pipeline and returns
-    ``(ordered_items, ordered_scores, ordered_bounds, n)`` — exactly the
-    materialized state :class:`~repro.execution.batch.BatchSort` builds —
-    where ``ordered_items`` is ``[(carrier, rid), ...]`` in ``(-F, rid)``
-    order, ``ordered_scores`` maps predicate name to the reordered score
-    vector, ``ordered_bounds`` carries the per-tuple ``F`` values, and
-    ``n`` is the pre-top-k input cardinality.
+    ``(ordered_items, ordered_scores, ordered_bounds, n)`` — the ordered
+    result :class:`~repro.execution.batch.BatchSort` materializes — where
+    ``ordered_items`` is ``[(carrier, rid), ...]`` in ``(-F, rid)`` order,
+    ``ordered_scores`` maps predicate name to the reordered score vector,
+    ``ordered_bounds`` carries the per-tuple ``F`` values, and ``n`` is the
+    pre-top-k input cardinality.
     """
 
     source: str
@@ -721,10 +722,10 @@ def compile_segment(inner, catalog, scoring: ScoringFunction) -> CompiledArtifac
 # the frontier operator
 # ----------------------------------------------------------------------
 
-class CompiledSegmentSource(BatchOperator):
-    """Runs a segment's compiled fused function and serves the ordered
-    result in ``BATCH_SIZE`` slices — :class:`BatchSort`'s frontier
-    contract (limit pushdown, bound hints from the ordered F column,
+class CompiledSegmentSource(RankedFrontier):
+    """Runs a segment's compiled fused function as a
+    :class:`~repro.execution.batch.RankedFrontier` — :class:`BatchSort`'s
+    contracts (limit pushdown, bound hints from the ordered F column,
     prescore refusal via ``predicates()``) over a body that executes as
     one generated function instead of an operator tree.
     """
@@ -733,11 +734,8 @@ class CompiledSegmentSource(BatchOperator):
 
     def __init__(self, artifact: CompiledArtifact,
                  fetch_limit: int | None = None):
-        super().__init__()
+        super().__init__(fetch_limit)
         self.artifact = artifact
-        self.fetch_limit = fetch_limit
-        self._ordered = None
-        self._position = 0
 
     def describe(self) -> str:
         if self.fetch_limit is not None:
@@ -747,56 +745,21 @@ class CompiledSegmentSource(BatchOperator):
     def schema(self) -> Schema:
         return self.artifact.schema
 
-    def predicates(self) -> frozenset[str]:
-        return frozenset(self.context.scoring.predicate_names)
-
-    def notify_limit(self, k: int) -> None:
-        if self.fetch_limit is None:
-            self.fetch_limit = k
-
-    def bound_hint(self) -> float:
-        if self._ordered is None:
-            return self.context.scoring.max_possible()
-        if self._position >= len(self._ordered[0]):
-            return -math.inf
-        return self._ordered[2][self._position]
-
     def _open(self) -> None:
-        self._ordered = None
-        self._position = 0
+        pass
 
-    def _next_batch(self) -> Batch | None:
-        if self._ordered is None:
-            with self.context.span("compiled_call", fn=self.artifact.label):
-                ordered, score_vectors, bounds, n = self.artifact.function(
-                    self.context, self.fetch_limit
-                )
-            self._record_input(n)
-            self._ordered = (ordered, score_vectors, bounds)
-        ordered, score_vectors, __ = self._ordered
-        start = self._position
-        if start >= len(ordered):
-            return None
-        end = min(start + BATCH_SIZE, len(ordered))
-        self._position = end
-        chunk = ordered[start:end]
-        rids = [rid for __, rid in chunk]
-        sliced_scores = {
-            name: vector[start:end] for name, vector in score_vectors.items()
-        }
-        if self.artifact.rows_kept:
-            return Batch(
-                self.schema(),
-                rids,
-                rows=[item for item, __ in chunk],
-                scores=sliced_scores,
+    def _materialize(self):
+        with self._busy(), self.context.span(
+            "compiled_call", fn=self.artifact.label
+        ):
+            ordered, score_vectors, bounds, n = self.artifact.function(
+                self.context, self.fetch_limit
             )
-        return Batch(
-            self.schema(),
-            rids,
-            values=[item for item, __ in chunk],
-            scores=sliced_scores,
+        self.stats.tuples_in += n
+        return self._ordered_source(
+            [item for item, __ in ordered],
+            [rid for __, rid in ordered],
+            self.artifact.rows_kept,
+            score_vectors,
+            bounds,
         )
-
-    def _close(self) -> None:
-        self._ordered = None

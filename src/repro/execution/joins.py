@@ -378,7 +378,7 @@ class SortMergeJoin(_BinaryJoin):
         self._output = None
         self._position = 0
 
-    def _drain(self, side: PhysicalOperator) -> list[ScoredRow]:
+    def _collect(self, side: PhysicalOperator) -> list[ScoredRow]:
         out: list[ScoredRow] = []
         while True:
             scored = side.next()
@@ -396,8 +396,8 @@ class SortMergeJoin(_BinaryJoin):
         context = self.context
         left_pos = self.left.schema().index_of(self.left_key)
         right_pos = self.right.schema().index_of(self.right_key)
-        left_rows = self._drain(self.left)
-        right_rows = self._drain(self.right)
+        left_rows = self._collect(self.left)
+        right_rows = self._collect(self.right)
         for side, key, rows in (
             (self.left, self.left_key, left_rows),
             (self.right, self.right_key, right_rows),

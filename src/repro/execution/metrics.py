@@ -36,10 +36,9 @@ class OperatorStats:
     name: str
     tuples_in: int = 0
     tuples_out: int = 0
-    #: wall-clock seconds attributed to this operator.  Serial batch
-    #: operators record *inclusive* time (their ``next_batch`` including
-    #: children); parallel morsel stages record the stage's summed busy
-    #: time across workers, which can exceed elapsed time — that is the
+    #: wall-clock seconds attributed to this operator.  Batch operators
+    #: record their own busy time (children excluded), summed across
+    #: workers at DOP > 1, so it can exceed elapsed time — that is the
     #: point: a DOP-4 node shows ~4× busy per elapsed second.
     wall_seconds: float = 0.0
 
@@ -97,10 +96,10 @@ class ExecutionMetrics:
         The parallel execution path gives every morsel task its own
         private sink (workers never touch shared counters) and merges the
         sink on the consuming thread when the morsel's result is gathered
-        — so parallel totals equal serial totals exactly, per counter and
+        — so parallel totals equal DOP-1 totals exactly, per counter and
         per operator.  Per-operator records match by name: tasks charge
-        ``stats_for(name)`` with the same unique names the serial
-        operators registered in the statement's metrics.
+        ``stats_for(name)`` with the same unique names the operators
+        registered in the statement's metrics at open.
         """
         self.tuples_scanned += other.tuples_scanned
         self.tuples_moved += other.tuples_moved

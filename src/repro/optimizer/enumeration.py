@@ -33,7 +33,7 @@ from ..algebra.expressions import ColumnRef
 from ..algebra.predicates import BooleanPredicate
 from ..storage.catalog import Catalog
 from ..storage.index import ColumnIndex, MultiKeyIndex, RankIndex
-from .cardinality import CardinalityEstimator, SampleDatabase
+from .cardinality import DEFAULT_SAMPLE_RATIO, CardinalityEstimator, SampleDatabase
 from .cost_model import CostModel
 from .plans import (
     BatchSegmentPlan,
@@ -114,7 +114,7 @@ class RankAwareOptimizer:
         catalog: Catalog,
         spec: QuerySpec,
         sample: SampleDatabase | None = None,
-        sample_ratio: float = 0.001,
+        sample_ratio: float = DEFAULT_SAMPLE_RATIO,
         seed: int = 0,
         left_deep: bool = False,
         greedy_mu: bool = False,
@@ -550,7 +550,7 @@ def optimize_traditional(
     catalog: Catalog,
     spec: QuerySpec,
     sample: SampleDatabase | None = None,
-    sample_ratio: float = 0.001,
+    sample_ratio: float = DEFAULT_SAMPLE_RATIO,
     seed: int = 0,
 ) -> PlanNode:
     """The traditional-optimizer baseline: join enumeration only, blocking

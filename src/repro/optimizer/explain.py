@@ -27,7 +27,7 @@ from ..algebra.predicates import ScoringFunction
 from ..execution.batch import BatchOperator, BatchToRow
 from ..execution.iterator import ExecutionContext, PhysicalOperator
 from ..storage.catalog import Catalog
-from .cardinality import CardinalityEstimator, SampleDatabase
+from .cardinality import DEFAULT_SAMPLE_RATIO, CardinalityEstimator, SampleDatabase
 from .cost_model import CostModel
 from .plans import BatchSegmentPlan, PlanNode, SortPlan
 from .query_spec import QuerySpec
@@ -43,10 +43,10 @@ class NodeReport:
     estimated_cost: float
     actual_in: int
     actual_out: int
-    #: measured wall-clock milliseconds, recorded for batch operators only
-    #: (serial nodes: inclusive time in ``next_batch``; parallel morsel
-    #: stages: summed worker busy time, which can exceed elapsed — that is
-    #: how a DOP win shows per node).  ``None`` for row-mode operators.
+    #: measured wall-clock milliseconds, recorded for batch operators only:
+    #: the node's own busy time, summed across workers at DOP > 1 (so it
+    #: can exceed elapsed — that is how a DOP win shows per node).
+    #: ``None`` for row-mode operators.
     wall_ms: float | None = None
 
     @property
@@ -105,7 +105,7 @@ def explain_analyze(
     plan: PlanNode,
     k: int | None = None,
     sample: SampleDatabase | None = None,
-    sample_ratio: float = 0.01,
+    sample_ratio: float = DEFAULT_SAMPLE_RATIO,
     seed: int = 0,
     decisions: "list | None" = None,
 ) -> AnalyzeReport:

@@ -45,7 +45,7 @@ from ..algebra.operators import (
 from ..algebra.predicates import BooleanPredicate
 from ..storage.catalog import Catalog
 from ..storage.index import RankIndex
-from .cardinality import CardinalityEstimator, SampleDatabase
+from .cardinality import DEFAULT_SAMPLE_RATIO, CardinalityEstimator, SampleDatabase
 from .cost_model import CostModel
 from .enumeration import OptimizationError
 from .plans import (
@@ -118,7 +118,7 @@ class RuleBasedOptimizer:
         catalog: Catalog,
         spec: QuerySpec,
         sample: SampleDatabase | None = None,
-        sample_ratio: float = 0.001,
+        sample_ratio: float = DEFAULT_SAMPLE_RATIO,
         seed: int = 0,
         max_plans: int = 300,
         threshold_mode: str = "drawn",

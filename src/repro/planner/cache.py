@@ -110,6 +110,13 @@ class CachedPlan:
         return "row"
 
     @property
+    def sample_settings(self) -> tuple[float, int]:
+        """The ``(sample_ratio, seed)`` whose sample priced this plan, read
+        back from the optimizer knobs its signature carries."""
+        knobs = dict(self.signature[2])
+        return knobs["sample_ratio"], knobs["seed"]
+
+    @property
     def executable(self) -> PlanNode:
         """The plan executions should build: the costed lowering decision
         is part of the chosen plan itself."""

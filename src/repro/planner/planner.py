@@ -34,7 +34,7 @@ from ..algebra.parameters import bind_slots
 from ..observe.trace import _NULL_CONTEXT
 from ..execution import morsels
 from ..execution.iterator import EvaluatorCache
-from ..optimizer.cardinality import SampleDatabase
+from ..optimizer.cardinality import DEFAULT_SAMPLE_RATIO, SampleDatabase
 from ..optimizer.cost_model import CostModel
 from ..optimizer.enumeration import RankAwareOptimizer
 from ..optimizer.compile import compile_plan
@@ -211,7 +211,7 @@ class Planner:
     def optimizer(
         self,
         spec: QuerySpec,
-        sample_ratio: float = 0.001,
+        sample_ratio: float = DEFAULT_SAMPLE_RATIO,
         seed: int = 0,
         **knobs: Any,
     ) -> RankAwareOptimizer:
@@ -281,7 +281,7 @@ class Planner:
             # (dropped by the next get), never wrongly fresh.
             generation = self.generation
         spec = self._resolve(query)
-        sample_ratio = float(knobs.pop("sample_ratio", 0.001))
+        sample_ratio = float(knobs.pop("sample_ratio", DEFAULT_SAMPLE_RATIO))
         seed = int(knobs.pop("seed", 0))
         # Popped before the optimizer sees the knobs (the enumerators do
         # not take it) but folded into the signature: plans decided at
@@ -422,7 +422,7 @@ class Planner:
         self,
         logical: LogicalOperator,
         spec: QuerySpec,
-        sample_ratio: float = 0.001,
+        sample_ratio: float = DEFAULT_SAMPLE_RATIO,
         seed: int = 0,
         **knobs: Any,
     ) -> PlanNode:

@@ -15,7 +15,6 @@ from repro.execution import (
     BatchColumnOrderScan,
     BatchFilter,
     BatchHashJoin,
-    BatchLimit,
     BatchNestedLoopJoin,
     BatchProject,
     BatchScan,
@@ -118,12 +117,6 @@ class TestBatchFilterProjectLimit:
             paper_db, BatchToRow(BatchProject(BatchScan("S"), columns))
         )
         assert batch_out == row_out
-
-    def test_batch_limit_truncates(self, paper_db):
-        out, __ = run_rows(paper_db, BatchToRow(BatchLimit(BatchScan("S"), 4)))
-        assert len(out) == 4
-        out, __ = run_rows(paper_db, BatchToRow(BatchLimit(BatchScan("S"), 0)))
-        assert out == []
 
 
 class TestBatchJoins:

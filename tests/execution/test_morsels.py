@@ -1,5 +1,6 @@
-"""The morsel pool subsystem: ordered gather, knobs, backends — and the
-metrics contract (parallel ``charge_*`` totals equal serial totals).
+"""The morsel pool subsystem: ordered gather, knobs, backends, the DOP-1
+lazy walk — and the metrics contract (parallel ``charge_*`` totals equal
+serial totals).
 """
 
 from __future__ import annotations
@@ -9,11 +10,24 @@ import time
 
 import pytest
 
+from repro.algebra.expressions import col
+from repro.algebra.predicates import BooleanPredicate
+from repro.engine.result import Cursor
 from repro.execution import ExecutionContext, run_plan
 from repro.execution import morsels
 from repro.execution.metrics import ExecutionMetrics
-from repro.optimizer.plans import lower_to_batch
-from repro.workloads import ALL_PLANS, WorkloadConfig, build_workload
+from repro.optimizer.plans import (
+    FilterPlan,
+    HashJoinPlan,
+    LimitPlan,
+    NestedLoopJoinPlan,
+    ProjectPlan,
+    SeqScanPlan,
+    SortPlan,
+    lower_to_batch,
+)
+from repro.planner.cache import strip_limit
+from repro.workloads import ALL_PLANS, WorkloadConfig, build_workload, plan1
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +209,44 @@ def _drain_with_metrics(workload, plan_node) -> tuple[list, ExecutionMetrics]:
     return rows, context.metrics
 
 
-@pytest.mark.parametrize("plan_name", sorted(ALL_PLANS))
+def _selection(workload, name):
+    return next(c for c in workload.spec.selections if c.name == name)
+
+
+def _hash_project_sort(workload):
+    """σ(A) ⋈_hash σ(B) ⋈_hash C, projected to the scored columns, sorted."""
+    a = FilterPlan(SeqScanPlan("A"), _selection(workload, "A.b"))
+    b = FilterPlan(SeqScanPlan("B"), _selection(workload, "B.b"))
+    abc = HashJoinPlan(
+        HashJoinPlan(a, b, "A.jc1", "B.jc1"), SeqScanPlan("C"), "B.jc2", "C.jc2"
+    )
+    scored = ProjectPlan(abc, ("C.p1", "B.p2", "B.p1", "A.p2", "A.p1"))
+    everything = frozenset(workload.scoring.predicate_names)
+    return LimitPlan(SortPlan(scored, everything), workload.config.k)
+
+
+def _nested_loop_sort(workload):
+    """σ(A) ⋈_{A.jc1 < B.jc1} σ(B) by nested loops, ⋈_hash C, sorted."""
+    a = FilterPlan(SeqScanPlan("A"), _selection(workload, "A.b"))
+    b = FilterPlan(SeqScanPlan("B"), _selection(workload, "B.b"))
+    condition = BooleanPredicate(col("A.jc1") < col("B.jc1"), "A.jc1<B.jc1")
+    abc = HashJoinPlan(
+        NestedLoopJoinPlan(a, b, condition), SeqScanPlan("C"), "B.jc2", "C.jc2"
+    )
+    everything = frozenset(workload.scoring.predicate_names)
+    return LimitPlan(SortPlan(abc, everything), workload.config.k)
+
+
+#: the §6.1 plans plus segments reaching the hash join, the nested-loop
+#: join and the projection
+SEGMENT_PLANS = {
+    **ALL_PLANS,
+    "hash_project_sort": _hash_project_sort,
+    "nested_loop_sort": _nested_loop_sort,
+}
+
+
+@pytest.mark.parametrize("plan_name", sorted(SEGMENT_PLANS))
 def test_parallel_charge_totals_equal_serial(plan_name, monkeypatch):
     """The satellite regression: for fully-drained queries, every
     ``charge_*`` counter and every per-operator in/out cardinality must be
@@ -205,10 +256,10 @@ def test_parallel_charge_totals_equal_serial(plan_name, monkeypatch):
         WorkloadConfig(table_size=200, join_selectivity=0.02, k=8, seed=7)
     )
     serial_rows, serial = _drain_with_metrics(
-        workload, lower_to_batch(ALL_PLANS[plan_name](workload))
+        workload, lower_to_batch(SEGMENT_PLANS[plan_name](workload))
     )
     parallel_rows, parallel = _drain_with_metrics(
-        workload, lower_to_batch(ALL_PLANS[plan_name](workload), parallelism=8)
+        workload, lower_to_batch(SEGMENT_PLANS[plan_name](workload), parallelism=8)
     )
     assert parallel_rows == serial_rows
     assert parallel.summary() == serial.summary()
@@ -219,6 +270,106 @@ def test_parallel_charge_totals_equal_serial(plan_name, monkeypatch):
         name: (s.tuples_in, s.tuples_out) for name, s in parallel.operators.items()
     }
     assert parallel_ops == serial_ops
+
+
+# ----------------------------------------------------------------------
+# DOP 1: the chain is walked lazily, one batch per pull
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def multi_batch_workload():
+    """3000-row tables: every scan spans several batches."""
+    return build_workload(
+        WorkloadConfig(table_size=3000, join_selectivity=0.002, k=8, seed=7)
+    )
+
+
+def _operator_counts(metrics: ExecutionMetrics) -> dict:
+    return {
+        name: (s.tuples_in, s.tuples_out) for name, s in metrics.operators.items()
+    }
+
+
+@pytest.mark.parametrize("morsel_size", [None, "64"])
+def test_dop1_cursor_over_sort_segment_pulls_one_batch(
+    multi_batch_workload, morsel_size, monkeypatch
+):
+    """A cursor fetching 3 rows of plan 1's lowered sort segment: the
+    blocking phases run whole, the sorted output is served one batch at a
+    time, and the morsel size plays no part at DOP 1."""
+    if morsel_size is None:
+        monkeypatch.delenv("REPRO_MORSEL_SIZE", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_MORSEL_SIZE", morsel_size)
+    workload = multi_batch_workload
+    segment = strip_limit(lower_to_batch(plan1(workload)))
+    context = ExecutionContext(workload.catalog, workload.scoring)
+    cursor = Cursor(segment.build(), context, workload.scoring, segment)
+    assert len(cursor.fetch_many(3)) == 3
+    cursor.close()
+    assert context.metrics.summary() == pytest.approx(
+        {
+            "tuples_scanned": 9000,
+            "tuples_moved": 31603,
+            "predicate_evaluations": 82100,
+            "predicate_cost_units": 82100.0,
+            "boolean_evaluations": 6000,
+            "boolean_cost_units": 600.0,
+            "join_pairs_examined": 19215,
+            "comparisons": 263444,
+            "simulated_cost": 99757.59,
+        }
+    )
+    assert _operator_counts(context.metrics) == {
+        "batch[batchSort]": (1024, 3),
+        "batchSort": (16420, 1024),
+        "batchSMJ(B.jc2=C.jc2)": (5795, 16420),
+        "batchSMJ(A.jc1=B.jc1)": (2364, 2795),
+        "batchFilter(A.b)": (3000, 1194),
+        "batchScan_A.jc1(A)": (0, 3000),
+        "batchFilter(B.b)": (3000, 1170),
+        "batchScan_B.jc1(B)": (0, 3000),
+        "batchScan_C.jc2(C)": (0, 3000),
+    }
+
+
+@pytest.mark.parametrize("morsel_size", [None, "64"])
+def test_dop1_limit_over_filter_scan_pulls_one_batch(
+    multi_batch_workload, morsel_size, monkeypatch
+):
+    """A row λ_5 over a lowered σ(scan) segment stops after the first
+    batch: one batch scanned, filtered and converted."""
+    if morsel_size is None:
+        monkeypatch.delenv("REPRO_MORSEL_SIZE", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_MORSEL_SIZE", morsel_size)
+    workload = multi_batch_workload
+    segment = lower_to_batch(
+        FilterPlan(SeqScanPlan("A"), _selection(workload, "A.b"))
+    )
+    context = ExecutionContext(workload.catalog, workload.scoring)
+    out = run_plan(LimitPlan(segment, 5).build(), context)
+    assert len(out) == 5
+    assert context.metrics.summary() == pytest.approx(
+        {
+            "tuples_scanned": 1024,
+            "tuples_moved": 1450,
+            "predicate_evaluations": 0,
+            "predicate_cost_units": 0.0,
+            "boolean_evaluations": 1024,
+            "boolean_cost_units": 102.4,
+            "join_pairs_examined": 0,
+            "comparisons": 0,
+            "simulated_cost": 1198.9,
+        }
+    )
+    assert _operator_counts(context.metrics) == {
+        "limit(5)": (5, 5),
+        "batch[batchFilter(A.b)]": (421, 5),
+        "batchFilter(A.b)": (1024, 421),
+        "batchScan(A)": (0, 1024),
+    }
 
 
 def test_metrics_merge_sums_every_counter():

@@ -66,6 +66,20 @@ class TestPlanFeedbackOnCachedPlans:
         assert root.actual_out == 10
         assert root.mean_actual_out == pytest.approx(5.0)
 
+    def test_estimates_come_from_the_entrys_own_sample(self, db):
+        # The feedback estimator must use the sample that priced the plan,
+        # not a fixed default one.
+        from repro.optimizer.cardinality import CardinalityEstimator
+
+        db.query(SQL, sample_ratio=0.5, seed=3)
+        entry, __ = db.planner.prepare(SQL, sample_ratio=0.5, seed=3)
+        assert entry.sample_settings == (0.5, 3)
+        estimator = CardinalityEstimator(
+            db.catalog, entry.spec, sample=db.planner.sample(0.5, 3)
+        )
+        root = entry.feedback.nodes[0]
+        assert root.estimated_rows == estimator.estimate(entry.plan)
+
     def test_misestimates_filter(self, db):
         db.query(SQL)
         feedback = self._entry(db).feedback

@@ -117,3 +117,29 @@ class TestDatabaseEntryPoint:
         assert "limit(3)" in text
         assert "est=" in text and "act=" in text
         assert "returned 3 rows" in text
+
+    def test_default_analyzes_the_plan_query_runs(self, monkeypatch):
+        """With default settings, explain_analyze(sql) must annotate the
+        very plan query(sql) executes — both plan from one default sample."""
+        from repro.optimizer import explain
+
+        db = build_workload(
+            WorkloadConfig(table_size=2000, join_selectivity=0.005, seed=42)
+        ).database
+        sql = (
+            "SELECT * FROM A, B, C "
+            "WHERE A.b AND B.b AND A.jc1 = B.jc1 AND B.jc2 = C.jc2 "
+            "ORDER BY f1(A.p1) + f2(A.p2) + f3(B.p1) + f4(B.p2) + f5(C.p1) "
+            "LIMIT 10"
+        )
+        ran = db.query(sql).plan.fingerprint()
+        analyzed = []
+        analyze = explain.explain_analyze
+
+        def spy(catalog, spec, plan, **kwargs):
+            analyzed.append(plan.fingerprint())
+            return analyze(catalog, spec, plan, **kwargs)
+
+        monkeypatch.setattr(explain, "explain_analyze", spy)
+        db.explain_analyze(sql)
+        assert analyzed == [ran]

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.engine.database import Database
+from repro.execution.morsels import MORSEL_SIZE_DEFAULT
 from repro.optimizer.cost_model import (
     BATCH_SETUP_UNIT,
     CostModel,
@@ -313,7 +314,10 @@ class TestAutoModeEndToEnd:
         assert "-> row" in text
         assert "batch segment" not in text
 
-    def test_large_table_lowers_and_explain_names_the_winner(self):
+    def test_large_table_lowers_and_explain_names_the_winner(self, monkeypatch):
+        # Pinned: a small REPRO_MORSEL_SIZE splits this table into enough
+        # morsels that batch@dop outprices serial batch.
+        monkeypatch.setenv("REPRO_MORSEL_SIZE", str(MORSEL_SIZE_DEFAULT))
         db = single_table_db(2000)
         entry, __ = db.planner.prepare(SQL, sample_ratio=0.5, seed=1)
         assert entry.decisions

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.engine.database import Database
+from repro.execution.morsels import MORSEL_SIZE_DEFAULT
 from repro.planner import Planner
 from repro.planner.planner import EXECUTION_MODES
 from repro.storage import DataType
@@ -42,8 +43,11 @@ class TestModeChangeIsACacheMiss:
          ("row", "compiled", "compiled"), ("auto", "row", "row")],
     )
     def test_warm_entry_is_not_served_to_another_mode(
-        self, before, after, regime, per_statement
+        self, before, after, regime, per_statement, monkeypatch
     ):
+        # Pinned: a small REPRO_MORSEL_SIZE splits T into enough morsels
+        # that the batch regime is decided as batch@dop.
+        monkeypatch.setenv("REPRO_MORSEL_SIZE", str(MORSEL_SIZE_DEFAULT))
         db = build_db(execution=before)
         warm, __ = db.planner.prepare(SQL, **KNOBS)
         assert db.planner.prepare(SQL, **KNOBS) == (warm, True)
