@@ -35,14 +35,14 @@ first-committer-wins validation reports the serialization error; retry
 the transaction from ``BEGIN``.
 
 Local statements run through one :class:`~repro.planner.Session`, so
-re-running a statement reuses its prepared plan.  Reuse shows in
-``\\cache`` as ``statement_hits`` (the session memoizes by SQL text, one
-layer *above* the plan cache, whose ``hits`` only count fresh lookups —
-e.g. from other sessions or re-preparation after data changes).
+re-running a statement reuses its cached plan.  Reuse shows in
+``\\cache`` as the plan cache's ``hits`` and the session's
+``plan_cache_hits``.
 
 After ``\\connect host:port`` statements travel over the line-delimited
-JSON protocol to a ``python -m repro serve`` process instead; ``\\cache``
-then shows the *server's* shared-cache and session counters.
+JSON protocol to a ``python -m repro serve`` process instead — into the
+same ``Session`` class on the server side; ``\\cache`` then shows the
+*server's* shared-cache and session counters.
 """
 
 from __future__ import annotations
@@ -495,39 +495,32 @@ def _meta_command(state: ShellState, command: str, out) -> None:
     if command == "\\cache":
         if state.remote is not None:
             payload = state.remote.metrics()
-            stats = dict(payload.get("server", {}))
+            label, stats = "server", dict(payload.get("server", {}))
+            session = payload.get("session", {})
+        else:
+            # Namespace each layer's counters — "invalidations" exists in
+            # both the cache stats and the planner metrics.
+            label, stats = "planner", {
+                f"cache_{key}": value
+                for key, value in db.planner.cache.stats.summary().items()
+            }
             stats.update(
-                (f"session_{key}", value)
-                for key, value in payload.get("session", {}).items()
-                if key != "session_id"
+                (f"planner_{key}", value)
+                for key, value in db.planner.metrics.summary().items()
             )
-            print(
-                "server: "
-                + ", ".join(
-                    f"{key}={value:g}"
-                    for key, value in sorted(stats.items())
-                    if isinstance(value, (int, float))
-                ),
-                file=out,
-            )
-            return
-        # Namespace each layer's counters — "invalidations" exists in both
-        # the cache stats and the planner metrics.
-        stats = {
-            f"cache_{key}": value
-            for key, value in db.planner.cache.stats.summary().items()
-        }
-        stats.update(
-            (f"planner_{key}", value)
-            for key, value in db.planner.metrics.summary().items()
-        )
+            session = state.session.summary()
         stats.update(
             (f"session_{key}", value)
-            for key, value in state.session.summary().items()
+            for key, value in session.items()
+            if key != "session_id"
         )
         print(
-            "planner: "
-            + ", ".join(f"{key}={value:g}" for key, value in sorted(stats.items())),
+            f"{label}: "
+            + ", ".join(
+                f"{key}={value:g}"
+                for key, value in sorted(stats.items())
+                if isinstance(value, (int, float))
+            ),
             file=out,
         )
         return

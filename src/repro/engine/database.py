@@ -35,19 +35,20 @@ so cached plans never go stale.
 **Thread model.**  The storage layer is versioned (copy-on-write
 publication per table) and the planner's bookkeeping is lock-guarded, so
 concurrent *reads* are always safe and writers never block readers.
-Concurrent multi-client traffic should go through the serving subsystem —
-:meth:`Database.serve` / :mod:`repro.server` — which additionally gives
-every statement a consistent :meth:`snapshot` across tables captured at
-admission, serializes statements per session, and makes parameterized
-executions of one cached template atomic.  The bare embedded API stays
-single-client: calling ``db.query`` from many threads without the server
-is safe per-statement but reads current table versions independently
-(statement-level consistency only) and must not interleave parameterized
-runs of one template.
+Every SQL surface (``query``, prepared statements, sessions, cursors)
+binds a parameterized template and executes it atomically under the
+cached entry's ``execution_lock``, so threads may share templates freely;
+a :class:`Session` also serializes its own statements.  Without a
+``snapshot`` a statement reads the current table versions independently
+(statement-level consistency only); the serving subsystem —
+:meth:`Database.serve` / :mod:`repro.server` — additionally gives every
+statement a consistent :meth:`snapshot` across tables captured at
+admission.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from pathlib import Path
@@ -63,7 +64,7 @@ from ..optimizer.cardinality import DEFAULT_SAMPLE_RATIO, CardinalityEstimator
 from ..optimizer.enumeration import RankAwareOptimizer
 from ..optimizer.plans import PlanNode
 from ..optimizer.query_spec import QuerySpec
-from ..planner import Planner, PreparedQuery, Session
+from ..planner import CachedPlan, Planner, PreparedQuery, Session
 from ..planner.planner import normalize_execution, normalize_parallelism
 from ..storage.catalog import Catalog
 from ..storage.faults import NO_FAULTS
@@ -73,10 +74,9 @@ from ..storage.schema import Column, DataType, Schema
 from ..storage.snapshot import DatabaseSnapshot
 from ..storage.table import Table
 from ..storage.transaction import (
-    SerializationError,
     Transaction,
     TransactionManager,
-    retry_backoff,
+    retry_transaction,
 )
 from ..storage.wal import WriteAheadLog
 from .result import QueryResult
@@ -183,6 +183,7 @@ class Database:
         self.recovery_stats: "dict | None" = None
         self._checkpoint_id = 0
         self._closed = False
+        self._session_ids = itertools.count(1)
         if durability is not None:
             if persist_dir is None:
                 raise ValueError(
@@ -344,23 +345,14 @@ class Database:
         Returns ``fn``'s result.
         """
         self._check_open()
-        attempt = 0
-        while True:
-            txn = self.begin(session=session)
-            try:
-                result = fn(txn)
-                if txn.active:
-                    txn.commit()
-                return result
-            except SerializationError:
-                txn.rollback()
-                if attempt >= retries:
-                    raise
-                time.sleep(retry_backoff(attempt, backoff))
-                attempt += 1
-            except BaseException:
-                txn.rollback()
-                raise
+        return retry_transaction(
+            fn,
+            begin=lambda: self.begin(session=session),
+            commit=lambda txn: txn.commit() if txn.active else None,
+            rollback=lambda txn: txn.rollback(),
+            retries=retries,
+            backoff=backoff,
+        )
 
     @property
     def closed(self) -> bool:
@@ -709,9 +701,10 @@ class Database:
         return PreparedQuery(self, query, strategy=strategy, params=params, **kwargs)
 
     def session(self, **settings: Any) -> Session:
-        """A client session carrying per-client planner settings/metrics."""
+        """A client session carrying per-client planner settings/metrics
+        (the same :class:`Session` a server admits; its id is ``e<n>``)."""
         self._check_open()
-        return Session(self, **settings)
+        return Session(self, f"e{next(self._session_ids)}", **settings)
 
     # ------------------------------------------------------------------
     # concurrent serving
@@ -800,6 +793,25 @@ class Database:
         table versions instead of the live catalog — the embedded route to
         the same snapshot-isolated reads the server gives every statement.
         """
+
+        def statement() -> QueryResult:
+            entry, hit = self.planner.prepare(
+                query, strategy=strategy, params=params, bind=False, **kwargs
+            )
+            return self._run_entry(entry, hit, params, snapshot=snapshot)
+
+        return self._statement(query, "query", statement)
+
+    def _statement(
+        self,
+        query: "str | QuerySpec",
+        surface: str,
+        run: "Callable[[], QueryResult]",
+    ) -> QueryResult:
+        """The prologue every SQL surface (``query``, prepared runs,
+        sessions) opens a statement with: reject a closed database, answer
+        ``system.*`` introspection without planning or tracing it, and run
+        everything else as ``run()`` inside one trace labelled ``surface``."""
         self._check_open()
         if isinstance(query, str):
             virtual = _system_tables.maybe_execute(
@@ -808,15 +820,34 @@ class Database:
             if virtual is not None:
                 return virtual
         sql = query if isinstance(query, str) else "<QuerySpec>"
-        with self.tracer.trace(sql, surface="query"):
-            entry, hit = self.planner.prepare(
-                query, strategy=strategy, params=params, **kwargs
-            )
-            self.tracer.annotate(regime=entry.regime())
+        with self.tracer.trace(sql, surface=surface):
+            return run()
+
+    def _run_entry(
+        self,
+        entry: CachedPlan,
+        hit: bool,
+        params: Any,
+        k: int | None = None,
+        snapshot: DatabaseSnapshot | None = None,
+    ) -> QueryResult:
+        """Run a cached plan for one statement — the funnel every SQL
+        surface shares.  Picks the plan for the ``k`` override, stamps the
+        trace with the regime, a compact signature key and the cache
+        outcome, binds ``params`` (atomically with the execution, under the
+        entry's ``execution_lock``, for a parameterized template) and
+        executes.  ``hit`` becomes ``QueryResult.plan_cached``."""
+        plan, wanted = entry.executable_for(k)
+        self.tracer.annotate(
+            regime=entry.regime(),
+            signature=f"sig:{abs(hash(entry.signature)):012x}",
+            cache="hit" if hit else "miss",
+        )
+        with entry.bound(params):
             return self.execute(
-                entry.executable,
+                plan,
                 entry.scoring,
-                k=entry.k,
+                k=wanted,
                 evaluators=entry.evaluators,
                 plan_cached=hit,
                 snapshot=snapshot,
@@ -924,16 +955,18 @@ class Database:
             sample_ratio=sample_ratio,
             seed=seed,
             params=params,
+            bind=False,
             **kwargs,
         )
-        report = explain_analyze(
-            self.catalog,
-            entry.spec,
-            entry.plan,
-            sample=self.planner.sample(sample_ratio, seed),
-            seed=seed,
-            decisions=entry.decisions,
-        )
+        with entry.bound(params):
+            report = explain_analyze(
+                self.catalog,
+                entry.spec,
+                entry.plan,
+                sample=self.planner.sample(sample_ratio, seed),
+                seed=seed,
+                decisions=entry.decisions,
+            )
         return report.render()
 
     def query_logical(

@@ -115,17 +115,20 @@ class Cursor:
         context,
         scoring: ScoringFunction,
         plan: PlanNode,
-        parameters=None,
+        entry=None,
     ):
         self._root = root
         self._context = context
         self.scoring = scoring
         self.plan = plan
-        #: bind-variable isolation: snapshot the (validated) bindings at
-        #: open and restore them before every fetch, so other executions
-        #: of the same template cannot change this cursor's predicates
-        self._parameters = parameters
-        self._bindings = parameters.current() if parameters is not None else None
+        #: bind-variable isolation for a parameterized cached ``entry``:
+        #: the cursor is opened with its bindings installed, snapshots
+        #: them, and restores them before every fetch under the entry's
+        #: execution lock, so other executions of the same template (any
+        #: thread, any surface) cannot change this cursor's predicates
+        parameters = entry.spec.parameters if entry is not None else None
+        self._entry = entry if parameters else None
+        self._bindings = parameters.current() if parameters else None
         self._root.open(context)
         self.schema: Schema = self._root.schema()
         self._closed = False
@@ -173,9 +176,13 @@ class Cursor:
             raise RuntimeError("cursor is closed")
         if self._exhausted:
             return None
-        if self._parameters is not None:
-            self._parameters.restore(self._bindings)
-        scored = self._root.next()
+        entry = self._entry
+        if entry is None:
+            scored = self._root.next()
+        else:
+            with entry.execution_lock:
+                entry.spec.parameters.restore(self._bindings)
+                scored = self._root.next()
         if scored is None:
             self._exhausted = True
         return scored

@@ -27,8 +27,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from typing import Any, Iterator
 
+from ..algebra.parameters import bind_slots
 from ..algebra.predicates import ScoringFunction
 from ..execution.iterator import EvaluatorCache
 from ..optimizer.plans import BatchSegmentPlan, LimitPlan, PlanNode, ProjectPlan
@@ -87,7 +90,8 @@ class CachedPlan:
     #: serializes *parameterized* executions of this entry: bind values
     #: live in the spec's shared ParameterSlots and are read during
     #: execution, so concurrent runs of one template must bind + execute
-    #: atomically (non-parameterized entries never take it)
+    #: atomically (see :meth:`bound`; non-parameterized entries never
+    #: take it)
     execution_lock: "threading.Lock" = field(default_factory=threading.Lock)
     #: per-operator estimated-vs-actual row counts
     #: (:class:`~repro.observe.feedback.PlanFeedback`), built at first
@@ -108,6 +112,19 @@ class CachedPlan:
             dop = max(segment.dop for segment in segments)
             return f"batch@{dop}" if dop > 1 else "batch"
         return "row"
+
+    @contextmanager
+    def bound(self, params: Any) -> Iterator[None]:
+        """Install ``params`` into the entry's parameter slots for the
+        duration of the block — the one place any surface binds values
+        for execution.  A parameterized entry holds :attr:`execution_lock`
+        throughout, so one template's concurrent runs (any surface, any
+        thread, open cursors) never read each other's constants; for any
+        other entry this only rejects stray ``params``."""
+        parameters = self.spec.parameters
+        with self.execution_lock if parameters else nullcontext():
+            bind_slots(parameters, params)
+            yield
 
     @property
     def sample_settings(self) -> tuple[float, int]:

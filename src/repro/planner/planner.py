@@ -147,7 +147,7 @@ class Planner:
         self.cache = PlanCache(cache_capacity)
         #: the owning engine's :class:`~repro.observe.trace.Tracer`, when
         #: one is attached — the planner reports parse/bind/optimize/
-        #: compile spans and cache hit/miss into the active query trace.
+        #: lower/compile spans into the active query trace.
         self.tracer = tracer
         #: maximum per-segment degree of parallelism the optimizer may
         #: choose (1 = serial; "auto" resolved to the core count at
@@ -263,10 +263,11 @@ class Planner:
         :class:`~repro.algebra.parameters.ParameterError`.
 
         ``bind=False`` skips installing ``params`` into a cache *hit*'s
-        shared parameter slots: the concurrent serving layer defers that
-        bind until it holds the entry's ``execution_lock``, so one
-        template's interleaved executions cannot overwrite each other's
-        values mid-run.  A cache *miss* still bind-peeks ``params`` — the
+        shared parameter slots: every SQL surface defers that bind to
+        :meth:`CachedPlan.bound <repro.planner.cache.CachedPlan.bound>`,
+        which holds the entry's ``execution_lock``, so one template's
+        interleaved executions cannot overwrite each other's values
+        mid-run.  A cache *miss* still bind-peeks ``params`` — the
         freshly-built entry is not visible to any other thread until it is
         put into the cache, so that bind cannot race.
         """
@@ -304,20 +305,12 @@ class Planner:
                 execution=execution,
             ),
         )
-        if self.tracer is not None:
-            # compact, process-stable correlation key (the full signature
-            # tuple is an implementation detail and unreadable in logs)
-            self.tracer.annotate(signature=f"sig:{abs(hash(signature)):012x}")
         if use_cache:
             entry = self.cache.get(signature, generation)
             if entry is not None:
                 if bind:
                     bind_slots(entry.spec.parameters, params)
-                if self.tracer is not None:
-                    self.tracer.annotate(cache="hit")
                 return entry, True
-        if self.tracer is not None:
-            self.tracer.annotate(cache="miss")
         bind_slots(spec.parameters, params)
         start = time.perf_counter()
         # "row" prices no regime anywhere; every other mode prices batch

@@ -13,27 +13,42 @@ compiled evaluators.  Because the optimizer's sampling estimator needs
 concrete values, a parameterized statement prepared without initial
 bindings defers planning to its first ``run(params=...)`` (bind peeking).
 
-A :class:`Session` carries per-client planning settings (strategy, sampling
-parameters, heuristic knobs) and accumulates client-side metrics, so
-request-serving code configures once and issues plain SQL afterwards.
+A :class:`Session` is one client's execution context — the same class for
+an embedded ``db.session()`` and for every session a
+:class:`~repro.server.QueryServer` admits.  It carries per-client planning
+settings (strategy, sampling parameters, heuristic knobs), at most one open
+transaction and the client's counters, and plans every statement against
+the shared plan cache.
+
+Every SQL surface — ``Database.query``, :meth:`PreparedQuery.run`,
+:meth:`Session.execute` — runs a statement through the same two steps on
+the database (the statement prologue, then the cached-plan funnel), so the
+``system.*`` interception, the trace annotations and the atomic bind +
+execute of a parameterized template hold identically on all of them.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import threading
 from typing import TYPE_CHECKING, Any
 
-from ..algebra.parameters import ParameterError, bind_slots
+from ..algebra.parameters import ParameterError
 from ..execution.iterator import ExecutionContext
-from ..observe import system_tables as _system_tables
 from ..optimizer.query_spec import QuerySpec
+from ..storage.transaction import TransactionError
 from .cache import CachedPlan, strip_limit
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.database import Database
     from ..engine.result import Cursor, QueryResult
+    from ..storage.snapshot import DatabaseSnapshot
+    from ..storage.transaction import Transaction
 
-__all__ = ["PreparedQuery", "Session", "strip_limit"]
+__all__ = ["PreparedQuery", "Session", "SessionError", "strip_limit"]
+
+
+class SessionError(RuntimeError):
+    """Raised for unknown or closed sessions."""
 
 
 class PreparedQuery:
@@ -76,7 +91,7 @@ class PreparedQuery:
             self._pending_spec = spec
         else:
             self._entry, self._hit = planner.prepare(
-                spec, strategy=strategy, params=params, **knobs
+                spec, strategy=strategy, params=params, bind=False, **knobs
             )
         #: whether the current entry has been executed before (its first
         #: run after a cold build must not report plan_cached=True)
@@ -141,7 +156,8 @@ class PreparedQuery:
         """
         entry = self._refresh(params)
         if params is not None:
-            bind_slots(entry.spec.parameters, params)
+            with entry.bound(params):  # validates exactly as run() would
+                pass
         return entry.plan.explain()
 
     # -- execution ---------------------------------------------------------
@@ -152,7 +168,11 @@ class PreparedQuery:
         if self._entry is None or self._entry.generation != planner.generation:
             query = self._query if self._pending_spec is None else self._pending_spec
             self._entry, self._hit = planner.prepare(
-                query, strategy=self._strategy, params=params, **self._knobs
+                query,
+                strategy=self._strategy,
+                params=params,
+                bind=False,
+                **self._knobs,
             )
             self._pending_spec = None
             self._ran = False
@@ -182,38 +202,28 @@ class PreparedQuery:
         bindings follow; a first run that *hits* a template another
         statement already planned does report True.
         """
-        tracer = self._db.tracer
-        sql = self._query if isinstance(self._query, str) else "<QuerySpec>"
-        with tracer.trace(sql, surface="prepared"):
+
+        def statement() -> "QueryResult":
             entry = self._refresh(params)
-            bind_slots(entry.spec.parameters, params)
-            plan_cached = self._hit or self._ran
+            hit = self._hit or self._ran
             self._ran = True
-            plan, wanted = entry.executable_for(k)
-            tracer.annotate(regime=entry.regime())
-            return self._db.execute(
-                plan,
-                entry.scoring,
-                k=wanted,
-                evaluators=entry.evaluators,
-                plan_cached=plan_cached,
-                snapshot=snapshot,
-                entry=entry,
-            )
+            return self._db._run_entry(entry, hit, params, k, snapshot)
+
+        return self._db._statement(self._query, "prepared", statement)
 
     def cursor(self, params: Any = None) -> "Cursor":
         """An incremental cursor over the prepared plan (limit stripped).
 
         The cursor snapshots its (validated) bindings at open and restores
-        them before every fetch, so later executions of the same template —
-        other ``run``/``cursor`` calls with different ``params``, including
-        from unrelated statements that share the cached plan — cannot
-        change an open cursor's predicates mid-stream.
+        them before every fetch, under the template's execution lock, so
+        other executions of the same template — other ``run``/``cursor``
+        calls with different ``params``, on any thread or surface that
+        shares the cached plan — cannot change an open cursor's predicates
+        mid-stream.
         """
         from ..engine.result import Cursor
 
         entry = self._refresh(params)
-        bind_slots(entry.spec.parameters, params)
         # Stripping the λ also strips its top-k hint, so a lowered
         # BatchSort below delivers the full ordering the cursor needs.
         unlimited = strip_limit(entry.executable)
@@ -221,65 +231,94 @@ class PreparedQuery:
             self._db.catalog, entry.scoring, evaluators=entry.evaluators
         )
         context.begin_run()
-        return Cursor(
-            unlimited.build(),
-            context,
-            entry.scoring,
-            unlimited,
-            parameters=entry.spec.parameters,
-        )
+        with entry.bound(params):
+            return Cursor(
+                unlimited.build(), context, entry.scoring, unlimited, entry=entry
+            )
 
 
 class Session:
-    """Per-client query context: fixed planning settings, shared statements.
+    """One client's execution context: settings, a transaction, counters.
 
     ``settings`` are planner knobs applied to every statement the session
     plans (``strategy``, ``sample_ratio``, ``seed``, heuristic flags …).
-    Prepared statements are memoized by SQL text (LRU, at most
-    ``max_statements``, so long-lived sessions issuing many distinct ad-hoc
-    statements stay bounded), so ``execute`` hits the statement cache first
-    and the shared plan cache second.
+    Statements plan against the database's shared plan cache, so every
+    session reuses plans any other session (or ``db.query``) built; the
+    per-session hit/miss counters record how much of that shared work this
+    client reused.  ``surface`` labels the session's statement traces.
 
-    A session may hold one open **transaction** (:meth:`begin` /
-    :meth:`commit` / :meth:`rollback`).  While it is open, every
-    ``execute`` reads the BEGIN-time snapshot plus the transaction's own
-    buffered writes, and :meth:`insert` / :meth:`delete_where` buffer
-    instead of publishing — the embedded mirror of the server-session
-    surface (:class:`repro.server.session.ServerSession`).
+    Concurrency contract:
+
+    * Statements of one session serialize on its statement lock, so a
+      session may be shared between threads (and a server client that
+      pipelines requests gets in-order, one-at-a-time execution).
+    * A parameterized statement binds into the cached template's shared
+      parameter slots under the entry's ``execution_lock`` (see
+      :meth:`CachedPlan.bound <repro.planner.cache.CachedPlan.bound>`), so
+      interleaved runs of one template never read each other's constants.
+    * A session holds at most one open **transaction** (:meth:`begin` /
+      :meth:`commit` / :meth:`rollback`).  While it is open, every
+      ``execute`` reads the BEGIN-time snapshot plus the transaction's own
+      buffered writes (overriding any ``snapshot`` argument), and
+      :meth:`insert` / :meth:`delete_where` buffer instead of publishing;
+      executed queries are logged into the transaction's event stream for
+      the history recorder.  Closing a session rolls its transaction back.
+    * Any use after :meth:`close` raises :class:`SessionError`.
     """
 
-    #: default bound on memoized prepared statements per session
-    MAX_STATEMENTS = 64
+    #: the per-session counters :meth:`summary` reports (and
+    #: :class:`~repro.server.session.SessionManager` banks on close)
+    COUNTERS = (
+        "queries_executed",
+        "rows_returned",
+        "simulated_cost",
+        "plan_cache_hits",
+        "plan_cache_misses",
+        "compiled_executions",
+        "interpreted_executions",
+    )
 
-    def __init__(self, database: "Database", **settings: Any):
+    def __init__(
+        self,
+        database: "Database",
+        session_id: str,
+        surface: str = "prepared",
+        strategy: str = "rank-aware",
+        **settings: Any,
+    ):
         self._db = database
-        self.strategy = settings.pop("strategy", "rank-aware")
-        self.max_statements = int(settings.pop("max_statements", self.MAX_STATEMENTS))
-        if self.max_statements < 1:
-            raise ValueError("max_statements must be positive")
+        self.session_id = session_id
+        self.surface = surface
+        self.strategy = strategy
         self.settings = settings
-        self._statements: "OrderedDict[str, PreparedQuery]" = OrderedDict()
         self._closed = False
+        #: serializes this session's statements (see the class contract)
+        self._statement_lock = threading.Lock()
         #: the session's open transaction, if any (at most one)
-        self.transaction = None
-        #: client-side totals across every statement this session executed
-        self.queries_executed = 0
-        self.rows_returned = 0
-        self.simulated_cost = 0.0
-        #: statement-cache hits — reuse that never reaches the plan cache
-        self.statement_hits = 0
-        #: execution-regime split: statements whose plan carried at least
-        #: one compiled fused segment vs fully interpreted ones
-        self.compiled_executions = 0
-        self.interpreted_executions = 0
+        self.transaction: "Transaction | None" = None
+        #: client-side totals across every statement this session executed;
+        #: ``compiled_executions`` / ``interpreted_executions`` split them
+        #: by whether the plan carried at least one compiled fused segment
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
 
     # -- lifecycle ---------------------------------------------------------
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
     def close(self) -> None:
-        transaction, self.transaction = self.transaction, None
-        if transaction is not None:
-            transaction.rollback()
-        self._statements.clear()
-        self._closed = True
+        # An open transaction dies with its session — buffered writes are
+        # private, so this is a pure discard.
+        with self._statement_lock:
+            transaction, self.transaction = self.transaction, None
+            if transaction is not None:
+                transaction.rollback()
+            self._closed = True
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise SessionError(f"session {self.session_id!r} is closed")
 
     def __enter__(self) -> "Session":
         return self
@@ -288,59 +327,48 @@ class Session:
         self.close()
 
     # -- statements ----------------------------------------------------------
-    def prepare(self, query: "str | QuerySpec") -> PreparedQuery:
-        """Prepare a statement under the session's settings (memoized).
-
-        Memoization is by SQL *text*: a parameterized template prepared once
-        serves every subsequent ``execute(sql, params=...)`` with fresh
-        bindings — the statement cache and the shared plan cache both see
-        one entry per template, not one per constant.
-        """
-        if self._closed:
-            raise RuntimeError("session is closed")
-        if isinstance(query, str):
-            cached = self._statements.get(query)
-            if cached is not None:
-                self._statements.move_to_end(query)
-                self.statement_hits += 1
-                return cached
-        prepared = PreparedQuery(
-            self._db, query, strategy=self.strategy, **self.settings
-        )
-        if isinstance(query, str):
-            self._statements[query] = prepared
-            while len(self._statements) > self.max_statements:
-                self._statements.popitem(last=False)
-        return prepared
-
     def execute(
         self,
         query: "str | QuerySpec",
         k: int | None = None,
         params: Any = None,
+        snapshot: "DatabaseSnapshot | None" = None,
     ) -> "QueryResult":
-        """Plan (with statement + plan caching) and execute a query.
+        """Plan (against the shared cache) and execute one statement.
 
         ``params`` binds ``?`` / ``:name`` placeholders for this execution.
-        Inside an open transaction the query reads its view (BEGIN-time
-        snapshot + own buffered writes) and is logged to its event stream.
+        ``snapshot`` pins the table versions the plan reads (the server
+        captures one at admission); ``None`` reads the live catalog.  While
+        the session has an open transaction, its read view overrides either.
         """
-        if isinstance(query, str):
-            # system.* virtual tables are served by interception — they
-            # must not enter the statement cache or the planner
-            virtual = _system_tables.maybe_execute(
-                query, self._db.tracer, self._db.registry
+        with self._statement_lock:
+            self._check_open()
+            return self._db._statement(
+                query,
+                self.surface,
+                lambda: self._run(query, k, params, snapshot),
             )
-            if virtual is not None:
-                return virtual
+
+    def _run(self, query, k, params, snapshot) -> "QueryResult":
         transaction = self.transaction if self.in_transaction else None
-        snapshot = transaction.read_view() if transaction is not None else None
-        prepared = self.prepare(query)
-        result = prepared.run(k=k, params=params, snapshot=snapshot)
+        if transaction is not None:
+            snapshot = transaction.read_view()
+        entry, hit = self._db.planner.prepare(
+            query,
+            strategy=self.strategy,
+            params=params,
+            bind=False,
+            **self.settings,
+        )
+        result = self._db._run_entry(entry, hit, params, k, snapshot)
         self.queries_executed += 1
         self.rows_returned += len(result)
         self.simulated_cost += result.metrics.simulated_cost
-        if prepared.compiled_segments:
+        if hit:
+            self.plan_cache_hits += 1
+        else:
+            self.plan_cache_misses += 1
+        if entry.compiled_segments:
             self.compiled_executions += 1
         else:
             self.interpreted_executions += 1
@@ -352,52 +380,70 @@ class Session:
             )
         return result
 
+    def prepare(self, query: "str | QuerySpec") -> PreparedQuery:
+        """Prepare a statement under the session's settings."""
+        self._check_open()
+        return self._db.prepare(query, strategy=self.strategy, **self.settings)
+
+    def cursor(self, query: "str | QuerySpec", params: Any = None) -> "Cursor":
+        """An incremental cursor under the session's settings."""
+        return self.prepare(query).cursor(params=params)
+
+    def explain(self, query: "str | QuerySpec", params: Any = None) -> str:
+        """The chosen plan for a statement under the session's settings."""
+        return self.prepare(query).explain(params=params)
+
     # -- transactions ------------------------------------------------------
     @property
     def in_transaction(self) -> bool:
         return self.transaction is not None and self.transaction.active
 
-    def begin(self):
-        """Open a transaction on this session (at most one at a time);
-        returns the :class:`~repro.storage.transaction.Transaction`."""
-        from ..storage.transaction import TransactionError
-
-        if self._closed:
-            raise RuntimeError("session is closed")
-        if self.in_transaction:
-            raise TransactionError(
-                "session already has an open transaction; "
-                "COMMIT or ROLLBACK it first"
-            )
-        self.transaction = self._db.begin()
-        return self.transaction
+    def begin(self) -> "Transaction":
+        """Open a transaction on this session (at most one at a time),
+        attributed to this session in the transaction history."""
+        with self._statement_lock:
+            self._check_open()
+            if self.in_transaction:
+                raise TransactionError(
+                    f"session {self.session_id!r} already has an open "
+                    "transaction; COMMIT or ROLLBACK it first"
+                )
+            self.transaction = self._db.begin(session=self.session_id)
+            return self.transaction
 
     def commit(self) -> int:
         """Commit the open transaction; returns the commit sequence.
         Raises :class:`~repro.storage.transaction.SerializationError` on a
-        first-committer-wins conflict (retry means a fresh :meth:`begin`)."""
-        from ..storage.transaction import TransactionError
-
-        transaction = self.transaction
-        if transaction is None or not transaction.active:
-            raise TransactionError("session has no open transaction")
-        self.transaction = None
-        return transaction.commit()
+        first-committer-wins conflict (the transaction is gone either way
+        — retry means a fresh :meth:`begin`)."""
+        with self._statement_lock:
+            self._check_open()
+            transaction = self.transaction
+            if transaction is None or not transaction.active:
+                raise TransactionError(
+                    f"session {self.session_id!r} has no open transaction"
+                )
+            self.transaction = None
+            return transaction.commit()
 
     def rollback(self) -> None:
-        """Discard the open transaction's buffered writes (no-op when none
-        is open, so cleanup paths may call it unconditionally)."""
-        transaction, self.transaction = self.transaction, None
-        if transaction is not None:
-            transaction.rollback()
+        """Discard the open transaction's buffered writes.  A no-op when
+        none is open, so cleanup paths may call it unconditionally."""
+        with self._statement_lock:
+            self._check_open()
+            transaction, self.transaction = self.transaction, None
+            if transaction is not None:
+                transaction.rollback()
 
     # -- DML (transactional when a transaction is open) --------------------
     def insert(self, table: str, rows: Any) -> int:
         """Insert value tuples — buffered in the open transaction, applied
         immediately (autocommit) otherwise."""
-        if self.in_transaction:
-            return self.transaction.insert(self._db.catalog.table(table), rows)
-        return self._db.insert(table, rows)
+        with self._statement_lock:
+            self._check_open()
+            if self.in_transaction:
+                return self.transaction.insert(self._db.catalog.table(table), rows)
+            return self._db.insert(table, rows)
 
     def delete_where(
         self,
@@ -409,32 +455,29 @@ class Session:
     ) -> int:
         """Delete rows — buffered in the open transaction (matched against
         its own read view), applied immediately (autocommit) otherwise."""
-        if self.in_transaction:
-            return self.transaction.delete_where(
-                self._db.catalog.table(table),
-                condition,
-                column=column,
-                equals=equals,
+        with self._statement_lock:
+            self._check_open()
+            if self.in_transaction:
+                return self.transaction.delete_where(
+                    self._db.catalog.table(table),
+                    condition,
+                    column=column,
+                    equals=equals,
+                )
+            return self._db.delete_where(
+                table, condition, column=column, equals=equals
             )
-        return self._db.delete_where(
-            table, condition, column=column, equals=equals
-        )
 
-    def cursor(self, query: "str | QuerySpec", params: Any = None) -> "Cursor":
-        """An incremental cursor under the session's settings."""
-        return self.prepare(query).cursor(params=params)
+    # -- metrics -----------------------------------------------------------
+    @property
+    def hit_rate(self) -> float:
+        """This session's shared-plan-cache hit rate."""
+        total = self.plan_cache_hits + self.plan_cache_misses
+        return self.plan_cache_hits / total if total else 0.0
 
-    def explain(self, query: "str | QuerySpec", params: Any = None) -> str:
-        return self.prepare(query).explain(params=params)
-
-    def summary(self) -> dict[str, float]:
-        """Client-side totals (rows, statements, simulated execution cost)."""
-        return {
-            "queries_executed": self.queries_executed,
-            "rows_returned": self.rows_returned,
-            "simulated_cost": self.simulated_cost,
-            "statements_cached": len(self._statements),
-            "statement_hits": self.statement_hits,
-            "compiled_executions": self.compiled_executions,
-            "interpreted_executions": self.interpreted_executions,
-        }
+    def summary(self) -> dict[str, Any]:
+        """The session id, its counters and its plan-cache hit rate."""
+        out: dict[str, Any] = {"session_id": self.session_id}
+        out.update((name, getattr(self, name)) for name in self.COUNTERS)
+        out["plan_cache_hit_rate"] = self.hit_rate
+        return out

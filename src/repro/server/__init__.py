@@ -6,8 +6,10 @@ multi-session engine:
 * :class:`QueryServer` — admission, worker-pool execution, and a
   line-delimited JSON wire protocol over TCP
   (:mod:`repro.server.protocol`);
-* :class:`SessionManager` / :class:`ServerSession` — per-client settings
-  and metrics over the **process-wide shared plan cache**;
+* :class:`SessionManager` — the registry of admitted sessions, each a
+  :class:`~repro.planner.Session` (the class embedded callers get from
+  ``db.session()``) with per-client settings and metrics over the
+  **process-wide shared plan cache**;
 * snapshot-isolated reads — every statement executes against the
   :class:`~repro.storage.snapshot.DatabaseSnapshot` captured at admission,
   so readers never block writers and never observe half-applied DML;
@@ -28,7 +30,7 @@ from .client import RemoteResult, RemoteSession, connect
 from .history import HistoryRecorder
 from .protocol import ProtocolError, ServerError
 from .server import InProcessClient, QueryServer
-from .session import ServerSession, SessionError, SessionManager
+from .session import SessionError, SessionManager
 
 __all__ = [
     "HistoryRecorder",
@@ -38,7 +40,6 @@ __all__ = [
     "RemoteResult",
     "RemoteSession",
     "ServerError",
-    "ServerSession",
     "SessionError",
     "SessionManager",
     "connect",

@@ -11,10 +11,9 @@ matches the per-session serialization the server enforces anyway.
 from __future__ import annotations
 
 import socket
-import time
 from typing import Any, Callable
 
-from ..storage.transaction import SerializationError, retry_backoff
+from ..storage.transaction import SerializationError, retry_transaction
 from . import protocol
 from .protocol import ProtocolError, ServerError
 
@@ -145,27 +144,23 @@ class RemoteSession:
         :meth:`Database.run_transaction`.  The helper begins before and
         commits after ``fn`` (unless ``fn`` already finished the
         transaction itself); any exception rolls back."""
-        attempt = 0
-        while True:
-            self.begin()
+        return retry_transaction(
+            lambda __: fn(self),
+            begin=self.begin,
+            commit=lambda __: self.commit() if self.in_transaction else None,
+            rollback=lambda __: self._abandon(),
+            retries=retries,
+            backoff=backoff,
+        )
+
+    def _abandon(self) -> None:
+        """Roll back a failed attempt's transaction if it is still open,
+        tolerating a dead connection (it may be why the attempt failed)."""
+        if self.in_transaction:
             try:
-                result = fn(self)
-                if self.in_transaction:
-                    self.commit()
-                return result
-            except SerializationError:
                 self.rollback()
-                if attempt >= retries:
-                    raise
-                time.sleep(retry_backoff(attempt, backoff))
-                attempt += 1
-            except BaseException:
-                if self.in_transaction:
-                    try:
-                        self.rollback()
-                    except (OSError, ConnectionError, ServerError):
-                        pass  # the connection may be the thing that died
-                raise
+            except (OSError, ConnectionError, ServerError):
+                pass
 
     def metrics(self) -> dict[str, Any]:
         return self._roundtrip({"op": "metrics"})

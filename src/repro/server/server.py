@@ -12,9 +12,10 @@ into a multi-session engine.  The flow of one statement:
    queue length is observable (:meth:`QueryServer.summary`), which is the
    hook a future admission-control policy needs.
 3. **Execution** — the worker runs the statement through its
-   :class:`~repro.server.session.ServerSession`, which plans against the
-   process-wide shared plan cache and executes against the admission
-   snapshot.  The result (or exception) resolves the caller's future.
+   :class:`~repro.planner.Session` (the same class and code path as an
+   embedded session), which plans against the process-wide shared plan
+   cache and executes against the admission snapshot.  The result (or
+   exception) resolves the caller's future.
 
 Two client surfaces share that path:
 
@@ -55,10 +56,10 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from ..execution import morsels
 from ..storage.snapshot import DatabaseSnapshot
-from ..storage.transaction import SerializationError, retry_backoff
+from ..storage.transaction import retry_transaction
 from . import protocol
 from .protocol import ProtocolError
-from .session import ServerSession, SessionError, SessionManager
+from .session import Session, SessionError, SessionManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.database import Database
@@ -72,7 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class _Request:
     """One admitted statement waiting for a worker."""
 
-    session: ServerSession
+    session: Session
     sql: str
     params: Any
     k: int | None
@@ -296,7 +297,7 @@ class QueryServer:
     # ------------------------------------------------------------------
     def submit(
         self,
-        session: "ServerSession | str",
+        session: "Session | str",
         sql: str,
         params: Any = None,
         k: int | None = None,
@@ -336,7 +337,7 @@ class QueryServer:
 
     def execute(
         self,
-        session: "ServerSession | str",
+        session: "Session | str",
         sql: str,
         params: Any = None,
         k: int | None = None,
@@ -483,7 +484,7 @@ class QueryServer:
         stopping server or an idle client (``idle_timeout``) instead of
         blocking in a read forever — a dead client can never pin its
         thread.  Bytes are split on newlines into protocol messages."""
-        session: ServerSession | None = None
+        session: Session | None = None
         poll = 0.5
         if self.idle_timeout is not None:
             poll = min(poll, max(self.idle_timeout / 4, 0.05))
@@ -549,8 +550,8 @@ class QueryServer:
             conn.close()
 
     def _handle_message(
-        self, line: bytes, session: ServerSession | None
-    ) -> tuple[dict[str, Any], ServerSession | None, bool]:
+        self, line: bytes, session: Session | None
+    ) -> tuple[dict[str, Any], Session | None, bool]:
         """Dispatch one wire message; returns (response, session, done)."""
         message = protocol.decode(line)
         op = protocol.request_op(message)
@@ -590,7 +591,7 @@ class QueryServer:
             if not isinstance(table, str) or not isinstance(column, str):
                 raise ProtocolError("'delete' needs a table and a column")
             equals = message.get("equals")
-            deleted = session.delete(table, column=column, equals=equals)
+            deleted = session.delete_where(table, column=column, equals=equals)
             with self._lock:
                 self.writes_executed += 1
             return {"ok": True, "deleted": deleted}, session, False
@@ -638,7 +639,7 @@ class InProcessClient:
     admission → queue → worker path, without sockets (the test surface,
     and the natural embedding API)."""
 
-    def __init__(self, server: QueryServer, session: ServerSession):
+    def __init__(self, server: QueryServer, session: Session):
         self._server = server
         self.session = session
 
@@ -676,7 +677,7 @@ class InProcessClient:
         return self.session.insert(table, rows)
 
     def delete(self, table: str, column: str, equals: Any) -> int:
-        return self.session.delete(table, column=column, equals=equals)
+        return self.session.delete_where(table, column=column, equals=equals)
 
     def run_transaction(
         self,
@@ -689,23 +690,15 @@ class InProcessClient:
         served twin of :meth:`Database.run_transaction`.  The helper
         begins before and commits after ``fn`` (unless ``fn`` already
         finished the transaction); any exception rolls back."""
-        attempt = 0
-        while True:
-            self.begin()
-            try:
-                result = fn(self)
-                if self.session.in_transaction:
-                    self.commit()
-                return result
-            except SerializationError:
-                self.rollback()
-                if attempt >= retries:
-                    raise
-                time.sleep(retry_backoff(attempt, backoff))
-                attempt += 1
-            except BaseException:
-                self.rollback()
-                raise
+        session = self.session
+        return retry_transaction(
+            lambda __: fn(self),
+            begin=session.begin,
+            commit=lambda __: session.commit() if session.in_transaction else None,
+            rollback=lambda __: session.rollback(),
+            retries=retries,
+            backoff=backoff,
+        )
 
     def summary(self) -> dict[str, float]:
         return self.session.summary()

@@ -1,40 +1,17 @@
-"""Server sessions: per-client execution state over one shared engine.
+"""Server sessions: the registry of a served database's clients.
 
-A :class:`ServerSession` is the unit of admission in the concurrent
-serving subsystem: it carries a client's planner settings and metrics, and
-executes statements against the **process-wide shared plan cache** — every
-session reuses plans any other session compiled (the cache key is the
-``(catalog generation, query signature)`` pair, so staleness is handled
-once, centrally).  Per-session hit/miss counters record how much of that
-shared work each client actually reused.
-
-Concurrency contract:
-
-* Statements of *different* sessions run concurrently on the server's
-  worker pool.
-* Statements of *one* session are serialized on the session's statement
-  lock (a client that pipelines requests still gets in-order, one-at-a-time
-  execution — the wire protocol has no statement ids to match replies by).
-* A *parameterized* statement binds its values into the cached template's
-  shared parameter slots; bind + execute happen atomically under the
-  entry's ``execution_lock`` so interleaved executions of one template
-  never read each other's constants (see
-  :meth:`repro.planner.Planner.prepare` ``bind=False``).
-* Reads are **snapshot-isolated**: the server captures a
-  :class:`~repro.storage.snapshot.DatabaseSnapshot` at admission and the
-  whole plan executes against those table versions, no matter what
-  concurrent writers commit meanwhile.
-* A session may hold at most one open **transaction**
-  (:meth:`ServerSession.begin` / ``commit`` / ``rollback``).  While it is
-  open, every statement of the session reads the BEGIN-time snapshot plus
-  the transaction's own buffered writes (an admission snapshot the server
-  captured is overridden — transactional reads must not advance), DML
-  buffers instead of publishing, and executed queries are logged into the
-  transaction's event stream for the history recorder.  Closing a session
-  rolls back its open transaction.
+Every client a :class:`~repro.server.QueryServer` admits gets a
+:class:`~repro.planner.Session` — the same class as an embedded
+``db.session()``, so served and embedded statements take one code path
+(statement lock, shared plan cache, atomic bind + execute of a
+parameterized template, one open transaction per session; see its class
+contract).  A served session's statements are traced on the
+``server:<id>`` surface and read the snapshot the server captured at
+admission unless a transaction's read view overrides it.
 
 The :class:`SessionManager` owns the id → session registry (thread-safe),
-hands out monotonically-numbered session ids, and aggregates summaries.
+hands out monotonically-numbered session ids, and aggregates summaries —
+including the banked counters of sessions that have already closed.
 """
 
 from __future__ import annotations
@@ -42,244 +19,12 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Any
 
-from ..algebra.parameters import bind_slots
-from ..observe import system_tables as _system_tables
-from ..storage.transaction import Transaction, TransactionError
+from ..planner.prepared import Session, SessionError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.database import Database
-    from ..engine.result import QueryResult
-    from ..storage.snapshot import DatabaseSnapshot
 
-
-class SessionError(Exception):
-    """Raised for unknown or closed sessions."""
-
-
-class ServerSession:
-    """One client's execution context on a served database."""
-
-    def __init__(
-        self,
-        session_id: str,
-        database: "Database",
-        strategy: str = "rank-aware",
-        **settings: Any,
-    ):
-        self.session_id = session_id
-        self._db = database
-        self.strategy = strategy
-        self.settings = settings
-        self._closed = False
-        #: serializes this session's statements (see the module contract)
-        self._statement_lock = threading.Lock()
-        #: the session's open transaction, if any (at most one)
-        self.transaction: "Transaction | None" = None
-        #: client-side totals
-        self.queries_executed = 0
-        self.rows_returned = 0
-        #: shared-plan-cache reuse as *this session* experienced it
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
-        #: execution-regime split: statements whose plan carried at least
-        #: one compiled fused segment vs fully interpreted ones
-        self.compiled_executions = 0
-        self.interpreted_executions = 0
-
-    # -- lifecycle ---------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def close(self) -> None:
-        # An open transaction dies with its session — buffered writes are
-        # private, so this is a pure discard.
-        transaction, self.transaction = self.transaction, None
-        if transaction is not None:
-            transaction.rollback()
-        self._closed = True
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise SessionError(f"session {self.session_id!r} is closed")
-
-    # -- transactions ------------------------------------------------------
-    @property
-    def in_transaction(self) -> bool:
-        return self.transaction is not None and self.transaction.active
-
-    def begin(self) -> "Transaction":
-        """Open a transaction on this session (at most one at a time)."""
-        self._check_open()
-        with self._statement_lock:
-            if self.in_transaction:
-                raise TransactionError(
-                    f"session {self.session_id!r} already has an open "
-                    "transaction; COMMIT or ROLLBACK it first"
-                )
-            self.transaction = self._db.begin(session=self.session_id)
-            return self.transaction
-
-    def commit(self) -> int:
-        """Commit the open transaction; returns the commit sequence.
-        Raises :class:`~repro.storage.transaction.SerializationError` on a
-        first-committer-wins conflict (the transaction is gone either way
-        — retry means a fresh ``begin``)."""
-        self._check_open()
-        with self._statement_lock:
-            transaction = self.transaction
-            if transaction is None or not transaction.active:
-                raise TransactionError(
-                    f"session {self.session_id!r} has no open transaction"
-                )
-            self.transaction = None
-            return transaction.commit()
-
-    def rollback(self) -> None:
-        """Discard the open transaction's buffered writes.  A no-op when
-        none is open, so cleanup paths may call it unconditionally."""
-        self._check_open()
-        with self._statement_lock:
-            transaction, self.transaction = self.transaction, None
-            if transaction is not None:
-                transaction.rollback()
-
-    # -- DML (transactional when a transaction is open) --------------------
-    def insert(self, table: str, rows: list) -> int:
-        """Insert value tuples — buffered in the open transaction, applied
-        immediately (autocommit) otherwise."""
-        self._check_open()
-        with self._statement_lock:
-            if self.in_transaction:
-                return self.transaction.insert(
-                    self._db.catalog.table(table), rows
-                )
-            return self._db.insert(table, rows)
-
-    def delete(self, table: str, column: str, equals: Any) -> int:
-        """Delete rows by column equality — buffered in the open
-        transaction (matched against its own read view), applied
-        immediately (autocommit) otherwise."""
-        self._check_open()
-        with self._statement_lock:
-            if self.in_transaction:
-                return self.transaction.delete_where(
-                    self._db.catalog.table(table), column=column, equals=equals
-                )
-            return self._db.delete_where(table, column=column, equals=equals)
-
-    # -- execution ---------------------------------------------------------
-    def execute(
-        self,
-        sql: str,
-        params: Any = None,
-        k: int | None = None,
-        snapshot: "DatabaseSnapshot | None" = None,
-    ) -> "QueryResult":
-        """Plan (against the shared cache) and execute one statement.
-
-        ``snapshot`` pins the table versions the plan reads (captured by
-        the server at admission); ``None`` executes against the live
-        catalog (the embedded, single-threaded convenience path).  While
-        the session has an open transaction, its read view (BEGIN-time
-        snapshot + own buffered writes) overrides either.
-        """
-        self._check_open()
-        # system.* virtual tables are served by interception — live
-        # introspection must not enter the planner, the shared plan
-        # cache, or this session's counters
-        virtual = _system_tables.maybe_execute(
-            sql, self._db.tracer, self._db.registry
-        )
-        if virtual is not None:
-            return virtual
-        with self._statement_lock, self._db.tracer.trace(
-            sql, surface=f"server:{self.session_id}"
-        ):
-            transaction = self.transaction if self.in_transaction else None
-            if transaction is not None:
-                snapshot = transaction.read_view()
-            planner = self._db.planner
-            entry, hit = planner.prepare(
-                sql,
-                strategy=self.strategy,
-                params=params,
-                bind=False,
-                **self.settings,
-            )
-            if hit:
-                self.plan_cache_hits += 1
-            else:
-                self.plan_cache_misses += 1
-            plan, wanted = entry.executable_for(k)
-            self._db.tracer.annotate(regime=entry.regime())
-            if entry.spec.parameters:
-                # Atomic bind + execute: one template's concurrent runs
-                # (other sessions, other workers) queue here instead of
-                # overwriting each other's constants mid-execution.
-                with entry.execution_lock:
-                    bind_slots(entry.spec.parameters, params)
-                    result = self._execute(entry, plan, wanted, hit, snapshot)
-            else:
-                bind_slots(entry.spec.parameters, params)  # rejects stray params
-                result = self._execute(entry, plan, wanted, hit, snapshot)
-            # Counter updates stay inside the statement lock: a client
-            # pipelining submits may have its statements finished by
-            # different workers, and increments must not be lost.
-            self.queries_executed += 1
-            self.rows_returned += len(result)
-            if entry.compiled_segments:
-                self.compiled_executions += 1
-            else:
-                self.interpreted_executions += 1
-            if transaction is not None and transaction.active:
-                transaction.record_query(
-                    sql, params, [tuple(values) for values in result.rows]
-                )
-        return result
-
-    def _execute(self, entry, plan, k, hit, snapshot) -> "QueryResult":
-        return self._db.execute(
-            plan,
-            entry.scoring,
-            k=k,
-            evaluators=entry.evaluators,
-            plan_cached=hit,
-            snapshot=snapshot,
-            entry=entry,
-        )
-
-    def explain(self, sql: str, params: Any = None) -> str:
-        """The chosen plan for a statement under this session's settings."""
-        self._check_open()
-        with self._statement_lock:
-            entry, __ = self._db.planner.prepare(
-                sql,
-                strategy=self.strategy,
-                params=params,
-                bind=False,
-                **self.settings,
-            )
-            return entry.plan.explain()
-
-    # -- metrics -----------------------------------------------------------
-    @property
-    def hit_rate(self) -> float:
-        """This session's shared-plan-cache hit rate."""
-        total = self.plan_cache_hits + self.plan_cache_misses
-        return self.plan_cache_hits / total if total else 0.0
-
-    def summary(self) -> dict[str, float]:
-        return {
-            "session_id": self.session_id,
-            "queries_executed": self.queries_executed,
-            "rows_returned": self.rows_returned,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
-            "plan_cache_hit_rate": self.hit_rate,
-            "compiled_executions": self.compiled_executions,
-            "interpreted_executions": self.interpreted_executions,
-        }
+__all__ = ["Session", "SessionError", "SessionManager"]
 
 
 class SessionManager:
@@ -289,27 +34,20 @@ class SessionManager:
         self._db = database
         self._defaults = defaults
         self._lock = threading.Lock()
-        self._sessions: dict[str, ServerSession] = {}
+        self._sessions: dict[str, Session] = {}
         self._counter = 0
         #: sessions ever admitted (open + closed), for capacity metrics
         self.sessions_opened = 0
         #: lifetime totals folded in from closed sessions, so
         #: :meth:`summary` keeps counting work a departed client did
         self.sessions_closed = 0
-        self._closed_totals = {
-            "queries_executed": 0,
-            "rows_returned": 0,
-            "plan_cache_hits": 0,
-            "plan_cache_misses": 0,
-            "compiled_executions": 0,
-            "interpreted_executions": 0,
-        }
+        self._closed_totals = dict.fromkeys(Session.COUNTERS, 0)
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._sessions)
 
-    def open(self, **settings: Any) -> ServerSession:
+    def open(self, **settings: Any) -> Session:
         """Admit a new session (``settings`` override the server defaults)."""
         with self._lock:
             self._counter += 1
@@ -317,11 +55,13 @@ class SessionManager:
             session_id = f"s{self._counter}"
             merged = dict(self._defaults)
             merged.update(settings)
-            session = ServerSession(session_id, self._db, **merged)
+            session = Session(
+                self._db, session_id, surface=f"server:{session_id}", **merged
+            )
             self._sessions[session_id] = session
             return session
 
-    def get(self, session_id: str) -> ServerSession:
+    def get(self, session_id: str) -> Session:
         with self._lock:
             session = self._sessions.get(session_id)
         if session is None:
@@ -344,19 +84,14 @@ class SessionManager:
             session.close()
             self._fold(session)
 
-    def _fold(self, session: ServerSession) -> None:
+    def _fold(self, session: Session) -> None:
         """Bank a closed session's counters into the lifetime totals."""
         with self._lock:
             self.sessions_closed += 1
-            totals = self._closed_totals
-            totals["queries_executed"] += session.queries_executed
-            totals["rows_returned"] += session.rows_returned
-            totals["plan_cache_hits"] += session.plan_cache_hits
-            totals["plan_cache_misses"] += session.plan_cache_misses
-            totals["compiled_executions"] += session.compiled_executions
-            totals["interpreted_executions"] += session.interpreted_executions
+            for name in Session.COUNTERS:
+                self._closed_totals[name] += getattr(session, name)
 
-    def sessions(self) -> list[ServerSession]:
+    def sessions(self) -> list[Session]:
         with self._lock:
             return list(self._sessions.values())
 
@@ -367,20 +102,11 @@ class SessionManager:
         with self._lock:
             closed = dict(self._closed_totals)
             sessions_closed = self.sessions_closed
-        return {
+        out = {
             "sessions_open": len(sessions),
             "sessions_opened": self.sessions_opened,
             "sessions_closed": sessions_closed,
-            "queries_executed": closed["queries_executed"]
-            + sum(s.queries_executed for s in sessions),
-            "rows_returned": closed["rows_returned"]
-            + sum(s.rows_returned for s in sessions),
-            "plan_cache_hits": closed["plan_cache_hits"]
-            + sum(s.plan_cache_hits for s in sessions),
-            "plan_cache_misses": closed["plan_cache_misses"]
-            + sum(s.plan_cache_misses for s in sessions),
-            "compiled_executions": closed["compiled_executions"]
-            + sum(s.compiled_executions for s in sessions),
-            "interpreted_executions": closed["interpreted_executions"]
-            + sum(s.interpreted_executions for s in sessions),
         }
+        for name in Session.COUNTERS:
+            out[name] = closed[name] + sum(getattr(s, name) for s in sessions)
+        return out

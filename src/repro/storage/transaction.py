@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import random
 import threading
+import time
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from ..observe.trace import _NULL_CONTEXT
@@ -74,11 +75,47 @@ def retry_backoff(
     """The delay before retry ``attempt`` (0-based) of a serialization
     conflict: exponential in the attempt, capped at ``max_backoff``, with
     uniform jitter in (0.5, 1.0]× so colliding retriers decorrelate.
-    Shared by every ``run_transaction`` surface (embedded, in-process
-    client, remote session)."""
+    Used by :func:`retry_transaction`."""
     base = min(backoff * (2**attempt), max_backoff)
     roll = rng.random() if rng is not None else random.random()
     return base * (0.5 + 0.5 * roll)
+
+
+def retry_transaction(
+    fn: Callable[[Any], Any],
+    begin: Callable[[], Any],
+    commit: Callable[[Any], Any],
+    rollback: Callable[[Any], Any],
+    retries: int = 10,
+    backoff: float = 0.01,
+) -> Any:
+    """Run ``fn`` in a transaction, retrying serialization conflicts with
+    jittered exponential backoff — the one loop behind every
+    ``run_transaction`` surface (embedded, in-process client, remote
+    session).
+
+    Each attempt calls ``begin()`` and hands its result to ``fn``, then to
+    ``commit`` (which must be a no-op when ``fn`` already finished the
+    transaction).  Any exception calls ``rollback`` with the same handle;
+    a :class:`SerializationError` is retried up to ``retries`` times before
+    it propagates.  Returns ``fn``'s result.
+    """
+    attempt = 0
+    while True:
+        handle = begin()
+        try:
+            result = fn(handle)
+            commit(handle)
+            return result
+        except SerializationError:
+            rollback(handle)
+            if attempt >= retries:
+                raise
+            time.sleep(retry_backoff(attempt, backoff))
+            attempt += 1
+        except BaseException:
+            rollback(handle)
+            raise
 
 
 class _WriteSet:

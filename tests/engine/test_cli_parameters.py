@@ -70,7 +70,7 @@ class TestShellExecution:
         run(state, "\\set max_price 300")
         run(state, TEMPLATE)
         assert state.db.planner.metrics.plans_built == 1
-        assert state.session.statement_hits == 1
+        assert state.session.plan_cache_hits == 1
 
     def test_set_lists_and_unset_removes(self, state):
         run(state, "\\set max_price 60")

@@ -10,6 +10,7 @@ from repro.observe.system_tables import (
     is_system_query,
     maybe_execute,
 )
+from repro.server import SessionError
 
 SQL = (
     "SELECT * FROM hotel WHERE area < 5 "
@@ -100,6 +101,40 @@ class TestSystemQueries:
         result = session.execute("SELECT * FROM system.metrics LIMIT 3")
         assert isinstance(result, SystemResult)
         assert len(result) == 3
+
+    def test_every_surface_records_one_signature(self):
+        db = build_demo_database()
+        db.query(SQL)
+        prepared = db.prepare(SQL)
+        prepared.run()
+        prepared.run()
+        db.session().execute(SQL)
+        with db.serve(workers=1) as server:
+            with server.session() as client:
+                client.execute(SQL)
+        records = [
+            record
+            for record in db.query("SELECT * FROM system.queries").to_dicts()
+            if record["sql"] == SQL
+        ]
+        assert len(records) == 5
+        assert {r["surface"] for r in records} == {"query", "prepared", "server:s1"}
+        signatures = {record["signature"] for record in records}
+        assert len(signatures) == 1 and None not in signatures
+
+    def test_closed_sessions_refuse_system_tables(self):
+        db = build_demo_database()
+        embedded = db.session()
+        embedded.close()
+        with pytest.raises(SessionError):
+            embedded.execute("SELECT * FROM system.queries")
+        with db.serve(workers=1) as server:
+            client = server.session()
+            client.close()
+            with pytest.raises(SessionError):
+                client.session.execute("SELECT * FROM system.queries")
+        # embedded callers that catch RuntimeError keep working
+        assert issubclass(SessionError, RuntimeError)
 
 
 class TestSystemMetrics:

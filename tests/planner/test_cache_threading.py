@@ -3,12 +3,17 @@
 Eight threads hammer one :class:`PlanCache` — and, separately, one real
 :class:`Planner` — and every invariant the single-threaded accounting
 gives must survive: no lost entries, no double evictions, consistent
-hit/miss totals, capacity never exceeded.
+hit/miss totals, capacity never exceeded.  The embedded surfaces
+(``db.query``, cursors, sessions) sharing one parameterized template
+across threads must each get the top-k of their own bindings.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
+
+import pytest
 
 from repro.engine.database import Database
 from repro.planner.cache import CachedPlan, PlanCache
@@ -186,3 +191,114 @@ class TestPlannerStress:
         # even under the worst racing.
         assert misses <= THREADS * len(templates)
         assert hits / total > 0.9
+
+
+# ----------------------------------------------------------------------
+# one parameterized template shared across threads, embedded surfaces
+# ----------------------------------------------------------------------
+CAPPED_ROWS = 1000
+CAPPED = "SELECT * FROM h WHERE h.price <= :cap ORDER BY dear(h.price) LIMIT 5"
+CAPS = (0.2, 0.4, 0.6, 0.8)
+
+
+@pytest.fixture()
+def fast_switching():
+    """Switch threads as often as the interpreter allows, so an unguarded
+    bind → execute window is interleaved almost every time."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
+
+
+@pytest.fixture()
+def capped_db():
+    """Prices ``i / 1000``; ranking prefers the dearest row, so each
+    ``:cap`` binding has its own top-k — the five prices just below it."""
+    db = Database()
+    db.create_table("h", [("id", DataType.INT), ("price", DataType.FLOAT)])
+    db.insert("h", [(i, i / CAPPED_ROWS) for i in range(CAPPED_ROWS)])
+    db.register_predicate("dear", ["h.price"], lambda p: p)
+    db.create_rank_index("h", "dear")
+    db.analyze()
+    return db
+
+
+def run_concurrently(*targets) -> None:
+    errors: list[BaseException] = []
+
+    def guarded(target) -> None:
+        try:
+            target()
+        except BaseException as error:  # pragma: no cover - diagnostic
+            errors.append(error)
+
+    threads = [threading.Thread(target=guarded, args=(t,)) for t in targets]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive(), "a client thread hung"
+    assert not errors, errors
+
+
+class TestSharedTemplateAcrossThreads:
+    def test_threads_querying_one_template_get_their_own_top_k(
+        self, capped_db, fast_switching
+    ):
+        db = capped_db
+        expected = {cap: db.query(CAPPED, params={"cap": cap}).rows for cap in CAPS}
+        wrong: list[tuple] = []
+
+        def client(cap: float) -> None:
+            for __ in range(30):
+                rows = db.query(CAPPED, params={"cap": cap}).rows
+                if rows != expected[cap]:
+                    wrong.append((cap, rows))
+
+        run_concurrently(*(lambda cap=cap: client(cap) for cap in CAPS))
+        assert not wrong, f"{len(wrong)} of 120 answers used another cap"
+
+    def test_open_cursor_keeps_its_cap_beside_other_queries(
+        self, capped_db, fast_switching
+    ):
+        db = capped_db
+        stop = threading.Event()
+
+        def rebind() -> None:
+            while not stop.is_set():
+                db.query(CAPPED, params={"cap": 0.9})
+
+        prepared = db.prepare(CAPPED)
+        thread = threading.Thread(target=rebind)
+        thread.start()
+        try:
+            with prepared.cursor(params={"cap": 0.1}) as cursor:
+                prices = [row[1] for row in cursor]
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive(), "the rebinding thread hung"
+        above = [price for price in prices if price > 0.1]
+        assert not above, f"{len(above)} rows above the cursor's cap"
+        assert len(prices) == CAPPED_ROWS // 10 + 1
+
+    def test_two_sessions_on_two_threads_get_their_own_top_k(
+        self, capped_db, fast_switching
+    ):
+        db = capped_db
+        caps = CAPS[:2]
+        expected = {cap: db.query(CAPPED, params={"cap": cap}).rows for cap in caps}
+        wrong: list[tuple] = []
+
+        def client(cap: float) -> None:
+            with db.session() as session:
+                for __ in range(30):
+                    rows = session.execute(CAPPED, params={"cap": cap}).rows
+                    if rows != expected[cap]:
+                        wrong.append((cap, rows))
+
+        run_concurrently(*(lambda cap=cap: client(cap) for cap in caps))
+        assert not wrong, f"{len(wrong)} of 60 answers used another cap"

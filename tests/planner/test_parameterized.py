@@ -244,12 +244,12 @@ class TestPreparedParameterized:
 
 
 class TestSessionParameterized:
-    def test_session_statement_cache_is_per_template(self, db):
+    def test_session_reuses_one_plan_per_template(self, db):
         session = db.session(**KNOBS)
         session.execute(TEMPLATE, params={"max_price": 60.0})
         session.execute(TEMPLATE, params={"max_price": 200.0})
         session.execute(TEMPLATE, params={"max_price": 350.0})
-        assert session.statement_hits == 2
+        assert session.plan_cache_hits == 2
         assert db.planner.metrics.plans_built == 1
 
     def test_session_results_are_binding_correct(self, db):

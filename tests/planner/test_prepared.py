@@ -84,8 +84,7 @@ class TestSession:
         summary = session.summary()
         assert summary["queries_executed"] == 2
         assert summary["rows_returned"] == 10
-        assert summary["statements_cached"] == 1
-        assert summary["statement_hits"] == 1
+        assert summary["plan_cache_hits"] == 1
         assert summary["simulated_cost"] > 0
 
     def test_first_run_of_cold_plan_reports_uncached(self, db):
@@ -94,27 +93,6 @@ class TestSession:
         warm = session.execute(SQL)   # pure reuse
         assert not cold.plan_cached
         assert warm.plan_cached
-
-    def test_statement_cache_reuses_prepared(self, db):
-        session = db.session()
-        assert session.prepare(SQL) is session.prepare(SQL)
-
-    def test_statement_cache_is_bounded_lru(self, db):
-        session = db.session(max_statements=2)
-        statements = [
-            f"SELECT * FROM hotel ORDER BY cheap(hotel.price) LIMIT {k}"
-            for k in (1, 2, 3)
-        ]
-        first = session.prepare(statements[0])
-        session.prepare(statements[1])
-        assert session.prepare(statements[0]) is first  # touch: LRU order
-        session.prepare(statements[2])                  # evicts statements[1]
-        assert session.summary()["statements_cached"] == 2
-        assert session.prepare(statements[0]) is first  # survivor
-
-    def test_max_statements_validated(self, db):
-        with pytest.raises(ValueError):
-            db.session(max_statements=0)
 
     def test_session_settings_apply(self, db):
         session = db.session(strategy="traditional")
