@@ -225,6 +225,12 @@ class ScoringFunction:
         self.predicates = tuple(predicates)
         self.combiner = combiner
         self._by_name = {p.name: p for p in self.predicates}
+        #: per-predicate ``(name, p_max, weight)`` in declaration order —
+        #: what :meth:`upper_bound` reads instead of re-walking predicates
+        self._slots = tuple(
+            (p.name, p.p_max, w) for p, w in zip(self.predicates, self.weights)
+        )
+        self._max_possible = self.upper_bound({})
 
     def __repr__(self) -> str:
         names = ", ".join(p.name for p in self.predicates)
@@ -244,7 +250,14 @@ class ScoringFunction:
             raise KeyError(f"predicate {name!r} not in {self!r}") from None
 
     def combine(self, scores: Sequence[float]) -> float:
-        """Apply the combiner to a full score vector (one per predicate)."""
+        """Apply the combiner to a full score vector (one per predicate).
+
+        ``sum``/``wsum`` are the builtin ``sum`` over ``w * s`` in
+        declaration order — the one arithmetic :meth:`upper_bound`,
+        :meth:`final_score` and the batch/compiled epilogues share.  It must
+        stay the builtin: Python 3.12's float ``sum`` is compensated, so a
+        hand-written accumulation loop would round differently there.
+        """
         if len(scores) != len(self.predicates):
             raise ValueError("score vector arity mismatch")
         if self.combiner in ("sum", "wsum"):
@@ -265,12 +278,18 @@ class ScoringFunction:
         ``p_max`` for the rest.
 
         ``evaluated`` maps predicate name to score; predicates absent from
-        the mapping are assumed unevaluated.
+        the mapping are assumed unevaluated.  Reads the slot table built at
+        construction; for ``sum``/``wsum`` it is :meth:`combine`'s exact
+        arithmetic (same builtin ``sum``, same terms, same order), so the
+        two are bit-identical on every Python version.  Execution calls
+        this once per tuple: the result rides on the
+        :class:`~repro.algebra.rank_relation.ScoredRow` (see
+        :meth:`repro.execution.iterator.ExecutionContext.upper_bound`).
         """
-        scores = [
-            evaluated.get(p.name, p.p_max) for p in self.predicates
-        ]
-        return self.combine(scores)
+        get = evaluated.get
+        if self.combiner in ("sum", "wsum"):
+            return sum(w * get(name, p_max) for name, p_max, w in self._slots)
+        return self.combine([get(name, p_max) for name, p_max, __ in self._slots])
 
     def final_score(self, evaluated: Mapping[str, float]) -> float:
         """The complete score; requires every predicate to be evaluated."""
@@ -280,8 +299,9 @@ class ScoringFunction:
         return self.combine([evaluated[p.name] for p in self.predicates])
 
     def max_possible(self) -> float:
-        """``F_phi`` — the upper bound with nothing evaluated."""
-        return self.upper_bound({})
+        """``F_phi`` — the upper bound with nothing evaluated (a constant
+        computed once, at construction, by :meth:`upper_bound`)."""
+        return self._max_possible
 
     def subset(self, names: Iterable[str]) -> tuple[RankingPredicate, ...]:
         """The predicate objects for a set of names (order of declaration)."""

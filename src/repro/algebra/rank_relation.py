@@ -21,13 +21,27 @@ from .predicates import ScoringFunction
 
 
 class ScoredRow:
-    """A row together with its evaluated predicate scores."""
+    """A row together with its evaluated predicate scores.
 
-    __slots__ = ("row", "scores")
+    ``bound`` caches the row's ``F_P`` (``P`` = the keys of ``scores``)
+    and ``bound_of`` names the :class:`ScoringFunction` it was computed
+    under; the cache is valid only while ``bound_of`` is that very
+    function.  Executing operators fill it through
+    :meth:`repro.execution.iterator.ExecutionContext.upper_bound`, so each
+    tuple's upper bound is computed once and its consumers reuse it.  A
+    row read under any other scoring function (a later statement, a
+    result or cursor that outlives its run) misses and recomputes.  The
+    score map must not change after the bound is filled — operators derive
+    new rows (:meth:`with_score`, :meth:`merge`) instead.
+    """
+
+    __slots__ = ("row", "scores", "bound", "bound_of")
 
     def __init__(self, row: Row, scores: Mapping[str, float]):
         self.row = row
         self.scores: dict[str, float] = dict(scores)
+        self.bound = 0.0
+        self.bound_of: ScoringFunction | None = None
 
     def __repr__(self) -> str:
         return f"ScoredRow({self.row!r}, scores={self.scores!r})"

@@ -10,12 +10,19 @@ Physical operators follow the classical three-method interface (§4) —
 * every operator exposes :meth:`PhysicalOperator.bound`, an upper bound on
   the ``F_P`` score of *any tuple it may still emit*.  Consumers use the
   producer's bound as the emission threshold of the ranking principle
-  (Property 1): a buffered tuple may leave only when its score exceeds every
-  possible future tuple's score.
+  (Property 1): a buffered tuple may leave only when no possible future
+  tuple can score higher.
 
-Ties are broken by row id; to keep tie order identical to the reference
-semantics, operators emit a buffered tuple only when its score *strictly*
-exceeds the threshold (equal-score tuples wait so they can be ordered by id).
+Ties are broken by row id *within* a ranking queue.  Across the queue and
+the input, the buffering operators (µ, the rank-joins, the rank set-ops)
+emit their top tuple as soon as its score *reaches* the threshold
+(``peek_bound() >= threshold``, §4.1's rule), so an equal-score tuple with
+a smaller row id that has not been drawn yet comes out after it: on exact
+score ties a rank-aware plan's tie order can differ from the sort plan's
+(``tests/execution/test_rank_ties.py`` records the case).
+
+Each tuple's ``F_P`` is computed once, by whoever creates the scored row,
+and cached on it (:meth:`ExecutionContext.upper_bound`).
 """
 
 from __future__ import annotations
@@ -138,8 +145,20 @@ class ExecutionContext:
         return evaluate(row)
 
     def upper_bound(self, scored: ScoredRow) -> float:
-        """``F_P[t]`` for a scored row (P = the keys of its score map)."""
-        return self.scoring.upper_bound(scored.scores)
+        """``F_P[t]`` for a scored row (P = the keys of its score map).
+
+        Computed once per tuple: the first caller (a scan, a µ push, a
+        rank-join's merged row) stores the bound on the row, tagged with
+        this run's scoring function, and every later consumer of the same
+        row reads it back.  A row tagged with a different scoring function
+        is recomputed (and retagged), never trusted.
+        """
+        scoring = self.scoring
+        if scored.bound_of is scoring:
+            return scored.bound
+        bound = scored.bound = scoring.upper_bound(scored.scores)
+        scored.bound_of = scoring
+        return bound
 
     def unique_name(self, base: str) -> str:
         """A unique per-run operator instance name (``mu_p4``, ``mu_p4#2``)."""

@@ -86,24 +86,23 @@ class _RankJoin(_BinaryJoin):
         self._queue = RankingQueue()
         self._left_done = False
         self._right_done = False
+        #: F_P of each side's last drawn tuple, clamped to F_φ when drawn
         self._left_last = math.inf
         self._right_last = math.inf
+        #: the "drawn" corner bound, refreshed only when a side's bound or
+        #: done flag changes (on a draw), not on every pull
+        self._drawn_threshold = math.inf
 
     def bound(self) -> float:
-        candidates = [self._queue.peek_bound()]
-        if not self._left_done:
-            candidates.append(self._side_bound(left=True))
-        if not self._right_done:
-            candidates.append(self._side_bound(left=False))
-        return max(candidates)
+        return max(self._queue.peek_bound(), self._corner_bound())
 
     def _side_bound(self, left: bool) -> float:
         if self.threshold_mode == "live":
             return (self.left if left else self.right).bound()
-        last = self._left_last if left else self._right_last
-        return min(last, self.context.scoring.max_possible())
+        return self._left_last if left else self._right_last
 
-    def _threshold(self) -> float:
+    def _corner_bound(self) -> float:
+        """Max of the live sides' bounds (−inf once both are done)."""
         candidates = []
         if not self._left_done:
             candidates.append(self._side_bound(left=True))
@@ -113,13 +112,22 @@ class _RankJoin(_BinaryJoin):
             return -math.inf
         return max(candidates)
 
+    def _threshold(self) -> float:
+        if self.threshold_mode == "live":
+            return self._corner_bound()
+        return self._drawn_threshold
+
     def _open_rank_join(self) -> None:
         self._open_children()
         self._queue = RankingQueue()
         self._left_done = False
         self._right_done = False
-        self._left_last = math.inf
-        self._right_last = math.inf
+        # min(+inf, F_φ) on both sides: nothing drawn yet, and the equal
+        # bounds make the first draw come from the left (_choose_left's >=).
+        max_possible = self.context.scoring.max_possible()
+        self._left_last = max_possible
+        self._right_last = max_possible
+        self._drawn_threshold = max_possible
 
     def _next(self) -> ScoredRow | None:
         while True:
@@ -150,14 +158,22 @@ class _RankJoin(_BinaryJoin):
                 self._left_done = True
             else:
                 self._right_done = True
-            return
-        self._record_input()
-        input_bound = self.context.upper_bound(scored)
-        if pull_left:
-            self._left_last = input_bound
         else:
-            self._right_last = input_bound
-        self._absorb(scored, from_left=pull_left)
+            self._record_input()
+            context = self.context
+            # The side's producer already computed this bound; the row
+            # carries it.
+            input_bound = min(
+                context.upper_bound(scored), context.scoring.max_possible()
+            )
+            if pull_left:
+                self._left_last = input_bound
+            else:
+                self._right_last = input_bound
+        if self.threshold_mode == "drawn":
+            self._drawn_threshold = self._corner_bound()
+        if scored is not None:
+            self._absorb(scored, from_left=pull_left)
 
     def _absorb(self, scored: ScoredRow, from_left: bool) -> None:
         """Store the new tuple and enqueue any join results it completes."""

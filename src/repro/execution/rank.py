@@ -50,11 +50,15 @@ class Mu(PhysicalOperator):
         self.threshold_mode = threshold_mode
         self._queue = RankingQueue()
         self._input_exhausted = False
+        #: F_P of the last drawn input tuple, clamped to F_φ when drawn
         self._last_input_bound = math.inf
         #: whether the child (a BatchToRow frontier) evaluates this µ's
         #: predicate vectorized per batch before tuples cross into the
         #: row world (see PhysicalOperator.request_prescore)
         self._prescored = False
+        #: the predicate's compiled ``(evaluator, cost)``, resolved once at
+        #: open — None when the child already evaluated it (idempotent µ)
+        self._evaluator = None
 
     def describe(self) -> str:
         return f"rank_{self.predicate_name}"
@@ -78,26 +82,31 @@ class Mu(PhysicalOperator):
     def _input_threshold(self) -> float:
         if self.threshold_mode == "live":
             return self.child.bound()
-        return min(self._last_input_bound, self.context.scoring.max_possible())
+        return self._last_input_bound
 
     def _open(self) -> None:
-        self.child.open(self.context)
+        context = self.context
+        self.child.open(context)
         self._queue = RankingQueue()
         self._input_exhausted = False
-        self._last_input_bound = math.inf
+        # min(+inf, F_φ): nothing drawn yet, so only F_φ bounds the input.
+        self._last_input_bound = context.scoring.max_possible()
         # Vectorized frontier: when the input is a BatchToRow adapter over
         # an unranked (P = φ) segment, have it evaluate this µ's predicate
         # columnar per batch — the idempotent-input path below then reads
         # the score instead of re-evaluating per tuple.
         self._prescored = False
+        self._evaluator = None
         if self.predicate_name not in self.child.predicates():
             request = getattr(self.child, "request_prescore", None)
             if request is not None:
                 self._prescored = bool(request(self.predicate_name))
+            self._evaluator = context.evaluators.entry(
+                self.predicate_name, self.child.schema()
+            )
 
     def _next(self) -> ScoredRow | None:
         context = self.context
-        schema = self.child.schema()
         while True:
             threshold = -math.inf if self._input_exhausted else self._input_threshold()
             if len(self._queue) and self._queue.peek_bound() >= threshold:
@@ -120,15 +129,17 @@ class Mu(PhysicalOperator):
                 # what the row path would compute from the scoreless tuple.
                 self._last_input_bound = context.scoring.max_possible()
             else:
-                self._last_input_bound = context.upper_bound(scored)
+                # The producer already computed this bound; the row carries it.
+                self._last_input_bound = min(
+                    context.upper_bound(scored), context.scoring.max_possible()
+                )
             if self.predicate_name in scored.scores:
                 # Predicate already evaluated below (idempotent µ).
                 updated = scored
             else:
-                score = context.evaluate_predicate(
-                    self.predicate_name, scored.row, schema
-                )
-                updated = scored.with_score(self.predicate_name, score)
+                evaluate, cost = self._evaluator
+                context.metrics.charge_predicate(cost)
+                updated = scored.with_score(self.predicate_name, evaluate(scored.row))
             self._queue.push(context.upper_bound(updated), updated)
 
     def _close(self) -> None:

@@ -140,8 +140,10 @@ class RankScan(PhysicalOperator):
         score, row = entry
         self.context.metrics.charge_scan()
         scored = ScoredRow(row, {self.predicate_name: score})
-        # Future tuples have predicate score <= this one.
-        self._bound = self.context.scoring.upper_bound(scored.scores)
+        # Future tuples have predicate score <= this one.  Computing the
+        # bound through the context also leaves it on the row for the
+        # consumer to reuse.
+        self._bound = self.context.upper_bound(scored)
         return scored
 
     def _close(self) -> None:
@@ -275,7 +277,7 @@ class ScanSelect(PhysicalOperator):
         score, row = entry
         self.context.metrics.charge_scan()
         scored = ScoredRow(row, {self.predicate_name: score})
-        self._bound = self.context.scoring.upper_bound(scored.scores)
+        self._bound = self.context.upper_bound(scored)
         return scored
 
     def _close(self) -> None:

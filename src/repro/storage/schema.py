@@ -88,10 +88,13 @@ class Schema:
     the expression compiler uses to turn names into tuple offsets.
     """
 
-    __slots__ = ("_columns", "_by_qualified")
+    __slots__ = ("_columns", "_by_qualified", "_hash")
 
     def __init__(self, columns: Iterable[Column]):
         self._columns: tuple[Column, ...] = tuple(columns)
+        #: hashing walks every Column dataclass (and its DataType enum);
+        #: schemas key evaluator caches, so the hash is computed once
+        self._hash: int | None = None
         self._by_qualified: dict[str, int] = {}
         for i, col in enumerate(self._columns):
             self._by_qualified.setdefault(col.qualified_name, i)
@@ -127,7 +130,9 @@ class Schema:
         return self._columns == other._columns
 
     def __hash__(self) -> int:
-        return hash(self._columns)
+        if self._hash is None:
+            self._hash = hash(self._columns)
+        return self._hash
 
     def __repr__(self) -> str:
         cols = ", ".join(c.qualified_name for c in self._columns)

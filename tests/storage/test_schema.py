@@ -127,6 +127,23 @@ class TestSchema:
         assert s1 == s2
         assert hash(s1) == hash(s2)
 
+    def test_cached_hash_stays_equal_to_equal_schemas(self):
+        left = Schema.of("a", ("b", DataType.INT), table="t")
+        first = hash(left)
+        assert hash(left) == first  # served from the cache
+        # Equal schemas built another way (fresh, concatenated, requalified)
+        # hash equal whether or not their own hash was cached yet.
+        fresh = Schema.of("a", ("b", DataType.INT), table="t")
+        joined = Schema.of("a", table="t").concat(
+            Schema.of(("b", DataType.INT), table="t")
+        )
+        requalified = Schema.of("a", ("b", DataType.INT), table="u").with_table("t")
+        for other in (fresh, joined, requalified):
+            assert other == left
+            assert hash(other) == first
+            assert hash(other) == hash(other._columns)
+        assert {left: 1}[joined] == 1
+
     def test_iteration(self):
         schema = Schema.of("a", "b", table="t")
         assert [c.name for c in schema] == ["a", "b"]
