@@ -48,7 +48,7 @@ class ParameterSlots:
 
     Values live here — not in the expression tree and not in the plan — so
     a cached template plan stays value-free and every execution simply
-    rebinds.  Bindings are read *during* execution; batch runs are atomic,
+    rebinds.  Bindings are read *during* execution; whole runs are atomic,
     and cursors snapshot their bindings at open and :meth:`restore` them
     before every fetch, so interleaved executions of one template stay
     isolated from each other.

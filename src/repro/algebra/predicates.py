@@ -254,7 +254,7 @@ class ScoringFunction:
 
         ``sum``/``wsum`` are the builtin ``sum`` over ``w * s`` in
         declaration order — the one arithmetic :meth:`upper_bound`,
-        :meth:`final_score` and the batch/compiled epilogues share.  It must
+        :meth:`final_score` and the compiled epilogue share.  It must
         stay the builtin: Python 3.12's float ``sum`` is compensated, so a
         hand-written accumulation loop would round differently there.
         """

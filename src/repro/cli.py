@@ -43,6 +43,12 @@ After ``\\connect host:port`` statements travel over the line-delimited
 JSON protocol to a ``python -m repro serve`` process instead — into the
 same ``Session`` class on the server side; ``\\cache`` then shows the
 *server's* shared-cache and session counters.
+
+Statements run in one of two execution regimes, chosen per segment by the
+optimizer: rank-aware operators always run tuple-at-a-time, and a
+traditional materialize-then-sort segment runs as one compiled function
+when that prices cheaper.  ``REPRO_EXECUTION`` (``auto`` | ``row`` |
+``compiled``) overrides the choice engine-wide.
 """
 
 from __future__ import annotations
@@ -63,6 +69,13 @@ _TYPE_NAMES = {
     "bool": DataType.BOOL,
 }
 
+#: the execution-regime note both parsers print under ``--help``
+_REGIME_EPILOG = (
+    "execution regime: REPRO_EXECUTION=auto|row|compiled (default auto: "
+    "each sort-topped segment runs compiled when that prices cheaper, "
+    "everything else tuple-at-a-time)"
+)
+
 
 #: the demo's predicate callables, by name — handed to ``load_database``
 #: when reopening a durable demo directory so its rank indexes can rebind
@@ -75,7 +88,6 @@ DEMO_PREDICATES = {
 
 def build_demo_database(
     seed: int = 7,
-    parallelism: "int | str | None" = None,
     db: "Database | None" = None,
 ) -> Database:
     """The quickstart hotel/restaurant demo database.  Pass ``db`` to
@@ -83,7 +95,7 @@ def build_demo_database(
     creating a fresh in-memory one."""
     rng = random.Random(seed)
     if db is None:
-        db = Database(parallelism=parallelism)
+        db = Database()
     db.create_table(
         "hotel",
         [("name", DataType.TEXT), ("price", DataType.FLOAT), ("stars", DataType.INT),
@@ -149,11 +161,7 @@ def open_database(args, out) -> Database:
     database is in-memory, with the demo loaded when ``--demo`` asks.
     """
     if args.data_dir is None:
-        return (
-            build_demo_database(parallelism=args.parallelism)
-            if args.demo
-            else Database(parallelism=args.parallelism)
-        )
+        return build_demo_database() if args.demo else Database()
     from pathlib import Path
 
     from .engine.persistence import CATALOG_FILE, load_database
@@ -187,7 +195,6 @@ def open_database(args, out) -> Database:
         return db
     db = Database(
         persist_dir=path,
-        parallelism=args.parallelism,
         durability="wal" if durability == "auto" else durability,
         fsync=args.fsync or "commit",
     )
@@ -548,7 +555,9 @@ def _load_tables(db: Database, args, out) -> int:
 def serve_main(argv: list[str], out) -> int:
     """``python -m repro serve``: run the TCP query server until killed."""
     parser = argparse.ArgumentParser(
-        prog="repro serve", description="RankSQL concurrent query server"
+        prog="repro serve",
+        description="RankSQL concurrent query server",
+        epilog=_REGIME_EPILOG,
     )
     parser.add_argument("--demo", action="store_true", help="serve the demo database")
     parser.add_argument(
@@ -562,10 +571,6 @@ def serve_main(argv: list[str], out) -> int:
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument("--port", type=int, default=5433, help="TCP port (0 = ephemeral)")
     parser.add_argument("--workers", type=int, default=4, help="worker threads")
-    parser.add_argument(
-        "--parallelism", default=None, metavar="N|auto",
-        help="intra-query DOP ceiling (default: REPRO_PARALLELISM or 1)",
-    )
     parser.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",
         help="also serve Prometheus-text GET /metrics on this port "
@@ -621,7 +626,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     if argv and argv[0] == "run":  # explicit alias of the default shell
         argv = argv[1:]
     parser = argparse.ArgumentParser(
-        prog="repro", description="RankSQL top-k SQL shell"
+        prog="repro", description="RankSQL top-k SQL shell", epilog=_REGIME_EPILOG
     )
     parser.add_argument("--demo", action="store_true", help="load the demo database")
     parser.add_argument(
@@ -641,10 +646,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
     parser.add_argument("-c", "--command", help="run one SQL statement and exit")
     parser.add_argument(
         "--metrics", action="store_true", help="print execution metrics per query"
-    )
-    parser.add_argument(
-        "--parallelism", default=None, metavar="N|auto",
-        help="intra-query DOP ceiling (default: REPRO_PARALLELISM or 1)",
     )
     _add_durability_args(parser)
     _add_observability_args(parser)

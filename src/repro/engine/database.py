@@ -65,7 +65,7 @@ from ..optimizer.enumeration import RankAwareOptimizer
 from ..optimizer.plans import PlanNode
 from ..optimizer.query_spec import QuerySpec
 from ..planner import CachedPlan, Planner, PreparedQuery, Session
-from ..planner.planner import normalize_execution, normalize_parallelism
+from ..planner.planner import normalize_execution
 from ..storage.catalog import Catalog
 from ..storage.faults import NO_FAULTS
 from ..storage.index import ColumnIndex, MultiKeyIndex, RankIndex
@@ -111,44 +111,30 @@ class Database:
     statement via ``query(..., execution=...)``); results, scores and tie
     order are identical in every mode:
 
-    * ``"auto"`` (default) — **cost-governed hybrid execution**: the
-      optimizer prices each unranked (``P = φ``) segment as row, batch
-      (:mod:`repro.execution.batch`, at every candidate DOP) **and**
-      compiled (plan-to-code, :mod:`repro.execution.codegen`) in one cost
-      model, and the cheapest regime wins — tiny segments stay
-      tuple-at-a-time while large drained segments run columnar or
-      fused.  ``explain`` shows every candidate's cost and the winner
-      per segment.
+    * ``"auto"`` (default) — **cost-governed**: the optimizer prices each
+      traditional materialize-then-sort segment (a blocking sort over an
+      unranked, ``P = φ``, pipeline) as row and as compiled (plan-to-code,
+      :mod:`repro.execution.codegen`) in one cost model, and the cheaper
+      regime wins.  Rank-aware operators always run tuple-at-a-time.
+      ``explain`` shows both costs and the winner per segment.
     * ``"row"`` — pure tuple-at-a-time (Volcano) execution everywhere —
-      the escape hatch for debugging or apples-to-apples operator
-      benchmarking.
-    * ``"batch"`` — cost-governed row-vs-batch with compilation disabled.
-    * ``"compiled"`` — force compilation of every supported segment;
-      unsupported shapes silently fall back to the interpreted batch
-      pipeline.
+      the parity oracle, and the escape hatch for debugging or
+      apples-to-apples operator benchmarking.
+    * ``"compiled"`` — compile every supported segment; unsupported
+      shapes run as their row plans.
 
     When omitted, honours the ``REPRO_EXECUTION`` environment variable
-    (exactly those four names).
-
-    ``parallelism`` is the **DOP ceiling** for morsel-driven intra-query
-    parallelism: the optimizer may choose any per-segment degree of
-    parallelism up to it (a costed decision, like batch lowering).  ``1``
-    (the default) disables the parallel regime entirely; ``"auto"``
-    resolves to the machine's core count.  When omitted, honours the
-    ``REPRO_PARALLELISM`` environment variable.
+    (exactly those three names).
     """
 
     def __init__(
         self,
         persist_dir: "str | Path | None" = None,
-        parallelism: "int | str | None" = None,
         execution: "str | None" = None,
         durability: "str | None" = None,
         fsync: str = "commit",
         fault_injector: Any = None,
     ) -> None:
-        if parallelism is None:
-            parallelism = _from_env("REPRO_PARALLELISM", 1, normalize_parallelism)
         if execution is None:
             execution = _from_env("REPRO_EXECUTION", "auto", normalize_execution)
         self.catalog = Catalog()
@@ -161,7 +147,6 @@ class Database:
         self.registry = MetricsRegistry()
         self.planner = Planner(
             self.catalog,
-            parallelism=parallelism,
             execution=execution,
             tracer=self.tracer,
         )
@@ -197,14 +182,9 @@ class Database:
             )
 
     @property
-    def parallelism(self) -> int:
-        """The engine's DOP ceiling (1 = serial execution)."""
-        return self.planner.parallelism
-
-    @property
     def execution(self) -> str:
         """The engine's execution-regime selector
-        (``"auto"`` | ``"row"`` | ``"batch"`` | ``"compiled"``)."""
+        (``"auto"`` | ``"row"`` | ``"compiled"``)."""
         return self.planner.execution
 
     # ------------------------------------------------------------------
@@ -378,13 +358,11 @@ class Database:
         """Register every subsystem into the metrics registry.
 
         Counters the subsystems already keep (planner, plan cache,
-        transaction manager, WAL, morsel pool, tracer) are bridged as
+        transaction manager, WAL, tracer) are bridged as
         callback gauges — one source of truth, no double bookkeeping.
         Native instruments are the per-query ones nothing kept before:
         ``query.count`` and the bounded ``query.ms`` latency histogram.
         """
-        from ..execution import morsels
-
         registry = self.registry
         self._queries_total = registry.counter(
             "query.count", "queries executed on any surface"
@@ -414,14 +392,6 @@ class Database:
         registry.gauge(
             "wal.records_appended", "WAL records appended since open",
             fn=lambda: self.wal.records_appended if self.wal else 0,
-        )
-        registry.gauge(
-            "morsels.pool_workers", "shared morsel pool worker count",
-            fn=lambda: morsels.pool_summary()["morsel_pool_workers"],
-        )
-        registry.gauge(
-            "morsels.pool_started", "whether the shared morsel pool exists",
-            fn=lambda: morsels.pool_summary()["morsel_pool_started"],
         )
         tracer = self.tracer
         for name in ("traces_started", "traces_finished", "slow_queries"):
@@ -917,11 +887,11 @@ class Database:
     ) -> str:
         """The optimizer's chosen plan for a query, pretty-printed.
 
-        Unless ``execution="row"`` the tree marks every lowered segment
-        (``batch segment (row cost=… vs batch cost=… -> batch)``) and a
-        footer lists the per-segment pricing for segments that stayed
-        row-mode as well — every priced regime's cost (row, batch, and
-        compiled when the execution mode enables it) and which won.
+        Unless ``execution="row"`` the tree marks every compiled segment
+        (``compiled segment (row cost=… vs compiled cost=… -> compiled)``)
+        and a footer lists the pricing of every sort-topped segment,
+        including those that stayed row-mode — both regimes' costs and
+        which won.
         """
         self._check_open()
         entry, __ = self.planner.prepare(query, strategy=strategy, **kwargs)

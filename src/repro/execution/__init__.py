@@ -1,20 +1,6 @@
-"""Physical execution engine: rank-aware iterators, the batched columnar
-path for unranked segments, and metrics."""
+"""Physical execution engine: rank-aware iterators, compiled segments for
+the materialize-then-sort plan, and metrics."""
 
-from .batch import (
-    BATCH_SIZE,
-    Batch,
-    BatchColumnOrderScan,
-    BatchFilter,
-    BatchHashJoin,
-    BatchNestedLoopJoin,
-    BatchOperator,
-    BatchProject,
-    BatchScan,
-    BatchSort,
-    BatchSortMergeJoin,
-    BatchToRow,
-)
 from .filter import Filter, Project
 from .iterator import (
     EvaluatorCache,
@@ -39,26 +25,8 @@ from .rank import Mu
 from .scans import ColumnOrderScan, RankScan, ScanSelect, SeqScan
 from .setops import RankDifference, RankIntersect, RankUnion
 from .sort import Limit, Sort
-from .vectors import (
-    numpy_available,
-    set_backend as set_vector_backend,
-    backend as vector_backend,
-)
-
 __all__ = [
-    "BATCH_SIZE",
     "BOOLEAN_EVAL_UNIT",
-    "Batch",
-    "BatchColumnOrderScan",
-    "BatchFilter",
-    "BatchHashJoin",
-    "BatchNestedLoopJoin",
-    "BatchOperator",
-    "BatchProject",
-    "BatchScan",
-    "BatchSort",
-    "BatchSortMergeJoin",
-    "BatchToRow",
     "COMPARE_UNIT",
     "ColumnOrderScan",
     "EvaluatorCache",
@@ -88,8 +56,5 @@ __all__ = [
     "SortMergeJoin",
     "collect_plan",
     "explain_physical",
-    "numpy_available",
     "run_plan",
-    "set_vector_backend",
-    "vector_backend",
 ]

@@ -1,45 +1,42 @@
-"""Plan-to-code compilation: fused pipeline functions for lowered segments.
+"""Plan-to-code compilation: one fused function per sort-topped segment.
 
-The batched columnar path (:mod:`repro.execution.batch`) removed per-tuple
-operator dispatch; what remains is per-batch dispatch and the generic batch
-machinery — ``Batch`` construction, ``select`` copies, closure-tree
-expression evaluation — paid on every batch of every execution.  This
-module removes that too, in the style of relational-algebra compilers with
-pipelined code-generation backends: a lowered
-:class:`~repro.optimizer.plans.BatchSegmentPlan` whose shape is supported
-(sort-topped pipelines of scan / filter / project / hash join) is walked
-once at prepare time and emitted as Python source for a **single fused
-function** — scans drive plain ``for`` loops, predicate expressions are
-inlined (no closure per node), hash-join probes and projections run in the
-loop body, and the blocking top-k sort is the loop epilogue.  The source is
-``compile()``d once and stored on the cached plan next to the lowered
-twin; parameter slots are read from the binding at call time, so one
+The traditional materialize-then-sort plan (a blocking τ_F over an
+unranked, ``P = φ``, pipeline of scan / filter / project / hash join) pays
+one Python operator call, one metrics charge and one ``ScoredRow`` per
+tuple per operator when it runs on the Volcano iterators.  None of that is
+needed: the sort drains its input before emitting anything, so the whole
+segment can run as one loop nest.  This module is that regime, in the
+style of relational-algebra compilers with pipelined code-generation
+backends: a :class:`~repro.optimizer.plans.BatchSegmentPlan` whose shape
+is supported is walked once at prepare time and emitted as Python source
+for a **single fused function** — scans drive plain ``for`` loops,
+predicate expressions are inlined (no closure per node), hash-join probes
+and projections run in the loop body, and the blocking top-k sort is the
+loop epilogue.  The source is ``compile()``d once and stored on the cached
+plan; parameter slots are read from the binding at call time, so one
 compiled function serves every binding of a prepared template.
 
 Pipeline breakers become loop boundaries: every hash-join build runs as its
 own loop before the probe loop that uses it, and the sort materializes
-after the main loop.  The µ frontier and all rank-aware (row-mode)
-operators stay on the interpreter — the compiled function sits under the
-existing :class:`~repro.execution.batch.BatchToRow` seam, wrapped in
-:class:`CompiledSegmentSource` — a
-:class:`~repro.execution.batch.RankedFrontier` like the
-:class:`~repro.execution.batch.BatchSort` it replaces, serving the fused
-function's ordered result through the same source and contracts.
+after the main loop.  The µ frontier and all rank-aware operators stay on
+the iterators — the fused function runs inside :class:`CompiledSegment`,
+one row-world operator that takes the place of the sort.
 
-**Parity contract.**  The interpreter is the oracle: a compiled segment
-must produce byte-identical results — rows, scores, rid tie order — *and*
-identical fully-drained metric totals.  Generated code therefore replicates
-the interpreted operators' semantics exactly (NULL propagation, comparison
-collapse, score clamping, ``(-F, rid)`` ordering, the same ``heapq`` /
-``sorted`` top-k) and charges the same aggregate metric totals the batch
-operators would have charged tuple-for-tuple: ``charge_scan`` per scan,
-``charge_boolean`` with each filter's input cardinality, ``charge_move``
-with the summed per-operator emissions, ``charge_join_pair`` with the
-probe-side partner count, ``charge_predicate`` per scored predicate, and
-the sort's exact comparison formulas.  Anything the emitter cannot
-faithfully reproduce raises :class:`UnsupportedSegment` and the segment
-falls back to the interpreted batch pipeline — fallback is silent and
-always available.
+**Parity contract.**  Row mode is the oracle: a compiled segment must
+produce identical results — rows, scores, rid tie order — *and* identical
+fully-drained metric counters.  Generated code therefore replicates the
+row operators' semantics exactly (NULL propagation, comparison collapse,
+score clamping, ``(-F, rid)`` ordering, the same ``heapq`` / ``sorted``
+top-k) and charges the same totals the row operators charge tuple by
+tuple, summed once: ``charge_scan`` per scan, ``charge_boolean`` with each
+filter's input cardinality, ``charge_move`` with the summed per-operator
+emissions, ``charge_join_pair`` with the probe-side partner count,
+``charge_predicate`` per scored predicate, and the sort's exact comparison
+formulas.  Only the float cost totals (``simulated_cost`` and the
+``*_cost_units``) can differ, in the last bits, because each operator's
+charge is added once instead of once per tuple.
+Anything the emitter cannot faithfully reproduce raises
+:class:`UnsupportedSegment`, and the segment runs as its row plan.
 """
 
 from __future__ import annotations
@@ -61,18 +58,19 @@ from ..algebra.expressions import (
 )
 from ..algebra.parameters import Parameter
 from ..algebra.predicates import ScoringFunction
+from ..algebra.rank_relation import ScoredRow
+from ..storage.row import Row
 from ..storage.schema import Schema
-from .batch import RankedFrontier
+from .iterator import PhysicalOperator
 
 
 class UnsupportedSegment(Exception):
-    """The segment has no compiled equivalent; the caller falls back to the
-    interpreted batch pipeline (never surfaced to the client)."""
+    """The segment has no compiled equivalent; it runs as its row plan
+    (never surfaced to the client)."""
 
 
 def _plan_types():
-    # Imported lazily: optimizer.plans imports execution.batch at module
-    # level, and optimizer.explain reaches back into this module — a
+    # Imported lazily: optimizer.plans imports this module's operator, so a
     # module-level import here would make package import order load-bearing.
     from ..optimizer import plans
 
@@ -89,7 +87,7 @@ class CompiledArtifact:
 
     ``function(context, fetch_limit)`` runs the whole pipeline and returns
     ``(ordered_items, ordered_scores, ordered_bounds, n)`` — the ordered
-    result :class:`~repro.execution.batch.BatchSort` materializes — where
+    result the row :class:`~repro.execution.sort.Sort` materializes — where
     ``ordered_items`` is ``[(carrier, rid), ...]`` in ``(-F, rid)`` order,
     ``ordered_scores`` maps predicate name to the reordered score vector,
     ``ordered_bounds`` carries the per-tuple ``F`` values, and ``n`` is the
@@ -107,7 +105,7 @@ class CompiledArtifact:
 
 
 def compiled_segment_count(plan) -> int:
-    """How many lowered segments of ``plan`` carry a compiled artifact."""
+    """How many segments of ``plan`` carry a compiled artifact."""
     if plan is None:
         return 0
     return sum(
@@ -180,12 +178,12 @@ def supports(inner, catalog, scoring: ScoringFunction) -> bool:
     compiled equivalent: a sort-topped pipeline of scan / filter / project
     / hash join whose expressions and scorers the emitter can reproduce.
 
-    The sort-topped restriction is deliberate: the sort is blocking in the
-    interpreter too, so eager materialization inside the fused function
-    preserves drain order and metric totals.  Streaming (non-sort-topped)
-    segments can be cut short by rank-aware consumers, and a fused function
-    that eagerly drained them would diverge on partially-consumed metric
-    totals — those stay on the interpreter.
+    The sort-topped restriction is deliberate: the sort is blocking in row
+    mode too, so eager materialization inside the fused function preserves
+    drain order and metric totals.  Streaming (non-sort-topped) segments
+    can be cut short by rank-aware consumers, and a fused function that
+    eagerly drained them would diverge on partially-consumed metric totals
+    — those stay on the iterators.
     """
     plans = _plan_types()
     try:
@@ -414,7 +412,7 @@ def _emit_pipeline(
     ``None`` forces per-operator counters.  Returns the final schema and
     carrier kind (``"rows"`` while tuples are still base ``Row`` objects,
     ``"values"`` once a project or join rebuilt them as plain tuples —
-    mirroring which interpreted operators preserve ``Batch.rows``).
+    the base rows survive only scans and filters).
     """
     plans = _plan_types()
     ops = _flatten_pipeline(root)
@@ -478,7 +476,7 @@ def _emit_pipeline(
             cur, access, rid, carrier, schema, d, *, _op=op, _add=ht_add
         ):
             position = schema.index_of(_op.right_key)
-            # Identical to the interpreted build: partners stored in
+            # Identical to the row HashJoin's build: partners stored in
             # build-arrival order per key, as (value-tuple, rid) pairs.
             emitter.emit(
                 d, f"{_add}({access}[{position}], []).append(({access}, {rid}))"
@@ -561,12 +559,11 @@ def _emit_pipeline(
 # ----------------------------------------------------------------------
 
 def compile_segment(inner, catalog, scoring: ScoringFunction) -> CompiledArtifact:
-    """Compile a segment descriptor (the unwrapped subtree of a lowered
-    ``BatchSegmentPlan``) into a fused function.
+    """Compile a sort-topped segment descriptor into a fused function.
 
     Raises :class:`UnsupportedSegment` for any shape, expression, or
     scorer the emitter cannot faithfully reproduce — the caller keeps the
-    interpreted batch pipeline.
+    row plan.
     """
     plans = _plan_types()
     started = time.perf_counter()
@@ -622,8 +619,8 @@ def compile_segment(inner, catalog, scoring: ScoringFunction) -> CompiledArtifac
             emitter.emit(2, f"{item_values} = {item}.values")
             item = item_values
         if predicate.spin_loops:
-            # The calibrated busy-loop the interpreted scorer runs per
-            # evaluation — kept so wall-time comparisons stay honest.
+            # The calibrated busy-loop the row scorer runs per evaluation
+            # — kept so wall-time comparisons stay honest.
             sink = emitter.fresh("sink")
             idx = emitter.fresh("spin")
             emitter.emit(2, f"{sink} = 0")
@@ -667,7 +664,7 @@ def compile_segment(inner, catalog, scoring: ScoringFunction) -> CompiledArtifac
     emitter.emit(2, "for _per in zip(*_score_columns)")
     emitter.emit(1, "] if _n else []")
 
-    # ---- epilogue: the sort (BatchSort's exact top-k and formulas) ---
+    # ---- epilogue: the sort (Sort's exact top-k and formulas) --------
     emitter.emit(1, "if fetch_limit is not None and fetch_limit < _n:")
     emitter.emit(
         2,
@@ -719,47 +716,85 @@ def compile_segment(inner, catalog, scoring: ScoringFunction) -> CompiledArtifac
 
 
 # ----------------------------------------------------------------------
-# the frontier operator
+# the operator
 # ----------------------------------------------------------------------
 
-class CompiledSegmentSource(RankedFrontier):
-    """Runs a segment's compiled fused function as a
-    :class:`~repro.execution.batch.RankedFrontier` — :class:`BatchSort`'s
-    contracts (limit pushdown, bound hints from the ordered F column,
-    prescore refusal via ``predicates()``) over a body that executes as
-    one generated function instead of an operator tree.
+class CompiledSegment(PhysicalOperator):
+    """A compiled segment as one row-world operator.
+
+    It takes the place of the segment's blocking sort: at the first pull it
+    calls the fused function once — with the ``fetch_limit`` a
+    directly-enclosing λ_k announced through :meth:`notify_limit` (cursor
+    plans strip the λ and therefore always get the full ordering) — and
+    then emits the ordered result one :class:`ScoredRow` at a time.  Its
+    ``P`` is the full predicate set and its :meth:`bound` is the next
+    pending tuple's ``F``, read from the ordered F column the function
+    returns.  Each emitted tuple is charged one move, like the sort it
+    replaces; the moves of the operators fused below are charged inside
+    the function.
     """
 
     kind = "compiled"
 
-    def __init__(self, artifact: CompiledArtifact,
-                 fetch_limit: int | None = None):
-        super().__init__(fetch_limit)
+    def __init__(self, artifact: CompiledArtifact):
+        super().__init__()
         self.artifact = artifact
+        self.fetch_limit: int | None = None
+        self._ordered: list | None = None
+        self._scores: dict[str, list[float]] = {}
+        self._bounds: list[float] = []
+        self._position = 0
 
     def describe(self) -> str:
         if self.fetch_limit is not None:
             return f"{self.artifact.label}(top {self.fetch_limit})"
         return self.artifact.label
 
+    def notify_limit(self, k: int) -> None:
+        if self.fetch_limit is None:
+            self.fetch_limit = k
+
     def schema(self) -> Schema:
         return self.artifact.schema
 
-    def _open(self) -> None:
-        pass
+    def predicates(self) -> frozenset[str]:
+        return frozenset(self.context.scoring.predicate_names)
 
-    def _materialize(self):
-        with self._busy(), self.context.span(
-            "compiled_call", fn=self.artifact.label
-        ):
-            ordered, score_vectors, bounds, n = self.artifact.function(
+    def bound(self) -> float:
+        if self._ordered is None:
+            return self.context.scoring.max_possible()
+        if self._position >= len(self._bounds):
+            return -math.inf
+        return self._bounds[self._position]
+
+    def _open(self) -> None:
+        self._ordered = None
+        self._position = 0
+
+    def _run(self) -> None:
+        stats = self.stats
+        started = time.perf_counter()
+        with self.context.span("compiled_call", fn=self.artifact.label):
+            self._ordered, self._scores, self._bounds, n = self.artifact.function(
                 self.context, self.fetch_limit
             )
-        self.stats.tuples_in += n
-        return self._ordered_source(
-            [item for item, __ in ordered],
-            [rid for __, rid in ordered],
-            self.artifact.rows_kept,
-            score_vectors,
-            bounds,
+        stats.wall_seconds += time.perf_counter() - started
+        stats.tuples_in += n
+
+    def _next(self) -> ScoredRow | None:
+        if self._ordered is None:
+            self._run()
+        position = self._position
+        if position >= len(self._ordered):
+            return None
+        self._position = position + 1
+        item, rid = self._ordered[position]
+        row = item if self.artifact.rows_kept else Row(item, rid)
+        return ScoredRow(
+            row, {name: column[position] for name, column in self._scores.items()}
         )
+
+    def _close(self) -> None:
+        self._ordered = None
+        self._scores = {}
+        self._bounds = []

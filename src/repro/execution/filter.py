@@ -15,17 +15,7 @@ from .iterator import PhysicalOperator
 
 
 class Filter(PhysicalOperator):
-    """Selection σ_c: drops non-qualifying tuples, preserves order.
-
-    When the input is a :class:`~repro.execution.batch.BatchToRow`
-    frontier, the condition is pushed *into* the adapter
-    (``request_prefilter``): batches are filtered columnar-side —
-    vectorized under the NumPy backend — before any tuple is unpacked into
-    a :class:`ScoredRow`.  Selection is membership-only and
-    order-preserving, and the adapter sees exactly the tuples this
-    operator would have seen, so evaluation counts and output are
-    identical; only the per-tuple dispatch disappears.
-    """
+    """Selection σ_c: drops non-qualifying tuples, preserves order."""
 
     kind = "filter"
 
@@ -34,7 +24,6 @@ class Filter(PhysicalOperator):
         self.child = child
         self.condition = condition
         self._evaluator: Evaluator | None = None
-        self._pushed_down = False
 
     def describe(self) -> str:
         return f"filter({self.condition.name})"
@@ -58,21 +47,9 @@ class Filter(PhysicalOperator):
 
     def _open(self) -> None:
         self.child.open(self.context)
-        request = getattr(self.child, "request_prefilter", None)
-        # The adapter charges this node's tuples_in for every tuple the
-        # pushed condition examines, so actual-input cardinality reads the
-        # same whether the filter ran row-side or columnar-side.
-        self._pushed_down = request is not None and bool(
-            request(self.condition, stats=self.stats)
-        )
-        self._evaluator = (
-            None if self._pushed_down else self.condition.compile(self.child.schema())
-        )
+        self._evaluator = self.condition.compile(self.child.schema())
 
     def _next(self) -> ScoredRow | None:
-        if self._pushed_down:
-            # The frontier already filtered (and charged) columnar-side.
-            return self.child.next()
         assert self._evaluator is not None
         while True:
             scored = self.child.next()

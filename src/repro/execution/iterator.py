@@ -110,16 +110,15 @@ class ExecutionContext:
         self.evaluators = evaluators
         self._naming: dict[str, int] = {}
         #: the owning query's tracer, set by the engine when a trace is
-        #: active — how row, batch, parallel, and compiled operators all
-        #: report spans into the one per-query tree.  ``None`` (the
-        #: default) keeps standalone contexts span-free.
+        #: active — how row and compiled operators report spans into the
+        #: one per-query tree.  ``None`` (the default) keeps standalone
+        #: contexts span-free.
         self.tracer = None
 
     def span(self, name: str, **attrs):
         """A child span under the active query trace (context manager
         yielding the span, or None when tracing is off).  Call per
-        *phase* — segment open, morsel dispatch, fused call — never per
-        tuple."""
+        *phase* — a fused function call, say — never per tuple."""
         tracer = self.tracer
         if tracer is None:
             return _NULL_CONTEXT
@@ -223,11 +222,11 @@ class PhysicalOperator:
 
     def notify_limit(self, k: int) -> None:
         """Hint from a directly-enclosing λ_k that at most ``k`` tuples will
-        ever be pulled.  Blocking operators (Sort, BatchSort) use it to keep
-        a bounded top-k heap instead of fully sorting; everyone else ignores
-        it.  Only :class:`~repro.execution.sort.Limit` may call this — a
-        consumer that pulls past ``k`` (cursors) must build its plan without
-        the λ, which never sends the hint."""
+        ever be pulled.  Blocking operators (Sort, CompiledSegment) use it to
+        keep a bounded top-k heap instead of fully sorting; everyone else
+        ignores it.  Only :class:`~repro.execution.sort.Limit` may call this
+        — a consumer that pulls past ``k`` (cursors) must build its plan
+        without the λ, which never sends the hint."""
 
     def describe(self) -> str:
         return self.kind

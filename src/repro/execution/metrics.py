@@ -36,10 +36,9 @@ class OperatorStats:
     name: str
     tuples_in: int = 0
     tuples_out: int = 0
-    #: wall-clock seconds attributed to this operator.  Batch operators
-    #: record their own busy time (children excluded), summed across
-    #: workers at DOP > 1, so it can exceed elapsed time — that is the
-    #: point: a DOP-4 node shows ~4× busy per elapsed second.
+    #: wall-clock seconds attributed to this operator.  Only a compiled
+    #: segment records it (the time of its fused function call); row
+    #: operators leave it at zero.
     wall_seconds: float = 0.0
 
     @property
@@ -89,31 +88,6 @@ class ExecutionMetrics:
         if operator_name not in self.operators:
             self.operators[operator_name] = OperatorStats(operator_name)
         return self.operators[operator_name]
-
-    def merge(self, other: "ExecutionMetrics") -> None:
-        """Fold another metrics object into this one.
-
-        The parallel execution path gives every morsel task its own
-        private sink (workers never touch shared counters) and merges the
-        sink on the consuming thread when the morsel's result is gathered
-        — so parallel totals equal DOP-1 totals exactly, per counter and
-        per operator.  Per-operator records match by name: tasks charge
-        ``stats_for(name)`` with the same unique names the operators
-        registered in the statement's metrics at open.
-        """
-        self.tuples_scanned += other.tuples_scanned
-        self.tuples_moved += other.tuples_moved
-        self.predicate_evaluations += other.predicate_evaluations
-        self.predicate_cost_units += other.predicate_cost_units
-        self.boolean_evaluations += other.boolean_evaluations
-        self.boolean_cost_units += other.boolean_cost_units
-        self.join_pairs_examined += other.join_pairs_examined
-        self.comparisons += other.comparisons
-        for name, stats in other.operators.items():
-            mine = self.stats_for(name)
-            mine.tuples_in += stats.tuples_in
-            mine.tuples_out += stats.tuples_out
-            mine.wall_seconds += stats.wall_seconds
 
     @property
     def simulated_cost(self) -> float:

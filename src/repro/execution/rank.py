@@ -52,10 +52,6 @@ class Mu(PhysicalOperator):
         self._input_exhausted = False
         #: F_P of the last drawn input tuple, clamped to F_φ when drawn
         self._last_input_bound = math.inf
-        #: whether the child (a BatchToRow frontier) evaluates this µ's
-        #: predicate vectorized per batch before tuples cross into the
-        #: row world (see PhysicalOperator.request_prescore)
-        self._prescored = False
         #: the predicate's compiled ``(evaluator, cost)``, resolved once at
         #: open — None when the child already evaluated it (idempotent µ)
         self._evaluator = None
@@ -91,16 +87,8 @@ class Mu(PhysicalOperator):
         self._input_exhausted = False
         # min(+inf, F_φ): nothing drawn yet, so only F_φ bounds the input.
         self._last_input_bound = context.scoring.max_possible()
-        # Vectorized frontier: when the input is a BatchToRow adapter over
-        # an unranked (P = φ) segment, have it evaluate this µ's predicate
-        # columnar per batch — the idempotent-input path below then reads
-        # the score instead of re-evaluating per tuple.
-        self._prescored = False
         self._evaluator = None
         if self.predicate_name not in self.child.predicates():
-            request = getattr(self.child, "request_prescore", None)
-            if request is not None:
-                self._prescored = bool(request(self.predicate_name))
             self._evaluator = context.evaluators.entry(
                 self.predicate_name, self.child.schema()
             )
@@ -121,18 +109,11 @@ class Mu(PhysicalOperator):
                 continue
             self._record_input()
             # The drawn tuple's F_P (before applying p) bounds every future
-            # input tuple, because the input arrives in F_P order.
-            if self._prescored:
-                # Prescoring only happens over a P = φ frontier: the score
-                # riding along with the drawn tuple is a cache, not order
-                # information, so the input threshold stays F_φ — exactly
-                # what the row path would compute from the scoreless tuple.
-                self._last_input_bound = context.scoring.max_possible()
-            else:
-                # The producer already computed this bound; the row carries it.
-                self._last_input_bound = min(
-                    context.upper_bound(scored), context.scoring.max_possible()
-                )
+            # input tuple, because the input arrives in F_P order.  The
+            # producer already computed this bound; the row carries it.
+            self._last_input_bound = min(
+                context.upper_bound(scored), context.scoring.max_possible()
+            )
             if self.predicate_name in scored.scores:
                 # Predicate already evaluated below (idempotent µ).
                 updated = scored

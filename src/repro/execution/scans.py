@@ -28,19 +28,6 @@ from ..storage.schema import Schema
 from .iterator import PhysicalOperator
 
 
-def sorted_column_order(table, column: str, metrics) -> list[Row]:
-    """The table's rows in ascending ``(column value, rid)`` order — the
-    exact sequence a :class:`~repro.storage.index.ColumnIndex` scan would
-    deliver — built by a transient sort whose comparison cost is charged to
-    ``metrics``.  Shared by the row and batch column-order scans as their
-    index-less fallback."""
-    position = table.schema.index_of(column)
-    rows = sorted(table.rows(), key=lambda r: (r[position], r.rid))
-    n = len(rows)
-    metrics.charge_comparisons(int(n * max(1, math.log2(n or 1))))
-    return rows
-
-
 class SeqScan(PhysicalOperator):
     """Sequential scan of a heap table (``P = φ``)."""
 
@@ -194,9 +181,13 @@ class ColumnOrderScan(PhysicalOperator):
             # transient sort of the heap in (column, rid) order — the same
             # sequence the index would deliver — charging the sort's
             # comparison cost so the plan survives instead of erroring.
-            self._rows = iter(
-                sorted_column_order(table, self.column, self.context.metrics)
+            position = table.schema.index_of(self.column)
+            rows = sorted(table.rows(), key=lambda r: (r[position], r.rid))
+            n = len(rows)
+            self.context.metrics.charge_comparisons(
+                int(n * max(1, math.log2(n or 1)))
             )
+            self._rows = iter(rows)
         self._exhausted = False
 
     def _next(self) -> ScoredRow | None:

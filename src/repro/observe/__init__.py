@@ -18,8 +18,6 @@ from repro.observe.trace import (
     Span,
     Trace,
     Tracer,
-    ambient_trace_id,
-    set_ambient_trace_id,
 )
 
 __all__ = [
@@ -30,6 +28,4 @@ __all__ = [
     "Span",
     "Trace",
     "Tracer",
-    "ambient_trace_id",
-    "set_ambient_trace_id",
 ]

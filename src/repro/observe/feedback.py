@@ -30,25 +30,12 @@ def pair_plan_operators(
     """Pre-order ``(plan_node, operator, depth)`` pairs for a plan and
     its built operator tree.
 
-    Descends through the ``BatchToRow`` frontier into lowered segments;
-    a compiled segment yields the fused source paired with the segment's
-    inner descriptor and stops there (the fused function has no per-node
-    twins below it).  This is the single pairing rule shared by
-    ``explain_analyze`` and the feedback recorder, so the two always
-    report the same tree.
+    A compiled segment's descriptor builds one operator with no children,
+    so the walk stops there: the fused function has no per-node twins.
+    This is the single pairing rule shared by ``explain_analyze`` and the
+    feedback recorder, so the two always report the same tree.
     """
-    from repro.execution.batch import BatchToRow
-    from repro.optimizer.plans import BatchSegmentPlan
-
     yield plan, operator, depth
-    if isinstance(plan, BatchSegmentPlan) and isinstance(operator, BatchToRow):
-        from repro.execution.codegen import CompiledSegmentSource
-
-        if isinstance(operator.source, CompiledSegmentSource):
-            yield plan.inner, operator.source, depth + 1
-            return
-        yield from pair_plan_operators(plan.inner, operator.source, depth + 1)
-        return
     for child_plan, child_operator in zip(plan.children, operator.children()):
         yield from pair_plan_operators(child_plan, child_operator, depth + 1)
 

@@ -5,7 +5,7 @@ Three instrument kinds, all thread-safe:
 * :class:`Counter` — a monotonically increasing integer.
 * :class:`Gauge` — a point-in-time value, either set directly or backed
   by a callback (how existing subsystem counters — planner, plan cache,
-  morsel pool, transaction manager, WAL, server — register without
+  transaction manager, WAL, server — register without
   rewriting their own bookkeeping).
 * :class:`Histogram` — bounded: a *fixed* log-spaced bucket layout, so
   merging two histograms is exact (bucket counts add) and memory is
@@ -109,9 +109,8 @@ class Histogram:
 
     All histograms created with the same ``buckets`` layout merge
     exactly: counts, sums, and per-bucket tallies add; min/max take the
-    extrema.  That property is what makes per-worker private sinks safe
-    — parallel totals equal serial totals, same discipline as
-    ``ExecutionMetrics.merge``.
+    extrema, so per-thread histograms can be folded into one without
+    losing an observation.
     """
 
     kind = "histogram"

@@ -4,12 +4,11 @@ Every query admitted on any surface — ``Database.query``, a prepared
 :class:`~repro.planner.prepared.Session`, a server session, the CLI —
 gets one :class:`Trace`: a process-unique id plus a tree of
 :class:`Span` records covering parse → bind → optimize → cache hit/miss
-→ lower/compile → execute (per batch segment, per morsel-pool dispatch,
-per fused function call) → commit/WAL fsync.  The tracer keeps the
-*current* span on a thread-local stack, so deeply nested subsystems
-(the WAL under the transaction manager under the engine) attach their
-spans to whatever query is running on that thread without any of them
-threading a handle through their signatures.
+→ compile → execute (per fused function call) → commit/WAL fsync.  The
+tracer keeps the *current* span on a thread-local stack, so deeply nested
+subsystems (the WAL under the transaction manager under the engine) attach
+their spans to whatever query is running on that thread without any of
+them threading a handle through their signatures.
 
 Cost model: tracing is always-on-capable.  A span is one small object
 created per *phase*, never per tuple, so a traced query allocates on
@@ -17,12 +16,6 @@ the order of ten objects regardless of row count; the CI overhead gate
 (``benchmarks/bench_observability.py``) holds the warm-path tax under
 5%.  When the tracer is disabled every hook degenerates to a single
 attribute check.
-
-Trace ids also propagate into morsel workers: the dispatching thread's
-id is published via :func:`set_ambient_trace_id`, and
-:func:`repro.execution.morsels.run_tasks` re-publishes it inside each
-worker — a plain module/thread-local handoff that survives both the
-thread backend and the fork backend (the child inherits the closure).
 """
 
 from __future__ import annotations
@@ -40,8 +33,6 @@ __all__ = [
     "Span",
     "Trace",
     "Tracer",
-    "ambient_trace_id",
-    "set_ambient_trace_id",
 ]
 
 
@@ -61,28 +52,6 @@ def env_float(name: str, default: "float | None") -> "float | None":
         return float(raw)
     except ValueError:
         return default
-
-
-# ----------------------------------------------------------------------
-# ambient trace id — the cross-thread / cross-process correlation handle
-# ----------------------------------------------------------------------
-_ambient = threading.local()
-
-
-def set_ambient_trace_id(trace_id: "str | None") -> "str | None":
-    """Publish ``trace_id`` as this thread's ambient id and return the
-    previous value (so callers can restore it).  Morsel workers — thread
-    or forked process — call this with the dispatcher's id so work done
-    on their behalf stays correlated with the owning query."""
-    previous = getattr(_ambient, "value", None)
-    _ambient.value = trace_id
-    return previous
-
-
-def ambient_trace_id() -> "str | None":
-    """The trace id of the query this thread is currently working for,
-    or None when no traced query is active."""
-    return getattr(_ambient, "value", None)
 
 
 class Span:
@@ -148,8 +117,9 @@ class Trace:
         self.sql = sql
         self.surface = surface
         self.root = Span("query")
-        #: execution regime the planner chose: row | batch | batch@dop
-        #: | compiled | dml | txn — stamped by the surface that knows.
+        #: execution regime of the statement: row | compiled for queries
+        #: (the planner's choice), dml for writes — stamped by the surface
+        #: that knows.
         self.regime: "str | None" = None
         self.status = "ok"
         #: normalized plan signature (cache key), when the statement
@@ -336,7 +306,6 @@ class Tracer:
         trace = Trace(f"t{next(self._ids):06x}", sql, surface)
         self._local.trace = trace
         self._local.stack = [trace.root]
-        self._local.prior_ambient = set_ambient_trace_id(trace.trace_id)
         self.traces_started += 1
         return _TraceContext(self, trace)
 
@@ -344,8 +313,6 @@ class Tracer:
         trace.finish()
         self._local.trace = None
         self._local.stack = []
-        set_ambient_trace_id(getattr(self._local, "prior_ambient", None))
-        self._local.prior_ambient = None
         self.traces_finished += 1
         with self._lock:
             self._recent.append(trace)
@@ -382,20 +349,6 @@ class Tracer:
             if stack:
                 stack.pop()
 
-    def open_span(self, name: str, **attrs: Any) -> "Span | None":
-        """Create a span under the current span *without* pushing it on
-        the thread-local stack — for phases whose open and close straddle
-        separate calls (a batch segment's operator lifetime).  The caller
-        owns it: append children directly and call ``finish()``.  Returns
-        None when tracing is off or no trace is active."""
-        if not self.enabled or self.current_trace() is None:
-            return None
-        span = Span(name)
-        if attrs:
-            span.attrs.update(attrs)
-        self._stack()[-1].children.append(span)
-        return span
-
     def annotate(self, **attrs: Any) -> None:
         """Stamp fields onto the thread's active trace (no-op when none
         is active).  ``regime``/``signature``/``status`` land on the
@@ -411,11 +364,6 @@ class Tracer:
                 setattr(trace, key, value)
             else:
                 trace.root.set(key, value)
-
-    def attach(self, trace: Trace, span: Span) -> None:
-        """Attach an externally-built span (e.g. assembled by a morsel
-        worker on another thread) under ``trace``'s root."""
-        trace.root.children.append(span)
 
     # ------------------------------------------------------------------
     # the slow-query log

@@ -14,7 +14,7 @@ from .enumeration import (
     RankAwareOptimizer,
     optimize_traditional,
 )
-from .hybrid import SegmentDecision, decide_batch_lowering, render_decisions
+from .hybrid import SegmentDecision, decide_regimes, render_decisions
 from .plans import (
     BatchSegmentPlan,
     ColumnOrderScanPlan,
@@ -76,7 +76,7 @@ __all__ = [
     "SeqScanPlan",
     "SortMergeJoinPlan",
     "SortPlan",
-    "decide_batch_lowering",
+    "decide_regimes",
     "optimize_traditional",
     "render_decisions",
 ]

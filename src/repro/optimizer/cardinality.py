@@ -204,10 +204,10 @@ class CardinalityEstimator:
         return self._run(plan).outputs_above_cutoff
 
     def _run(self, plan: PlanNode) -> SampleRun:
-        # A lowered segment produces the identical tuples as its row-mode
-        # twin; estimate (and memoize) through the wrapper so the batch
-        # alternative never re-executes a subplan on the sample.
-        while isinstance(plan, BatchSegmentPlan):
+        # A compiled segment produces the identical tuples as its row-mode
+        # twin; estimate (and memoize) through the wrapper so it never
+        # re-executes a subplan on the sample.
+        if isinstance(plan, BatchSegmentPlan):
             plan = plan.inner
         key = plan.fingerprint()
         if key in self._memo:

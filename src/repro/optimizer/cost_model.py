@@ -23,8 +23,6 @@ every tuple at the maximal score, so any buffering consumer drains it.
 from __future__ import annotations
 
 from ..algebra.predicates import BooleanPredicate, ScoringFunction
-from ..execution import morsels
-from ..execution.batch import BATCH_SIZE
 from ..execution.metrics import (
     BOOLEAN_EVAL_UNIT,
     COMPARE_UNIT,
@@ -65,79 +63,28 @@ DEFAULT_JOIN_SELECTIVITY = 0.1
 QUEUE_UNIT = 0.02
 
 # ---------------------------------------------------------------------------
-# Batch-regime units.
-#
-# The *simulated* runtime cost (execution/metrics.py) is deliberately
-# identical row-vs-batch: batching changes how fast tuples move, not how
-# many operations happen.  What the batch path removes is per-tuple
-# *dispatch* — one Python operator call, one metrics charge, one ScoredRow
-# per tuple — which the row regime's ``MOVE_UNIT`` stands in for.  The
-# batch regime replaces that per-tuple term with a much smaller bulk
-# handling cost plus per-batch and per-segment fixed overheads, calibrated
-# against the wall-clock ratios measured by bench_batch_execution.py
-# (~5× on move-dominated plans).  These units exist so the optimizer can
-# price the two execution regimes against each other; they are never
-# charged at runtime.
-# ---------------------------------------------------------------------------
-
-#: per-tuple bulk handling inside a batch operator (vs MOVE_UNIT per tuple
-#: of row-mode dispatch — the ~5× measured batching advantage)
-BATCH_TUPLE_UNIT = 0.01
-#: per-batch (≤ BATCH_SIZE tuples) operator dispatch
-BATCH_DISPATCH_UNIT = 0.5
-#: fixed per-segment overhead: columnar-view access, batch-operator tree
-#: construction, first-batch warmup.  Deliberately conservative: segments
-#: whose measured gain sits inside benchmark noise (bare scans, tuples in
-#: the low hundreds) stay on the simpler row path.
-BATCH_SETUP_UNIT = 6.0
-#: per tuple crossing the BatchToRow frontier back into the row world
-#: (ScoredRow re-materialization)
-FRONTIER_TUPLE_UNIT = 0.015
-
-# ---------------------------------------------------------------------------
-# Parallel-regime units.
-#
-# Intra-query parallelism is priced the same way batch lowering is: the
-# serial batch cost of a segment is the work to divide, and the parallel
-# alternative pays fixed coordination overheads for a ÷DOP on that work.
-# The overheads are deliberately steep — a couple of hundred units per
-# worker — so segments in the low thousands of tuples (where the measured
-# thread-pool handoff latency swamps any speedup) stay serial, exactly as
-# BATCH_SETUP_UNIT keeps tiny segments on the row path.  The effective
-# speedup is ``min(dop, tasks)``: a segment that decomposes into fewer
-# morsels than workers cannot use the extra workers, so over-parallel DOPs
-# price strictly worse and the decision self-caps.
-# ---------------------------------------------------------------------------
-
-#: per-worker startup/teardown: pool handoff, private metrics sink,
-#: per-worker operator state
-PARALLEL_WORKER_UNIT = 150.0
-#: per-morsel task dispatch: closure submission, future wait, ordered
-#: gather bookkeeping
-MORSEL_DISPATCH_UNIT = 30.0
-#: per tuple passing through the order-restoring gather at the frontier
-PARALLEL_TUPLE_UNIT = 0.002
-
-# ---------------------------------------------------------------------------
 # Compiled-regime units.
 #
-# Plan-to-code compilation removes what the batch regime still pays: batch
-# construction and per-batch dispatch disappear entirely (the fused
-# function is one loop nest), and tuples cost only plain-loop handling.
-# The per-tuple unit therefore sits well under BATCH_TUPLE_UNIT, and there
-# is no per-batch dispatch term at all.  The setup unit prices the one-off
-# compile (emit + ``compile()`` + ``exec``) slightly above BATCH_SETUP_UNIT
-# — amortized across every execution of the cached template, but enough to
-# keep one-shot tiny segments from compiling for nothing.
+# The *simulated* runtime cost (execution/metrics.py) is the same in both
+# regimes: compilation changes how fast tuples move, not how many
+# operations happen.  What the fused function removes is per-tuple
+# *dispatch* — one Python operator call, one metrics charge, one ScoredRow
+# per tuple per operator — which the row regime's ``MOVE_UNIT`` stands in
+# for.  The compiled regime replaces that per-tuple term with plain-loop
+# handling, plus a one-off setup unit for emitting and compiling the
+# function (amortized across every execution of the cached template, but
+# enough to keep one-shot tiny segments from compiling for nothing).
+# These units exist so the optimizer can price the two regimes against
+# each other; they are never charged at runtime.
 # ---------------------------------------------------------------------------
 
-#: per tuple flowing through the fused loop body (no Batch objects, no
-#: per-batch dispatch, no closure tree — measured ≥ 2× under the batch
-#: regime's combined per-tuple handling)
+#: per tuple flowing through the fused loop body
 COMPILED_TUPLE_UNIT = 0.002
 #: fixed per-segment cost of emitting + compiling the fused function,
 #: amortized over the cached plan's lifetime
 COMPILED_SETUP_UNIT = 8.0
+#: per tuple the compiled segment emits into the row world as a ScoredRow
+COMPILED_EMIT_UNIT = 0.015
 
 _BLOCKING = (SortPlan, SortMergeJoinPlan, HashJoinPlan, NestedLoopJoinPlan)
 
@@ -230,7 +177,7 @@ class CostModel:
 
     def _full(self, plan: PlanNode) -> float:
         if isinstance(plan, BatchSegmentPlan):
-            # The lowered twin produces the identical tuples.
+            # The compiled twin produces the identical tuples.
             return self.full_cardinality(plan.inner)
         if isinstance(plan, (SeqScanPlan, RankScanPlan, ColumnOrderScanPlan)):
             return self._table_size(plan.table)
@@ -276,11 +223,7 @@ class CostModel:
     # cost
     # ------------------------------------------------------------------
     def _cost(self, plan: PlanNode, drained: bool) -> float:
-        # ``dop`` is deliberately excluded from plan fingerprints (like
-        # ``decision``, it is an annotation, not identity) — so it must be
-        # part of the memo key, or a dop-2 wrapper would return the dop-1
-        # price cached for the same segment.
-        key = (plan.fingerprint(), drained, getattr(plan, "dop", 1))
+        key = (plan.fingerprint(), drained)
         if key in self._cost_memo:
             return self._cost_memo[key]
         value = self._cost_inner(plan, drained)
@@ -299,12 +242,7 @@ class CostModel:
 
     def _cost_inner(self, plan: PlanNode, drained: bool) -> float:
         if isinstance(plan, BatchSegmentPlan):
-            # The batch-regime alternative: the whole segment runs on the
-            # columnar path (at the wrapper's DOP), then every emitted
-            # tuple crosses the BatchToRow frontier back into the row world.
-            return self.parallel_segment_cost(
-                plan.inner, getattr(plan, "dop", 1), drained
-            )
+            return self.compiled_segment_cost(plan.inner, drained)
 
         child_drained = drained or isinstance(plan, _BLOCKING)
         children_cost = sum(self._cost(c, child_drained) for c in plan.children)
@@ -402,66 +340,16 @@ class CostModel:
         raise TypeError(f"unknown plan node: {type(plan).__name__}")
 
     # ------------------------------------------------------------------
-    # batch-regime cost (the columnar-path twin of _cost_inner)
+    # compiled-regime cost (the fused-function twin of _cost_inner)
     # ------------------------------------------------------------------
-    def _batch_overhead(self, n: float) -> float:
-        """Dispatch + bulk handling for ``n`` tuples consumed in batches —
-        the batch regime's substitute for ``n × MOVE_UNIT``."""
-        batches = math.ceil(n / BATCH_SIZE) if n > 0 else 0
-        return batches * BATCH_DISPATCH_UNIT + n * BATCH_TUPLE_UNIT
-
-    def batch_segment_cost(self, plan: PlanNode, drained: bool = False) -> float:
-        """Cost of running a lowerable segment on the batched columnar
-        path, *excluding* the per-segment setup and frontier charges (those
-        belong to the enclosing :class:`BatchSegmentPlan` node)."""
-        return self._batch_cost(plan, drained)
-
-    def parallel_segment_cost(
-        self, inner: PlanNode, dop: int, drained: bool = False
-    ) -> float:
-        """Cost of a lowered segment executed at ``dop``-way parallelism.
-
-        ``dop=1`` is exactly the serial batch formula (inner batch cost +
-        segment setup + frontier conversion), so the parallel regime is a
-        strict superset of the PR-4 pricing.  For ``dop>1`` the divisible
-        work — the inner pipeline plus the frontier conversion, both of
-        which morsel tasks perform on workers — is divided by the
-        *effective* speedup ``min(dop, tasks)``, and the coordination
-        overheads are added on top: per-worker setup, per-morsel dispatch,
-        and the ordered gather's per-tuple handling.
-        """
-        dop = max(1, int(dop))
-        key = ("parallel", inner.fingerprint(), dop, drained)
-        if key in self._cost_memo:
-            return self._cost_memo[key]
-        inner_cost = self._batch_cost(inner, drained)
-        n_out = self.production(inner, drained)
-        if dop <= 1:
-            value = inner_cost + BATCH_SETUP_UNIT + n_out * FRONTIER_TUPLE_UNIT
-        else:
-            source = self._segment_source_tuples(inner)
-            tasks = math.ceil(source / morsels.morsel_size()) if source > 0 else 0
-            speedup = min(dop, tasks) if tasks else 1
-            work = inner_cost + n_out * FRONTIER_TUPLE_UNIT
-            value = (
-                BATCH_SETUP_UNIT
-                + dop * PARALLEL_WORKER_UNIT
-                + tasks * MORSEL_DISPATCH_UNIT
-                + work / speedup
-                + n_out * PARALLEL_TUPLE_UNIT
-            )
-        self._cost_memo[key] = value
-        return value
-
     def compiled_segment_cost(self, inner: PlanNode, drained: bool = False) -> float:
-        """Cost of a lowered segment executed as one compiled fused
-        function — the third regime, priced against ``row`` and ``batch``.
+        """Cost of a sort-topped segment executed as one compiled fused
+        function — the alternative priced against the row plan.
 
-        Includes the per-segment compile setup and the unchanged
-        ``BatchToRow`` frontier conversion (the fused function emits the
-        same sorted batches the interpreted frontier would).  Only the node
-        kinds the code generator supports are priced; callers must guard
-        with :func:`repro.execution.codegen.supports`.
+        Includes the per-segment compile setup and the conversion of each
+        emitted tuple into a ``ScoredRow``.  Only the node kinds the code
+        generator supports are priced; callers must guard with
+        :func:`repro.execution.codegen.supports`.
         """
         key = ("compiled-segment", inner.fingerprint(), drained)
         if key in self._cost_memo:
@@ -470,7 +358,7 @@ class CostModel:
         value = (
             self._compiled_cost(inner, drained)
             + COMPILED_SETUP_UNIT
-            + n_out * FRONTIER_TUPLE_UNIT
+            + n_out * COMPILED_EMIT_UNIT
         )
         self._cost_memo[key] = value
         return value
@@ -484,13 +372,10 @@ class CostModel:
         return value
 
     def _compiled_cost_inner(self, plan: PlanNode, drained: bool) -> float:
-        """The fused-loop twin of ``_batch_cost_inner``: same cardinality
+        """The fused-loop twin of ``_cost_inner``: the same cardinality
         and predicate/join/sort work terms (the algorithms are identical),
-        but per-tuple handling at COMPILED_TUPLE_UNIT and no per-batch
-        dispatch anywhere — the loop nest has no batch boundaries."""
-        if isinstance(plan, BatchSegmentPlan):
-            return self._compiled_cost(plan.inner, drained)
-
+        but per-tuple handling at COMPILED_TUPLE_UNIT instead of
+        ``MOVE_UNIT``."""
         child_drained = drained or isinstance(plan, _BLOCKING)
         children_cost = sum(
             self._compiled_cost(c, child_drained) for c in plan.children
@@ -537,89 +422,4 @@ class CostModel:
 
         raise TypeError(
             f"no compiled-regime cost for plan node: {type(plan).__name__}"
-        )
-
-    def _segment_source_tuples(self, plan: PlanNode) -> float:
-        """Estimated size of the segment's widest morsel source — the
-        cardinality that determines how many morsel tasks the segment
-        decomposes into (the leaf scans are what gets range-partitioned)."""
-        if not plan.children:
-            return self.full_cardinality(plan)
-        return max(self._segment_source_tuples(c) for c in plan.children)
-
-    def _batch_cost(self, plan: PlanNode, drained: bool) -> float:
-        key = ("batch", plan.fingerprint(), drained)
-        if key in self._cost_memo:
-            return self._cost_memo[key]
-        value = self._batch_cost_inner(plan, drained)
-        self._cost_memo[key] = value
-        return value
-
-    def _batch_cost_inner(self, plan: PlanNode, drained: bool) -> float:
-        if isinstance(plan, BatchSegmentPlan):
-            # Nested wrappers dissolve inside an enclosing segment: one
-            # pipeline, one frontier — no extra setup or conversion.
-            return self._batch_cost(plan.inner, drained)
-
-        child_drained = drained or isinstance(plan, _BLOCKING)
-        children_cost = sum(self._batch_cost(c, child_drained) for c in plan.children)
-
-        if isinstance(plan, (SeqScanPlan, ColumnOrderScanPlan)):
-            n = self.production(plan, drained)
-            batches = math.ceil(n / BATCH_SIZE) if n > 0 else 0
-            return n * SCAN_UNIT + batches * BATCH_DISPATCH_UNIT
-
-        if isinstance(plan, FilterPlan):
-            n_in = self._consumed(plan.children[0], child_drained)
-            return children_cost + n_in * plan.condition.cost + self._batch_overhead(n_in)
-
-        if isinstance(plan, ProjectPlan):
-            n_in = self._consumed(plan.children[0], child_drained)
-            return children_cost + self._batch_overhead(n_in)
-
-        if isinstance(plan, SortPlan):
-            n_in = self.full_cardinality(plan.children[0])
-            missing = frozenset(self.scoring.predicate_names) - plan.children[0].rank_predicates
-            predicate_cost = sum(self._predicate_cost(name) for name in missing)
-            sort_cost = n_in * max(1.0, math.log2(n_in or 1)) * COMPARE_UNIT
-            return children_cost + n_in * predicate_cost + self._batch_overhead(n_in) + sort_cost
-
-        if isinstance(plan, SortMergeJoinPlan):
-            left, right = plan.children
-            n_left = self.full_cardinality(left)
-            n_right = self.full_cardinality(right)
-            sort_cost = 0.0
-            for child, key, n in (
-                (left, plan.left_key, n_left),
-                (right, plan.right_key, n_right),
-            ):
-                if not self._order_matches(child.column_order, key):
-                    sort_cost += n * max(1.0, math.log2(n or 1)) * COMPARE_UNIT
-            pairs = self.full_cardinality(plan)
-            return children_cost + sort_cost + self._batch_overhead(n_left + n_right) + (
-                pairs * JOIN_PAIR_UNIT
-            )
-
-        if isinstance(plan, HashJoinPlan):
-            left, right = plan.children
-            n_left = self.full_cardinality(left)
-            n_right = self.full_cardinality(right)
-            pairs = self.full_cardinality(plan)
-            return children_cost + self._batch_overhead(n_left + n_right) + (
-                pairs * JOIN_PAIR_UNIT
-            )
-
-        if isinstance(plan, NestedLoopJoinPlan):
-            left, right = plan.children
-            n_left = self.full_cardinality(left)
-            n_right = self.full_cardinality(right)
-            pairs = n_left * n_right
-            extra = BOOLEAN_EVAL_UNIT if plan.condition else 0.0
-            # Pair examination dominates either way (the row formula has no
-            # per-input move term); only the batch dispatch granularity
-            # differs, and it is negligible against n_left × n_right.
-            return children_cost + pairs * (JOIN_PAIR_UNIT + extra)
-
-        raise TypeError(
-            f"no batch-regime cost for plan node: {type(plan).__name__}"
         )

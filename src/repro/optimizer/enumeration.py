@@ -36,7 +36,6 @@ from ..storage.index import ColumnIndex, MultiKeyIndex, RankIndex
 from .cardinality import DEFAULT_SAMPLE_RATIO, CardinalityEstimator, SampleDatabase
 from .cost_model import CostModel
 from .plans import (
-    BatchSegmentPlan,
     ColumnOrderScanPlan,
     FilterPlan,
     HRJNPlan,
@@ -52,7 +51,6 @@ from .plans import (
     SeqScanPlan,
     SortMergeJoinPlan,
     SortPlan,
-    segment_lowerable,
 )
 from .query_spec import JoinCondition, QuerySpec
 
@@ -97,16 +95,10 @@ class RankAwareOptimizer:
         enumeration dimension (signature component ``SB``), so expensive
         filters can be scheduled anywhere — interleaved with µ operators or
         deferred above joins — instead of always pushed to the scans.
-    price_batch:
-        Make batch lowering a *fourth costed decision* inside the DP:
-        every generated plan that is a pure ``P = φ`` segment also
-        spawns a :class:`~repro.optimizer.plans.BatchSegmentPlan`
-        alternative, priced by the same cost model (batch-regime dispatch
-        rates, per-segment setup, BatchToRow frontier) and competing in the
-        same memo bucket — so the choice between tuple-at-a-time and bulk
-        columnar execution is made per segment, per signature, and can in
-        turn shift join-order and µ-scheduling decisions.  The default
-        (``False``) keeps enumeration purely row-mode.
+
+    The DP enumerates row plans only; the execution regime of each
+    sort-topped segment is a post-pass
+    (:func:`repro.optimizer.hybrid.decide_regimes`).
     """
 
     def __init__(
@@ -122,7 +114,6 @@ class RankAwareOptimizer:
         enumerate_selections: bool = False,
         threshold_mode: str = "drawn",
         allow_cartesian: bool = False,
-        price_batch: bool = False,
     ):
         self.catalog = catalog
         self.spec = spec
@@ -136,8 +127,6 @@ class RankAwareOptimizer:
         self.enumerate_selections = enumerate_selections
         self.threshold_mode = threshold_mode
         self.allow_cartesian = allow_cartesian
-        #: price BatchSegmentPlan alternatives during enumeration
-        self.price_batch = price_batch
         #: memo: signature -> {physical_key -> Candidate}
         self.memo: dict[Signature, dict[tuple, Candidate]] = {}
         #: number of plans generated (for enumeration-efficiency reports)
@@ -307,30 +296,14 @@ class RankAwareOptimizer:
         sb: frozenset[str],
         plan: PlanNode,
     ) -> None:
-        """Cost a generated plan and keep it if it wins its physical class.
-
-        Under ``price_batch`` a plan that is a pure ``P = φ``
-        segment also spawns its lowered (BatchSegmentPlan) alternative.
-        The wrapper shares the row plan's signature and physical
-        properties, so the two compete in the same bucket and only the
-        cheaper execution regime survives — batch lowering decided by the
-        DP, per segment.
-        """
-        alternatives = [plan]
-        if (
-            self.price_batch
-            and not isinstance(plan, BatchSegmentPlan)
-            and segment_lowerable(plan)
-        ):
-            alternatives.append(BatchSegmentPlan(plan))
+        """Cost a generated plan and keep it if it wins its physical class."""
+        self.plans_generated += 1
+        candidate = Candidate(plan, self.cost_model.cost(plan))
         bucket = self.memo.setdefault((sr, sp, sb), {})
-        for alternative in alternatives:
-            self.plans_generated += 1
-            candidate = Candidate(alternative, self.cost_model.cost(alternative))
-            key = candidate.physical_key
-            incumbent = bucket.get(key)
-            if incumbent is None or candidate.cost < incumbent.cost:
-                bucket[key] = candidate
+        key = candidate.physical_key
+        incumbent = bucket.get(key)
+        if incumbent is None or candidate.cost < incumbent.cost:
+            bucket[key] = candidate
 
     # ------------------------------------------------------------------
     # plan constructors
@@ -538,11 +511,6 @@ class RankAwareOptimizer:
             for candidate in self._candidates(*signature):
                 plan = SortPlan(candidate.plan, all_predicates)
                 out.append(Candidate(plan, self.cost_model.cost(plan)))
-                if self.price_batch and segment_lowerable(plan.children[0]):
-                    # The batch twin of the materialize-then-sort shape:
-                    # the sort is the segment's frontier (BatchSort).
-                    wrapped = BatchSegmentPlan(plan)
-                    out.append(Candidate(wrapped, self.cost_model.cost(wrapped)))
         return out
 
 

@@ -12,22 +12,10 @@ tables and evaluated ranking predicates (§5.1).
 
 from __future__ import annotations
 
-import copy
 from typing import Sequence
 
 from ..algebra.predicates import BooleanPredicate
-from ..execution.batch import (
-    BatchColumnOrderScan,
-    BatchFilter,
-    BatchHashJoin,
-    BatchNestedLoopJoin,
-    BatchOperator,
-    BatchProject,
-    BatchScan,
-    BatchSort,
-    BatchSortMergeJoin,
-    BatchToRow,
-)
+from ..execution.codegen import CompiledSegment
 from ..execution.filter import Filter, Project
 from ..execution.iterator import PhysicalOperator
 from ..execution.joins import HRJN, NRJN, HashJoin, NestedLoopJoin, SortMergeJoin
@@ -483,136 +471,32 @@ class RankDifferencePlan(PlanNode):
 
 
 # ----------------------------------------------------------------------
-# batched columnar lowering (P = φ segments)
+# compiled segments
 # ----------------------------------------------------------------------
 
-#: descriptor kinds with a batch-operator equivalent.  Rank-aware nodes
-#: (MuPlan, RankScanPlan, ScanSelectPlan, the rank joins and set-ops) are
-#: deliberately absent: batching them would break incremental, score-ordered
-#: emission — the ranking principle forbids bulk execution above µ.
-_BATCHABLE = (
-    SeqScanPlan,
-    ColumnOrderScanPlan,
-    FilterPlan,
-    ProjectPlan,
-    HashJoinPlan,
-    SortMergeJoinPlan,
-    NestedLoopJoinPlan,
-)
-
-
-def _segment_lowerable(plan: PlanNode) -> bool:
-    """Whether an entire subtree is an unranked (``P = φ``) segment made
-    exclusively of operators with batch equivalents.
-
-    :class:`BatchSegmentPlan` wrappers are transparent: a subtree that was
-    already (partially) lowered — e.g. by the enumerator's per-signature
-    batch alternatives — can be absorbed into a larger segment, where the
-    nested wrapper dissolves (one frontier crossing, not two).
-    """
-    if isinstance(plan, BatchSegmentPlan):
-        return _segment_lowerable(plan.inner)
-    if not isinstance(plan, _BATCHABLE):
-        return False
-    if plan.rank_predicates:
-        return False
-    return all(_segment_lowerable(child) for child in plan.children)
-
-
-def segment_lowerable(plan: PlanNode) -> bool:
-    """Public alias of the segment-lowerability test (used by the
-    enumerator and the cost-governed decision pass)."""
-    return _segment_lowerable(plan)
-
-
-def _build_batch(plan: PlanNode) -> BatchOperator:
-    """Instantiate the batch-operator tree for a lowerable descriptor."""
-    if isinstance(plan, BatchSegmentPlan):
-        # Nested wrappers dissolve: the enclosing segment is one batch
-        # pipeline with a single BatchToRow frontier at its root.
-        return _build_batch(plan.inner)
-    if isinstance(plan, SeqScanPlan):
-        return BatchScan(plan.table)
-    if isinstance(plan, ColumnOrderScanPlan):
-        return BatchColumnOrderScan(plan.table, plan.column)
-    if isinstance(plan, FilterPlan):
-        return BatchFilter(_build_batch(plan.children[0]), plan.condition)
-    if isinstance(plan, ProjectPlan):
-        return BatchProject(_build_batch(plan.children[0]), plan.columns)
-    if isinstance(plan, HashJoinPlan):
-        return BatchHashJoin(
-            _build_batch(plan.children[0]),
-            _build_batch(plan.children[1]),
-            plan.left_key,
-            plan.right_key,
-        )
-    if isinstance(plan, SortMergeJoinPlan):
-        return BatchSortMergeJoin(
-            _build_batch(plan.children[0]),
-            _build_batch(plan.children[1]),
-            plan.left_key,
-            plan.right_key,
-        )
-    if isinstance(plan, NestedLoopJoinPlan):
-        return BatchNestedLoopJoin(
-            _build_batch(plan.children[0]),
-            _build_batch(plan.children[1]),
-            plan.condition,
-        )
-    if isinstance(plan, SortPlan):
-        return BatchSort(_build_batch(plan.children[0]))
-    raise TypeError(f"no batch equivalent for {plan.label()}")
-
-
-def _unwrap_segments(plan: PlanNode) -> PlanNode:
-    """The same subtree with every :class:`BatchSegmentPlan` wrapper
-    replaced by its inner plan (pure; copies only rewritten interiors)."""
-    if isinstance(plan, BatchSegmentPlan):
-        return _unwrap_segments(plan.inner)
-    if not plan.children:
-        return plan
-    unwrapped = tuple(_unwrap_segments(child) for child in plan.children)
-    if all(new is old for new, old in zip(unwrapped, plan.children)):
-        return plan
-    clone = copy.copy(plan)
-    clone.children = unwrapped
-    return clone
-
-
 class BatchSegmentPlan(PlanNode):
-    """A maximal ``P = φ`` subtree lowered onto the batched columnar path.
+    """A sort-topped ``P = φ`` segment that runs as one compiled function.
 
-    Wraps the original row-mode descriptor subtree (``inner``); building
-    produces the equivalent batch-operator tree topped by the
-    :class:`~repro.execution.batch.BatchToRow` frontier adapter, so the
+    Wraps the row-mode descriptor subtree it replaces (``inner``, a
+    :class:`SortPlan` over scans, filters, projections and hash joins) and
+    the :class:`~repro.execution.codegen.CompiledArtifact` generated for it
+    at prepare time.  Building produces a single
+    :class:`~repro.execution.codegen.CompiledSegment` operator, so the
     surrounding plan still sees an ordinary
-    :class:`~repro.execution.iterator.PhysicalOperator`.
+    :class:`~repro.execution.iterator.PhysicalOperator`.  Only the regime
+    pass (:func:`repro.optimizer.hybrid.decide_regimes`) creates wrappers,
+    and only around a segment that compiled; the fingerprint is the inner
+    plan's, wrapped, because the fused function produces the same tuples.
     """
 
-    def __init__(self, inner: PlanNode, dop: int = 1):
+    def __init__(self, inner: PlanNode, compiled, decision=None):
         super().__init__()
-        # Nested wrappers dissolve eagerly: a segment absorbed into a
-        # larger one is a single batch pipeline with one frontier, and the
-        # descriptor tree should say so (affected interior nodes are
-        # shallow-copied; memo-shared subtrees are never mutated).
-        self.inner = _unwrap_segments(inner)
-        #: cost-governed lowering annotation (set by the decision pass /
-        #: enumerator when the segment was *priced*, not blindly lowered):
-        #: a ``SegmentDecision`` carrying both candidates' estimated costs.
-        #: Purely informational — never part of the fingerprint.
-        self.decision = None
-        #: the segment's degree of parallelism (a costed decision, like
-        #: the lowering itself).  Excluded from the fingerprint, same as
-        #: ``decision``: two wrappers over the same inner tree produce the
-        #: same tuples — DOP only changes *how* they are produced.
-        self.dop = max(1, int(dop))
-        #: the segment's compiled twin (a
-        #: :class:`~repro.execution.codegen.CompiledArtifact`), attached at
-        #: prepare time by :func:`repro.optimizer.compile.compile_plan`
-        #: when the costed decision picks the compiled regime.  Excluded
-        #: from the fingerprint like ``decision`` and ``dop``: the fused
-        #: function produces the same tuples, it only changes *how*.
-        self.compiled = None
+        self.inner = inner
+        #: the segment's :class:`~repro.execution.codegen.CompiledArtifact`
+        self.compiled = compiled
+        #: the :class:`~repro.optimizer.hybrid.SegmentDecision` that chose
+        #: the compiled regime (an annotation, never part of the fingerprint)
+        self.decision = decision
 
     @property
     def tables(self) -> frozenset[str]:
@@ -631,71 +515,20 @@ class BatchSegmentPlan(PlanNode):
         return self.inner.is_ranked
 
     def build(self) -> PhysicalOperator:
-        if self.compiled is not None:
-            from ..execution.codegen import CompiledSegmentSource
-
-            # The fused function is serial by construction; the costed
-            # decision only picks it when it beats every parallel batch
-            # candidate, so dop is irrelevant here.
-            return BatchToRow(CompiledSegmentSource(self.compiled))
-        return BatchToRow(_build_batch(self.inner), parallelism=self.dop)
+        return CompiledSegment(self.compiled)
 
     def label(self) -> str:
-        return "batch"
+        return "compiled"
 
     def fingerprint(self) -> str:
-        return f"batch({self.inner.fingerprint()})"
+        return f"compiled({self.inner.fingerprint()})"
 
     def explain(self, indent: int = 0) -> str:
-        head = "batch segment"
+        head = "compiled segment"
         if self.decision is not None:
             head += f" ({self.decision.summary()})"
-        elif self.dop > 1:
-            head += f" (dop={self.dop})"
-        lines = ["  " * indent + head]
-        lines.append(self.inner.explain(indent + 1))
-        return "\n".join(lines)
+        return "\n".join(["  " * indent + head, self.inner.explain(indent + 1)])
 
     def walk(self):
         yield self
         yield from self.inner.walk()
-
-
-def lower_to_batch(plan: PlanNode, parallelism: int = 1) -> PlanNode:
-    """Lower every maximal ``P = φ`` segment of ``plan`` to batch execution.
-
-    Walks the descriptor tree top-down and wraps each maximal unranked
-    subtree in a :class:`BatchSegmentPlan`.  A blocking :class:`SortPlan`
-    whose *input* is such a segment is the segment's frontier: it lowers to
-    :class:`~repro.execution.batch.BatchSort`, which evaluates the complete
-    scoring function over column vectors before emitting in rank order —
-    the materialize-then-sort shape of traditional plans, executed in bulk.
-    Rank-aware operators are never absorbed into a segment, and λ_k stays
-    in row mode so consumer-side contracts (cursors, limit stripping,
-    top-k hints) are unchanged.
-
-    This is the *forced*-lowering reference: parity sweeps and benchmarks
-    apply it to hand-built or row-mode plans to get the lowered twin
-    regardless of size, and ``parallelism`` is stamped verbatim on every
-    created wrapper as its degree of parallelism.  The planner never calls
-    it — the cost-governed pass (:func:`repro.optimizer.hybrid
-    .decide_batch_lowering`) prices lowering and DOP per segment instead.
-
-    Nodes are treated as immutable: rewritten interior nodes are shallow
-    copies with new child tuples, so a cached row-mode plan and its lowered
-    twin can coexist.
-    """
-    if isinstance(plan, BatchSegmentPlan):
-        return plan  # already lowered (idempotent over decided plans)
-    if isinstance(plan, SortPlan) and _segment_lowerable(plan.children[0]):
-        return BatchSegmentPlan(plan, dop=parallelism)
-    if _segment_lowerable(plan):
-        return BatchSegmentPlan(plan, dop=parallelism)
-    if not plan.children:
-        return plan
-    lowered = tuple(lower_to_batch(child, parallelism) for child in plan.children)
-    if all(new is old for new, old in zip(lowered, plan.children)):
-        return plan
-    clone = copy.copy(plan)
-    clone.children = lowered
-    return clone

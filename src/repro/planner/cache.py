@@ -34,7 +34,7 @@ from typing import Any, Iterator
 from ..algebra.parameters import bind_slots
 from ..algebra.predicates import ScoringFunction
 from ..execution.iterator import EvaluatorCache
-from ..optimizer.plans import BatchSegmentPlan, LimitPlan, PlanNode, ProjectPlan
+from ..optimizer.plans import LimitPlan, PlanNode, ProjectPlan
 from ..optimizer.query_spec import QuerySpec
 from .signature import QuerySignature
 
@@ -75,12 +75,9 @@ class CachedPlan:
     #: how expensive this entry was to build (measured planning seconds) —
     #: the weight cost-aware eviction protects it with
     plan_cost: float = 0.0
-    #: the DOP ceiling the plan was decided under (part of the signature;
-    #: the chosen per-segment DOPs live on the BatchSegmentPlan wrappers)
-    parallelism: int = 1
-    #: how many of ``plan``'s lowered segments carry a compiled fused
-    #: function (the artifacts live on the BatchSegmentPlan wrappers; 0 =
-    #: fully interpreted execution)
+    #: how many of ``plan``'s segments run as a compiled fused function
+    #: (the artifacts live on the BatchSegmentPlan wrappers; 0 = pure row
+    #: execution)
     compiled_segments: int = 0
     #: wall time spent generating + ``compile()``-ing those functions at
     #: prepare time — amortized across every warm execution of the entry
@@ -101,17 +98,8 @@ class CachedPlan:
 
     def regime(self) -> str:
         """The execution regime this entry runs under: ``compiled`` when
-        any segment carries a fused function, ``batch@dop`` / ``batch``
-        when the plan holds lowered segments, else ``row``."""
-        if self.compiled_segments:
-            return "compiled"
-        segments = [
-            node for node in self.plan.walk() if isinstance(node, BatchSegmentPlan)
-        ]
-        if segments:
-            dop = max(segment.dop for segment in segments)
-            return f"batch@{dop}" if dop > 1 else "batch"
-        return "row"
+        any segment carries a fused function, else ``row``."""
+        return "compiled" if self.compiled_segments else "row"
 
     @contextmanager
     def bound(self, params: Any) -> Iterator[None]:
@@ -135,7 +123,7 @@ class CachedPlan:
 
     @property
     def executable(self) -> PlanNode:
-        """The plan executions should build: the costed lowering decision
+        """The plan executions should build: the costed regime decision
         is part of the chosen plan itself."""
         return self.plan
 

@@ -32,13 +32,11 @@ from typing import Any
 from ..algebra.operators import LogicalOperator
 from ..algebra.parameters import bind_slots
 from ..observe.trace import _NULL_CONTEXT
-from ..execution import morsels
 from ..execution.iterator import EvaluatorCache
 from ..optimizer.cardinality import DEFAULT_SAMPLE_RATIO, SampleDatabase
 from ..optimizer.cost_model import CostModel
 from ..optimizer.enumeration import RankAwareOptimizer
-from ..optimizer.compile import compile_plan
-from ..optimizer.hybrid import decide_batch_lowering
+from ..optimizer.hybrid import decide_regimes
 from ..optimizer.plans import PlanNode
 from ..optimizer.query_spec import QuerySpec
 from ..optimizer.rule_based import RuleBasedOptimizer
@@ -54,18 +52,12 @@ STRATEGIES = ("rank-aware", "traditional", "rule-based")
 #: accepted ``execution`` modes — the one regime selector (per engine and
 #: per statement):
 #:
-#: * ``"auto"`` — cost-governed: every segment is priced across all
-#:   enabled regimes (row, batch at every candidate DOP, compiled) and
-#:   the cheapest wins;
+#: * ``"auto"`` — cost-governed: every sort-topped ``P = φ`` segment is
+#:   priced as row and as compiled, and the cheaper regime wins;
 #: * ``"row"`` — pure tuple-at-a-time (Volcano) execution;
-#: * ``"batch"`` — cost-governed row-vs-batch, compilation disabled;
-#: * ``"compiled"`` — force compilation of every supported segment;
-#:   unsupported shapes fall back to the interpreted batch pipeline.
-EXECUTION_MODES = ("auto", "row", "batch", "compiled")
-
-#: the compilation regime the costed lowering pass prices under each
-#: non-row execution mode (``"row"`` never reaches the pass)
-COMPILED_MODES = {"auto": "auto", "batch": "off", "compiled": "always"}
+#: * ``"compiled"`` — compile every supported segment; unsupported shapes
+#:   run as their row plans.
+EXECUTION_MODES = ("auto", "row", "compiled")
 
 
 def normalize_execution(mode: str) -> str:
@@ -77,32 +69,6 @@ def normalize_execution(mode: str) -> str:
     raise ValueError(
         f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}"
     )
-
-
-def normalize_parallelism(value: "int | str") -> int:
-    """Validate and normalize a ``parallelism`` knob value.
-
-    Accepts a positive integer (the maximum per-segment DOP the optimizer
-    may choose) or ``"auto"`` (the machine's core count).  ``1`` means
-    serial execution — the parallel regime is never priced.
-    """
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text == "auto":
-            return morsels.hardware_parallelism()
-        try:
-            value = int(text)
-        except ValueError:
-            raise ValueError(
-                f"bad parallelism value {value!r}; expected a positive "
-                "integer or 'auto'"
-            ) from None
-    value = int(value)
-    if value < 1:
-        raise ValueError(
-            f"bad parallelism value {value!r}; expected a positive integer or 'auto'"
-        )
-    return value
 
 
 @dataclass
@@ -139,7 +105,6 @@ class Planner:
         self,
         catalog: Catalog,
         cache_capacity: int = 256,
-        parallelism: "int | str" = 1,
         execution: str = "auto",
         tracer: Any = None,
     ):
@@ -147,13 +112,8 @@ class Planner:
         self.cache = PlanCache(cache_capacity)
         #: the owning engine's :class:`~repro.observe.trace.Tracer`, when
         #: one is attached — the planner reports parse/bind/optimize/
-        #: lower/compile spans into the active query trace.
+        #: compile spans into the active query trace.
         self.tracer = tracer
-        #: maximum per-segment degree of parallelism the optimizer may
-        #: choose (1 = serial; "auto" resolved to the core count at
-        #: construction).  Overridable per statement via the
-        #: ``parallelism=`` prepare knob.
-        self.parallelism = normalize_parallelism(parallelism)
         #: the execution regime selector (see EXECUTION_MODES).
         #: Overridable per statement via the ``execution=`` prepare knob.
         self.execution = normalize_execution(execution)
@@ -285,14 +245,9 @@ class Planner:
         sample_ratio = float(knobs.pop("sample_ratio", DEFAULT_SAMPLE_RATIO))
         seed = int(knobs.pop("seed", 0))
         # Popped before the optimizer sees the knobs (the enumerators do
-        # not take it) but folded into the signature: plans decided at
-        # different DOP ceilings are different plans.
-        parallelism = normalize_parallelism(
-            knobs.pop("parallelism", self.parallelism)
-        )
-        # Also popped-and-signed: plans decided under different execution
-        # regimes are different plans (a compiled entry must never serve a
-        # row-mode session and vice versa).
+        # not take it) but folded into the signature: plans decided under
+        # different execution regimes are different plans (a compiled
+        # entry must never serve a row-mode session and vice versa).
         execution = normalize_execution(knobs.pop("execution", self.execution))
         signature = plan_signature(
             spec,
@@ -301,7 +256,6 @@ class Planner:
                 knobs,
                 sample_ratio=sample_ratio,
                 seed=seed,
-                parallelism=parallelism,
                 execution=execution,
             ),
         )
@@ -313,37 +267,24 @@ class Planner:
                 return entry, True
         bind_slots(spec.parameters, params)
         start = time.perf_counter()
-        # "row" prices no regime anywhere; every other mode prices batch
-        # alternatives in the DP and runs the costed lowering pass.
-        costed = execution != "row"
         with self._span("optimize", strategy=strategy):
             plan, cost_model = self._optimize(
-                spec, strategy, sample_ratio, seed, costed, knobs
+                spec, strategy, sample_ratio, seed, knobs
             )
         decisions = None
         compiled_segments = 0
         compile_seconds = 0.0
-        if costed:
-            # Cost-governed hybrid execution: lower each maximal P = φ
-            # segment iff the batch regime prices cheaper.  Plans from the
-            # DP (rank-aware / traditional strategies) already embed the
-            # decision; the pass re-prices those wrappers for the record
-            # and decides any segment the DP did not see (rule-based
-            # plans, post-DP λ/π tops).
-            compiled_mode = COMPILED_MODES[execution]
-            with self._span("lower"):
-                plan, decisions = decide_batch_lowering(
-                    plan, cost_model, max_dop=parallelism, compiled_mode=compiled_mode
-                )
-            if compiled_mode != "off":
-                # Plan-to-code compilation: stamp a fused function onto
-                # every lowered segment whose decision elected the
-                # compiled regime.  Happens once, at prepare time — every
-                # warm execution of this cached entry reuses the artifact.
-                with self._span("compile"):
-                    compiled_segments, compile_seconds = compile_plan(
-                        plan, self.catalog, spec.scoring, mode=compiled_mode
+        if execution != "row":
+            # The execution regime as a costed post-pass: each sort-topped
+            # P = φ segment runs compiled iff that prices cheaper (or is
+            # forced).  Compilation happens once, here — every warm
+            # execution of this cached entry reuses the artifact.
+            with self._span("compile"):
+                plan, decisions, compiled_segments, compile_seconds = (
+                    decide_regimes(
+                        plan, cost_model, forced=execution == "compiled"
                     )
+                )
         elapsed = time.perf_counter() - start
         with self._lock:
             self.metrics.plan_seconds += elapsed
@@ -365,7 +306,6 @@ class Planner:
             scoring=spec.scoring,
             decisions=decisions,
             plan_cost=elapsed,
-            parallelism=parallelism,
             compiled_segments=compiled_segments,
             compile_seconds=compile_seconds,
         )
@@ -379,20 +319,15 @@ class Planner:
         strategy: str,
         sample_ratio: float,
         seed: int,
-        price_batch: bool,
         knobs: dict[str, Any],
     ) -> tuple[PlanNode, CostModel]:
         """Run the strategy's optimizer; returns the plan *and* the cost
-        model that priced it (the hybrid decision pass reuses it, so
-        row-vs-batch is judged by the same model that chose the plan).
-
-        With ``price_batch`` the DP itself prices BatchSegmentPlan
-        alternatives per signature — batch lowering is a fourth
-        enumeration decision, not only a post-pass rewrite."""
+        model that priced it (the regime pass reuses it, so row-vs-compiled
+        is judged by the same model that chose the plan)."""
         sample = self.sample(sample_ratio, seed)
         if strategy == "rank-aware":
             optimizer = RankAwareOptimizer(
-                self.catalog, spec, sample=sample, price_batch=price_batch, **knobs
+                self.catalog, spec, sample=sample, **knobs
             )
             return optimizer.optimize(), optimizer.cost_model
         if strategy == "traditional":
@@ -405,7 +340,6 @@ class Planner:
                 spec,
                 sample=sample,
                 enumerate_ranking=False,
-                price_batch=price_batch,
             )
             return optimizer.optimize(), optimizer.cost_model
         rule_based = RuleBasedOptimizer(self.catalog, spec, sample=sample, **knobs)

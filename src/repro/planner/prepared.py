@@ -132,7 +132,7 @@ class PreparedQuery:
     @property
     def compiled_segments(self) -> int:
         """How many of the plan's segments run as compiled fused functions
-        (0 = fully interpreted, or planning still deferred)."""
+        (0 = pure row execution, or planning still deferred)."""
         return self._entry.compiled_segments if self._entry is not None else 0
 
     @property
@@ -224,8 +224,8 @@ class PreparedQuery:
         from ..engine.result import Cursor
 
         entry = self._refresh(params)
-        # Stripping the λ also strips its top-k hint, so a lowered
-        # BatchSort below delivers the full ordering the cursor needs.
+        # Stripping the λ also strips its top-k hint, so a sort or compiled
+        # segment below delivers the full ordering the cursor needs.
         unlimited = strip_limit(entry.executable)
         context = ExecutionContext(
             self._db.catalog, entry.scoring, evaluators=entry.evaluators

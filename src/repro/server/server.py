@@ -54,7 +54,6 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..execution import morsels
 from ..storage.snapshot import DatabaseSnapshot
 from ..storage.transaction import retry_transaction
 from . import protocol
@@ -403,10 +402,6 @@ class QueryServer:
             for key, value in self.database.planner.metrics.summary().items()
             if key in ("plans_compiled", "compile_seconds")
         )
-        # Statements of every session submit their morsels to the one
-        # process-wide pool (execution/morsels.py), so intra-query DOP and
-        # the worker count here never oversubscribe cores together.
-        out.update(morsels.pool_summary())
         return out
 
     def stats(self, traces: int = 10) -> dict[str, Any]:

@@ -4,7 +4,7 @@ A :class:`DatabaseSnapshot` captures every table's published
 :class:`~repro.storage.table.TableVersion` at one instant (statement
 *admission* in the serving layer).  Execution then resolves every
 ``catalog.table(name)`` lookup through the snapshot, so the whole plan —
-row scans, rank-index scans, and the batched columnar path alike — reads
+row scans, rank-index scans, and compiled segments alike — reads
 exactly the versions that were current at admission, no matter how many
 new versions concurrent writers publish while the query runs.
 

@@ -29,13 +29,13 @@ layer does this at statement admission).
 
 Besides the row heap, each version carries a lazily-built *columnar view*
 (:meth:`TableVersion.columns`): one Python list per column, parallel to
-the heap, plus the row-id and row-object vectors.  The batched execution
-path (:mod:`repro.execution.batch`) reads this view so unranked plan
-segments can move whole column vectors instead of one :class:`Row` per
-operator call.  The view is cached *per version* — publication-safe by
-construction: a writer publishing a new version never touches the arrays
-an old snapshot's readers are scanning, and a version whose heap is
-unchanged (index attachment) carries the already-built view forward.
+the heap, plus the row-id and row-object vectors.  Compiled segments
+(:mod:`repro.execution.codegen`) drive their scan loops over this view's
+row and row-id vectors.  The view is cached *per version* —
+publication-safe by construction: a writer publishing a new version never
+touches the arrays an old snapshot's readers are scanning, and a version
+whose heap is unchanged (index attachment) carries the already-built view
+forward.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 ``final_score`` and ``max_possible`` must agree bit for bit.
 
 ``upper_bound`` reads a precomputed slot table instead of building a score
-list and calling ``combine``; the row, batch and compiled regimes only
+list and calling ``combine``; the row and compiled regimes only
 produce identical results and tie orders if both routes round identically
 (on Python 3.12 the builtin float ``sum`` is compensated, so a different
 accumulation would drift).  Floats are therefore compared with ``==``.
@@ -78,7 +78,7 @@ def test_final_score_is_combine_over_the_full_map(case):
     ordered = [full[p.name] for p in scoring.predicates]
     assert scoring.final_score(full) == scoring.combine(ordered)
     assert scoring.final_score(full) == scoring.upper_bound(full)
-    # the batch epilogue's route: a dict rebuilt from a score vector
+    # a row rebuilt from a compiled segment's score columns
     assert scoring.upper_bound(
         dict(zip(scoring.predicate_names, ordered))
     ) == scoring.combine(ordered)

@@ -137,3 +137,16 @@ def assert_descending(scores, tolerance=1e-9):
     """Assert a score sequence is non-increasing."""
     for earlier, later in zip(scores, scores[1:]):
         assert earlier >= later - tolerance, f"not descending: {earlier} < {later}"
+
+
+def assert_same_work(got: dict, want: dict) -> None:
+    """Two ``ExecutionMetrics.summary()`` dicts describe the same work:
+    every integer counter exact, the float cost totals (``simulated_cost``,
+    ``*_cost_units``) to 1e-9 — compiled code adds each operator's charge
+    once, row mode once per tuple, so the sums round differently."""
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if key == "simulated_cost" or key.endswith("_cost_units"):
+            assert got[key] == pytest.approx(value, rel=1e-9), key
+        else:
+            assert got[key] == value, key

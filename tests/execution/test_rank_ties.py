@@ -42,7 +42,7 @@ def ranked(db, strategy: str, execution: str) -> list[tuple]:
     return [(s.row.rid, score) for s, score in zip(result.scored_rows, result.scores)]
 
 
-REGIMES = ["row", "batch", "compiled"]
+REGIMES = ["row", "auto", "compiled"]
 
 
 @pytest.mark.parametrize("execution", REGIMES)

@@ -41,7 +41,7 @@ def kv_db() -> Database:
 @pytest.fixture()
 def build_kv():
     """Factory fixture for tests that need a custom kv database (extra
-    keys, parallelism); closes everything it built on teardown."""
+    keys, engine options); closes everything it built on teardown."""
     created: list[Database] = []
 
     def factory(keys: int = KEYS, **db_kwargs) -> Database:

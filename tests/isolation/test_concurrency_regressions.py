@@ -1,12 +1,11 @@
-"""Regression tests for the seams between transactions and the two
-previous concurrency layers: snapshot-isolated serving (PR 5) and
-morsel-driven intra-query parallelism (PR 6).
+"""Regression tests for the seams between transactions and the other
+concurrency layers: snapshot-isolated serving and compiled execution.
 
 * a transaction's read view must stay byte-identical while autocommit
   writers churn the same tables;
-* executing inside a transaction-scoped snapshot with DOP > 1 must be
-  byte-identical to serial execution of the same view, buffered writes
-  included.
+* a compiled segment executing inside a transaction-scoped snapshot must
+  return exactly what the row plan returns on the same view, buffered
+  writes included, and stay stable while writers churn the live tables.
 """
 
 from __future__ import annotations
@@ -140,13 +139,14 @@ class TestTransactionViewUnderChurn:
         db.close()
 
 
-class TestParallelExecutionInsideTransactions:
-    """PR 6 seam: the morsel-parallel batch path over a transaction view."""
+class TestCompiledExecutionInsideTransactions:
+    """The compiled regime over a transaction view."""
 
     SQL = "SELECT * FROM T WHERE T.k > 1 ORDER BY pa(T.x) LIMIT 10"
+    KNOBS = dict(strategy="traditional", sample_ratio=0.5, seed=1)
 
     def build_db(self, n: int = 8000) -> Database:
-        db = Database(execution="auto", parallelism=4)
+        db = Database(execution="auto")
         db.create_table("T", [("k", DataType.INT), ("x", DataType.FLOAT)])
         rng = random.Random(11)
         db.insert(
@@ -156,12 +156,11 @@ class TestParallelExecutionInsideTransactions:
         db.analyze()
         return db
 
-    def test_dop_parity_on_a_transaction_view(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MORSEL_SIZE", "256")
+    def test_compiled_matches_row_on_a_transaction_view(self):
         db = self.build_db()
-        # the optimizer really picks DOP > 1 for this shape (guards the
-        # test against silently degrading into serial-vs-serial)
-        assert "batch(dop=4)" in db.explain(self.SQL, sample_ratio=0.5, seed=1)
+        # the optimizer really compiles this shape (guards the test
+        # against silently degrading into row-vs-row)
+        assert "-> compiled" in db.explain(self.SQL, **self.KNOBS)
 
         txn = db.begin()
         table = db.catalog.table("T")
@@ -172,31 +171,20 @@ class TestParallelExecutionInsideTransactions:
         txn.insert(table, [(4, 0.9999994), (3, 0.9999991)])
 
         view = txn.read_view()
-        serial = db.query(
-            self.SQL, snapshot=view, sample_ratio=0.5, seed=1, parallelism=1
-        )
-        parallel = db.query(
-            self.SQL, snapshot=view, sample_ratio=0.5, seed=1, parallelism=4
-        )
-        assert transcript_of(parallel) == transcript_of(serial)
+        row = db.query(self.SQL, snapshot=view, execution="row", **self.KNOBS)
+        compiled = db.query(self.SQL, snapshot=view, **self.KNOBS)
+        assert transcript_of(compiled) == transcript_of(row)
         # the buffered inserts won the ranking in both executions
-        assert serial.rows[0][1] == 0.9999994
-        assert serial.rows[1][1] == 0.9999991
+        assert row.rows[0][1] == 0.9999994
+        assert row.rows[1][1] == 0.9999991
         txn.rollback()
         db.close()
 
-    def test_dop_parity_under_concurrent_churn(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MORSEL_SIZE", "256")
+    def test_view_is_stable_under_concurrent_churn(self):
         db = self.build_db(4000)
         txn = db.begin()
         view_baseline = transcript_of(
-            db.query(
-                self.SQL,
-                snapshot=txn.read_view(),
-                sample_ratio=0.5,
-                seed=1,
-                parallelism=4,
-            )
+            db.query(self.SQL, snapshot=txn.read_view(), **self.KNOBS)
         )
         stop = threading.Event()
 
@@ -213,13 +201,7 @@ class TestParallelExecutionInsideTransactions:
         try:
             while not stop.is_set():
                 got = transcript_of(
-                    db.query(
-                        self.SQL,
-                        snapshot=txn.read_view(),
-                        sample_ratio=0.5,
-                        seed=1,
-                        parallelism=4,
-                    )
+                    db.query(self.SQL, snapshot=txn.read_view(), **self.KNOBS)
                 )
                 assert got == view_baseline
         finally:

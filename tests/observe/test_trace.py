@@ -1,14 +1,11 @@
-"""Tests for the structured tracer: span trees, the disabled fast path,
-the slow-query log, and ambient-trace-id propagation through the morsel
-backends (thread and fork)."""
+"""Tests for the structured tracer: span trees, the disabled fast path and
+the slow-query log."""
 
 import json
-import threading
 
 import pytest
 
-from repro.execution import morsels
-from repro.observe import Tracer, ambient_trace_id, set_ambient_trace_id
+from repro.observe import Tracer
 from repro.observe.trace import _NULL_CONTEXT
 
 
@@ -19,22 +16,22 @@ class TestSpanTree:
             with tracer.span("parse"):
                 pass
             with tracer.span("execute"):
-                with tracer.span("batch_segment", dop=2):
+                with tracer.span("compiled_call", fn="compiled[seqScan(T)]"):
                     pass
         trace = tracer.last()
         names = [span.name for span, __ in trace.spans()]
-        assert names == ["query", "parse", "execute", "batch_segment"]
+        assert names == ["query", "parse", "execute", "compiled_call"]
         depths = {span.name: depth for span, depth in trace.spans()}
-        assert depths["batch_segment"] == 2
+        assert depths["compiled_call"] == 2
         assert trace.status == "ok"
         assert trace.duration_ms >= 0
 
     def test_annotate_stamps_trace_fields(self):
         tracer = Tracer(enabled=True)
         with tracer.trace("SELECT 1"):
-            tracer.annotate(regime="batch", signature="sig:abc", cache="hit")
+            tracer.annotate(regime="compiled", signature="sig:abc", cache="hit")
         trace = tracer.last()
-        assert trace.regime == "batch"
+        assert trace.regime == "compiled"
         assert trace.signature == "sig:abc"
         assert trace.root.attrs["cache"] == "hit"
 
@@ -55,19 +52,6 @@ class TestSpanTree:
             with tracer.trace("SELECT boom"):
                 raise RuntimeError("boom")
         assert tracer.last().status == "error"
-
-    def test_open_span_straddles_calls(self):
-        tracer = Tracer(enabled=True)
-        with tracer.trace("SELECT 1"):
-            span = tracer.open_span("batch_segment")
-            with tracer.span("sibling"):  # not a child of the open span
-                pass
-            span.finish()
-        trace = tracer.last()
-        assert [c.name for c in trace.root.children] == [
-            "batch_segment",
-            "sibling",
-        ]
 
     def test_capacity_bounds_the_ring(self):
         tracer = Tracer(enabled=True, capacity=4)
@@ -95,7 +79,6 @@ class TestDisabledPath:
         tracer = Tracer(enabled=False)
         assert tracer.trace("SELECT 1") is _NULL_CONTEXT
         assert tracer.span("anything") is _NULL_CONTEXT
-        assert tracer.open_span("anything") is None
         with tracer.trace("SELECT 1") as trace:
             assert trace is None
         assert tracer.recent() == []
@@ -118,7 +101,7 @@ class TestSlowQueryLog:
             enabled=True, slow_query_ms=0.0, slow_query_sink=lines.append
         )
         with tracer.trace("SELECT slow", surface="query"):
-            tracer.annotate(regime="batch", signature="sig:123")
+            tracer.annotate(regime="compiled", signature="sig:123")
             with tracer.span("execute"):
                 pass
         assert len(lines) == 1
@@ -126,7 +109,7 @@ class TestSlowQueryLog:
         assert record["event"] == "slow_query"
         assert record["trace_id"] == tracer.last().trace_id
         assert record["signature"] == "sig:123"
-        assert record["regime"] == "batch"
+        assert record["regime"] == "compiled"
         assert record["sql"] == "SELECT slow"
         assert [span["name"] for span in record["top_spans"]] == ["execute"]
         assert tracer.slow_queries == 1
@@ -143,54 +126,3 @@ class TestSlowQueryLog:
     def test_env_threshold(self, monkeypatch):
         monkeypatch.setenv("REPRO_SLOW_QUERY_MS", "25")
         assert Tracer().slow_query_ms == 25.0
-
-
-class TestAmbientTraceId:
-    def test_set_returns_previous(self):
-        previous = set_ambient_trace_id("t1")
-        try:
-            assert ambient_trace_id() == "t1"
-            assert set_ambient_trace_id("t2") == "t1"
-        finally:
-            set_ambient_trace_id(previous)
-
-    def test_trace_publishes_and_restores(self):
-        tracer = Tracer(enabled=True)
-        assert ambient_trace_id() is None
-        with tracer.trace("SELECT 1"):
-            assert ambient_trace_id() == tracer.current_trace_id()
-        assert ambient_trace_id() is None
-
-    def test_propagates_into_thread_morsel_workers(self):
-        tracer = Tracer(enabled=True)
-        with tracer.trace("SELECT 1"):
-            expected = tracer.current_trace_id()
-            tasks = [lambda: ambient_trace_id() for __ in range(4)]
-            seen = list(morsels.run_tasks(tasks, dop=2, backend="thread"))
-        assert seen == [expected] * 4
-
-    @pytest.mark.skipif(
-        not morsels.fork_available(), reason="no fork on platform"
-    )
-    def test_propagates_into_forked_morsel_workers(self):
-        tracer = Tracer(enabled=True)
-        with tracer.trace("SELECT 1"):
-            expected = tracer.current_trace_id()
-            tasks = [lambda: ambient_trace_id() for __ in range(3)]
-            seen = list(morsels.run_tasks(tasks, dop=3, backend="process"))
-        assert seen == [expected] * 3
-
-    def test_worker_does_not_leak_id_to_pool_thread(self):
-        # After a traced dispatch, the pooled worker thread must be back
-        # to a clean ambient id for whoever dispatches next.
-        tracer = Tracer(enabled=True)
-        with tracer.trace("SELECT 1"):
-            list(morsels.run_tasks([lambda: None] * 2, dop=2, backend="thread"))
-        leftovers = list(
-            morsels.run_tasks(
-                [lambda: ambient_trace_id() for __ in range(2)],
-                dop=2,
-                backend="thread",
-            )
-        )
-        assert leftovers == [None, None]

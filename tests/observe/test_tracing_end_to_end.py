@@ -16,13 +16,13 @@ SQL = (
     "ORDER BY cheap(hotel.price) + starry(hotel.stars) LIMIT 5"
 )
 
-#: an Expression-scored single-table pipeline — the shape the batch
-#: lowering and the fused-function compiler both accept
-BATCHABLE_SQL = "SELECT * FROM T WHERE T.x > 0.2 ORDER BY pa(T.x) LIMIT 7"
+#: an Expression-scored single-table pipeline — a shape the fused-function
+#: compiler accepts
+COMPILABLE_SQL = "SELECT * FROM T WHERE T.x > 0.2 ORDER BY pa(T.x) LIMIT 7"
 
 
-def build_batchable_db(execution, **kwargs):
-    db = Database(execution=execution, **kwargs)
+def build_compilable_db(execution):
+    db = Database(execution=execution)
     db.create_table("T", [("k", DataType.INT), ("x", DataType.FLOAT)])
     rng = random.Random(3)
     db.insert(
@@ -43,11 +43,11 @@ class TestQuerySurface:
         return build_demo_database()
 
     def test_cold_query_traces_every_planner_phase(self, db):
-        # pinned: under REPRO_EXECUTION=row nothing is priced, so no "lower"
+        # pinned: under REPRO_EXECUTION=row nothing is priced, so no "compile"
         db.query(SQL, execution="auto")
         trace = db.tracer.last()
         names = span_names(trace)
-        for phase in ("parse", "bind", "optimize", "lower", "execute"):
+        for phase in ("parse", "bind", "optimize", "compile", "execute"):
             assert phase in names, f"missing {phase} span in {names}"
         assert trace.surface == "query"
         assert trace.regime == "row"  # auto mode keeps this plan row-mode
@@ -66,23 +66,6 @@ class TestQuerySurface:
         assert "optimize" not in names
         assert "execute" in names
 
-    def test_batch_regime_traces_segments_and_dispatch(self):
-        db = build_batchable_db("batch", parallelism=2)
-        db.query(BATCHABLE_SQL, strategy="traditional")
-        trace = db.tracer.last()
-        assert trace.regime.startswith("batch")
-        names = span_names(trace)
-        assert "lower" in names
-        assert "batch_segment" in names
-        segment = next(
-            span for span, __ in trace.spans() if span.name == "batch_segment"
-        )
-        assert segment.end is not None
-        assert segment.attrs["dop"] >= 1
-        dispatches = [c for c in segment.children if c.name == "morsel_dispatch"]
-        if trace.regime.startswith("batch@"):
-            assert dispatches and dispatches[0].attrs["dop"] >= 2
-
     def test_error_query_finishes_with_error_status(self, db):
         with pytest.raises(Exception):
             db.query("SELECT * FROM nonsuch ORDER BY cheap(hotel.price) LIMIT 1")
@@ -97,8 +80,8 @@ class TestQuerySurface:
 
 class TestCompiledRegime:
     def test_fused_call_span_and_regime(self):
-        db = build_batchable_db("compiled")
-        db.query(BATCHABLE_SQL, strategy="traditional")
+        db = build_compilable_db("compiled")
+        db.query(COMPILABLE_SQL, strategy="traditional")
         trace = db.tracer.last()
         assert trace.regime == "compiled"
         names = span_names(trace)

@@ -52,23 +52,23 @@ class TestAnalyzeReport:
         assert report.metrics_summary["tuples_scanned"] > 0
 
     def test_row_operators_report_no_wall_time(self, report):
-        # plan2 is a fully rank-aware (row-mode) tree: no batch nodes, so
-        # no per-node timings — the column stays absent, not zero.
+        # plan2 is a fully rank-aware (row-mode) tree: no compiled
+        # segment, so no timings — the column stays absent, not zero.
         assert all(node.wall_ms is None for node in report.nodes)
 
 
-class TestBatchWallTimings:
-    def test_batch_nodes_report_wall_time(self, workload):
-        from repro.optimizer.plans import lower_to_batch
-        from repro.workloads import plan1
-
-        lowered = lower_to_batch(plan1(workload))
+class TestCompiledWallTimings:
+    def test_compiled_segment_reports_wall_time(self, workload):
+        plan = workload.database.planner.plan(
+            workload.spec, strategy="traditional", execution="compiled"
+        )
         report = explain_analyze(
-            workload.catalog, workload.spec, lowered, sample_ratio=0.1, seed=2
+            workload.catalog, workload.spec, plan, sample_ratio=0.1, seed=2
         )
         timed = [n for n in report.nodes if n.wall_ms is not None]
-        assert timed, "lowered plans must carry batch-node timings"
-        assert any(n.wall_ms > 0 for n in timed)
+        assert len(timed) == 1, "the compiled segment carries its call's time"
+        assert timed[0].label.startswith("compiled[")
+        assert timed[0].wall_ms > 0
         assert "ms" in report.render()
 
 

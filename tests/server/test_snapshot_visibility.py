@@ -4,7 +4,7 @@ A writer thread keeps inserting and deleting high-scoring rows while
 readers run the workload queries.  Every read must observe a *single
 consistent version*: re-executing the same statement serially against the
 snapshot captured at admission must reproduce the concurrent result
-byte-for-byte — in all four ``execution`` modes alike.
+byte-for-byte — in all three ``execution`` modes alike.
 """
 
 from __future__ import annotations

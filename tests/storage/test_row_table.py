@@ -94,8 +94,8 @@ class TestColumnarViewInvalidation:
     """The cached columnar view must refresh after *every* heap-mutating
     path — including the bulk ones (`insert_many`, `insert_dicts`, CSV
     load) — and must survive non-mutating operations (`attach_index`
-    backfill) unchanged.  Regression tests for the batched execution path,
-    which reads stale views as silently-wrong query results."""
+    backfill) unchanged.  Regression tests for compiled segments, which
+    would read a stale view as silently-wrong query results."""
 
     def make(self):
         return Table("t", Schema.of(("a", DataType.INT), ("b", DataType.FLOAT)))

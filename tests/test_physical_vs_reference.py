@@ -1,5 +1,5 @@
 """Randomized agreement between the physical engine and the reference
-(materialized) semantics, and between the row and batch execution paths.
+(materialized) semantics, and between the row and compiled regimes.
 
 For randomly generated data and a catalogue of plan shapes — µ chains with
 interleaved filters, rank-joins, set operations — the physical pipeline
@@ -7,15 +7,16 @@ must produce a rank-relation equivalent (same membership, same score order,
 ties free) to the reference evaluator's result for the corresponding
 logical plan.
 
-Row/batch parity is *stricter*: for every workload query and plan shape,
-the lowered (batched columnar) plan must produce the identical sequence —
-same rows, same evaluated scores, same deterministic rid tie order — as
-the row-mode plan it replaces, while rank-aware operators keep emitting
-incrementally.
+Row/compiled parity is *stricter*: for every workload query and plan
+shape, the plan with its sort-topped segments compiled must produce the
+identical sequence — same rows, same evaluated scores, same deterministic
+rid tie order, same integer counters — as the row-mode plan it replaces,
+while rank-aware operators keep emitting incrementally.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -164,17 +165,20 @@ class TestSetOperations:
 
 
 # ----------------------------------------------------------------------
-# row / batch execution parity
+# row / compiled execution parity
 # ----------------------------------------------------------------------
 
+from repro.execution import codegen  # noqa: E402
 from repro.optimizer.plans import (  # noqa: E402
     BatchSegmentPlan,
     MuPlan,
     RankScanPlan,
     ScanSelectPlan,
-    lower_to_batch,
+    SortPlan,
 )
 from repro.workloads import ALL_PLANS, WorkloadConfig, build_workload  # noqa: E402
+
+from tests.conftest import assert_same_work  # noqa: E402
 
 _workloads: dict = {}
 
@@ -189,39 +193,54 @@ def parity_workload():
     return _workloads[key]
 
 
+def force_compile(plan, catalog, scoring):
+    """``plan`` with every sort-topped segment the code generator supports
+    compiled, regardless of price — the forced reference that parity on
+    small inputs needs (the costed pass would keep them row-mode).  Nodes
+    are treated as immutable: rewritten interiors are fresh nodes."""
+    if isinstance(plan, SortPlan) and codegen.supports(plan, catalog, scoring):
+        return BatchSegmentPlan(plan, codegen.compile_segment(plan, catalog, scoring))
+    if not plan.children:
+        return plan
+    children = tuple(force_compile(c, catalog, scoring) for c in plan.children)
+    if all(new is old for new, old in zip(children, plan.children)):
+        return plan
+    clone = copy.copy(plan)
+    clone.children = children
+    return clone
+
+
 def drain(catalog, scoring, plan_node, k=None):
     """Execute a plan descriptor; return the full observable sequence —
-    (rid, values, evaluated scores) per tuple, in emission order."""
+    (rid, values, evaluated scores) per tuple, in emission order — and the
+    run's metric summary."""
     context = ExecutionContext(catalog, scoring)
     out = run_plan(plan_node.build(), context, k=k)
-    return [(s.row.rid, s.row.values, dict(s.scores)) for s in out]
+    sequence = [(s.row.rid, s.row.values, dict(s.scores)) for s in out]
+    return sequence, context.metrics.summary()
 
 
 def assert_paths_identical(catalog, scoring, plan_node, k=None):
-    """The lowered plan must emit the identical sequence (rows, scores,
-    rid tie order) as its row-mode twin."""
-    lowered = lower_to_batch(plan_node)
-    row_sequence = drain(catalog, scoring, plan_node, k=k)
-    batch_sequence = drain(catalog, scoring, lowered, k=k)
-    assert batch_sequence == row_sequence
-
-
-@pytest.mark.parametrize("plan_name", sorted(ALL_PLANS))
-def test_fig11_plan_parity(plan_name):
-    """All four §6.1 plan shapes: identical rows, scores and tie order."""
-    workload = parity_workload()
-    plan = ALL_PLANS[plan_name](workload)
-    assert_paths_identical(workload.catalog, workload.scoring, plan)
+    """The compiled plan must emit the identical sequence (rows, scores,
+    rid tie order) and do the same work as its row-mode twin."""
+    compiled = force_compile(plan_node, catalog, scoring)
+    row_sequence, row_work = drain(catalog, scoring, plan_node, k=k)
+    compiled_sequence, compiled_work = drain(catalog, scoring, compiled, k=k)
+    assert compiled_sequence == row_sequence
+    assert_same_work(compiled_work, row_work)
+    return compiled
 
 
 @pytest.mark.parametrize("strategy", ["rank-aware", "traditional", "rule-based"])
 def test_workload_query_parity(strategy):
-    """The workload query under every optimizer strategy, both paths."""
+    """The workload query under every optimizer strategy, both regimes."""
     workload = parity_workload()
     plan = workload.database.planner.plan(
-        workload.spec, strategy=strategy, sample_ratio=0.2, seed=1
+        workload.spec, strategy=strategy, sample_ratio=0.2, seed=1, execution="row"
     )
-    assert_paths_identical(workload.catalog, workload.scoring, plan)
+    compiled = assert_paths_identical(workload.catalog, workload.scoring, plan)
+    if strategy == "traditional":
+        assert codegen.compiled_segment_count(compiled) == 1
 
 
 GENERATED_QUERIES = [
@@ -252,40 +271,34 @@ def generated_database(seed, **kwargs):
     return db
 
 
-def forced_lowering(db, sql, strategy, dop=1):
-    """Plan ``sql`` in pure row mode, then force every segment of that
-    plan onto the batch path at ``dop`` — the costed pass would keep
-    40-row segments tuple-at-a-time, so parity of the lowered operators on
-    generated plans needs the forced reference.  Returns the row-mode
-    entry and the lowered twin's result."""
-    entry, __ = db.planner.prepare(
-        sql, strategy=strategy, sample_ratio=0.5, seed=1, execution="row"
-    )
-    lowered = lower_to_batch(entry.plan, parallelism=dop)
-    assert any(isinstance(node, BatchSegmentPlan) for node in lowered.walk())
-    return entry, db.execute(lowered, entry.scoring, k=entry.k)
-
-
 @pytest.mark.parametrize("seed", range(4))
-def test_generated_query_forced_lowering_parity(seed):
-    """Every generated plan, forced onto the batch path regardless of
-    size, returns the rows and scores of its row-mode twin."""
+def test_generated_query_forced_compile_parity(seed):
+    """Every generated traditional plan, forced to compile regardless of
+    size, returns the rows, scores and work of its row-mode twin."""
     db = generated_database(seed)
     for sql in GENERATED_QUERIES:
-        for strategy in ("rank-aware", "traditional"):
-            entry, got = forced_lowering(db, sql, strategy)
-            want = db.execute(entry.plan, entry.scoring, k=entry.k)
-            assert got.rows == want.rows, (sql, strategy)
-            assert got.scores == want.scores, (sql, strategy)
+        entry, __ = db.planner.prepare(
+            sql, strategy="traditional", sample_ratio=0.5, seed=1, execution="row"
+        )
+        compiled = force_compile(entry.plan, db.catalog, entry.scoring)
+        assert codegen.compiled_segment_count(compiled) == 1, sql
+        want = db.execute(entry.plan, entry.scoring, k=entry.k)
+        got = db.execute(compiled, entry.scoring, k=entry.k)
+        assert got.rows == want.rows, sql
+        assert got.scores == want.scores, sql
+        assert [s.row.rid for s in got.scored_rows] == [
+            s.row.rid for s in want.scored_rows
+        ], sql
+        assert_same_work(got.metrics.summary(), want.metrics.summary())
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_generated_query_parity_across_execution_regimes(seed):
-    """The 4-mode ``execution=`` sweep: row, batch, cost-governed auto and
-    forced plan-to-code compilation must return identical rows and scores
-    for every generated query — and the compiled engine must actually have
+    """The ``execution=`` sweep: row, cost-governed auto and forced
+    plan-to-code compilation must return identical rows and scores for
+    every generated query — and the compiled engine must actually have
     compiled something, so the sweep is never vacuously green."""
-    modes = ("row", "batch", "auto", "compiled")
+    modes = ("row", "auto", "compiled")
     databases = {mode: generated_database(seed, execution=mode) for mode in modes}
     for sql in GENERATED_QUERIES:
         for strategy in ("rank-aware", "traditional"):
@@ -302,73 +315,9 @@ def test_generated_query_parity_across_execution_regimes(seed):
     assert databases["compiled"].planner.metrics.plans_compiled > 0
 
 
-# ----------------------------------------------------------------------
-# morsel-parallel / serial execution parity
-# ----------------------------------------------------------------------
-
-from repro.execution import vectors  # noqa: E402
-
-
-def _backends():
-    modes = ["python"]
-    if vectors.numpy_available():
-        modes.append("numpy")
-    return modes
-
-
-@pytest.fixture
-def vector_backend(request):
-    """Pin the kernel backend for one test, restoring it afterwards."""
-    before = vectors.backend()
-    vectors.set_backend(request.param)
-    yield request.param
-    vectors.set_backend(before)
-
-
-@pytest.fixture
-def tiny_morsels(monkeypatch):
-    """Shrink morsels so the 200-row parity workload splits into many."""
-    monkeypatch.setenv("REPRO_MORSEL_SIZE", "64")
-
-
-@pytest.mark.parametrize("vector_backend", _backends(), indirect=True)
-@pytest.mark.parametrize("dop", [1, 2, 8])
-@pytest.mark.parametrize("plan_name", sorted(ALL_PLANS))
-def test_fig11_plan_parallel_parity(plan_name, dop, vector_backend, tiny_morsels):
-    """Every §6.1 plan shape at DOP 1/2/8, in both kernel backends, must
-    emit the byte-identical sequence the serial lowered plan emits."""
-    workload = parity_workload()
-    serial = drain(
-        workload.catalog,
-        workload.scoring,
-        lower_to_batch(ALL_PLANS[plan_name](workload)),
-    )
-    parallel = drain(
-        workload.catalog,
-        workload.scoring,
-        lower_to_batch(ALL_PLANS[plan_name](workload), parallelism=dop),
-    )
-    assert parallel == serial
-
-
-@pytest.mark.parametrize("vector_backend", _backends(), indirect=True)
-@pytest.mark.parametrize("dop", [2, 8])
-@pytest.mark.parametrize("seed", range(4))
-def test_generated_query_parity_across_dop(seed, dop, vector_backend, tiny_morsels):
-    """A forced degree of parallelism must never change any generated
-    query's rows or scores, in either backend."""
-    db = generated_database(seed)
-    for sql in GENERATED_QUERIES:
-        for strategy in ("rank-aware", "traditional"):
-            __, want = forced_lowering(db, sql, strategy)
-            __, got = forced_lowering(db, sql, strategy, dop=dop)
-            assert got.rows == want.rows, (sql, strategy, dop)
-            assert got.scores == want.scores, (sql, strategy, dop)
-
-
-class TestLoweringPass:
-    """Unit tests for :func:`lower_to_batch`: batch segments are maximal
-    ``P = φ`` subtrees and never absorb a rank-aware operator."""
+class TestCompilePass:
+    """Compiled segments are sort-topped ``P = φ`` subtrees and never
+    absorb a rank-aware operator."""
 
     RANK_AWARE = (MuPlan, RankScanPlan, ScanSelectPlan)
 
@@ -378,49 +327,58 @@ class TestLoweringPass:
         for strategy in ("rank-aware", "traditional", "rule-based"):
             plans.append(
                 workload.database.planner.plan(
-                    workload.spec, strategy=strategy, sample_ratio=0.2, seed=1
+                    workload.spec,
+                    strategy=strategy,
+                    sample_ratio=0.2,
+                    seed=1,
+                    execution="row",
                 )
             )
-        return plans
+        return workload, plans
 
     def test_segments_never_cross_rank_operators(self):
-        from repro.optimizer.plans import SortPlan
-
-        for plan in self.all_plans():
-            lowered = lower_to_batch(plan)
-            for node in lowered.walk():
+        workload, plans = self.all_plans()
+        segments = 0
+        for plan in plans:
+            compiled = force_compile(plan, workload.catalog, workload.scoring)
+            for node in compiled.walk():
                 if not isinstance(node, BatchSegmentPlan):
                     continue
-                inner = node.inner
-                if isinstance(inner, SortPlan):
-                    # Sort is the frontier: it *evaluates* the predicates,
-                    # but its input segment must be P = φ.
-                    inner = inner.children[0]
+                segments += 1
+                # Sort is the segment's root: it *evaluates* the
+                # predicates, but its input must be P = φ.
+                assert isinstance(node.inner, SortPlan)
+                inner = node.inner.children[0]
                 assert not inner.rank_predicates
                 for segment_node in inner.walk():
                     assert not isinstance(segment_node, self.RANK_AWARE)
+        assert segments
 
-    def test_rank_operators_survive_lowering(self):
+    def test_rank_operators_survive_compilation(self):
         workload = parity_workload()
-        lowered = lower_to_batch(ALL_PLANS["plan2"](workload))
-        kinds = {type(node).__name__ for node in lowered.walk()}
+        compiled = force_compile(
+            ALL_PLANS["plan2"](workload), workload.catalog, workload.scoring
+        )
+        kinds = {type(node).__name__ for node in compiled.walk()}
         assert "MuPlan" in kinds and "HRJNPlan" in kinds
+        assert "BatchSegmentPlan" not in kinds
 
-    def test_traditional_plan_lowers_the_sort_segment(self):
+    def test_unsupported_sort_segment_stays_row(self):
+        # Plan 1's sort sits on sort-merge joins, which have no compiled form.
         workload = parity_workload()
-        lowered = lower_to_batch(ALL_PLANS["plan1"](workload))
-        segments = [
-            node for node in lowered.walk() if isinstance(node, BatchSegmentPlan)
-        ]
-        assert len(segments) == 1  # one maximal segment: the whole sort input
-        from repro.optimizer.plans import SortPlan
-
-        assert isinstance(segments[0].inner, SortPlan)
+        plan = ALL_PLANS["plan1"](workload)
+        assert force_compile(plan, workload.catalog, workload.scoring) is plan
 
     def test_original_plan_untouched(self):
         workload = parity_workload()
-        plan = ALL_PLANS["plan1"](workload)
+        plan = workload.database.planner.plan(
+            workload.spec,
+            strategy="traditional",
+            sample_ratio=0.2,
+            seed=1,
+            execution="row",
+        )
         before = plan.fingerprint()
-        lowered = lower_to_batch(plan)
+        compiled = force_compile(plan, workload.catalog, workload.scoring)
         assert plan.fingerprint() == before
-        assert lowered is not plan
+        assert compiled is not plan
