@@ -4,8 +4,8 @@ A pure-Python implementation of *RankSQL: Query Algebra and Optimization for
 Relational Top-k Queries* (Li, Chang, Ilyas, Song — SIGMOD 2005), including
 the complete relational substrate the paper's PostgreSQL prototype relied
 on: storage, indexing, a SQL front end, a pipelined rank-aware execution
-engine, and a two-dimensional dynamic-programming optimizer with
-sampling-based cardinality estimation.
+engine, and a two-dimensional dynamic-programming optimizer whose ranked
+cardinalities come from a join synopsis (weighted random walks).
 
 Quickstart::
 

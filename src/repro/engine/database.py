@@ -60,7 +60,7 @@ from ..algebra.predicates import RankingPredicate, ScoringFunction
 from ..execution.iterator import EvaluatorCache, ExecutionContext, collect_plan
 from ..observe import MetricsRegistry, Tracer
 from ..observe import system_tables as _system_tables
-from ..optimizer.cardinality import DEFAULT_SAMPLE_RATIO, CardinalityEstimator
+from ..optimizer.cardinality import DEFAULT_SAMPLE_RATIO
 from ..optimizer.enumeration import RankAwareOptimizer
 from ..optimizer.plans import PlanNode
 from ..optimizer.query_spec import QuerySpec
@@ -372,7 +372,7 @@ class Database:
         )
         planner_metrics = self.planner.metrics
         for name in ("binds", "prepares", "plans_built", "plans_compiled",
-                     "invalidations"):
+                     "invalidations", "synopses_built"):
             registry.gauge(
                 f"planner.{name}", f"planner lifetime {name}",
                 fn=lambda n=name, m=planner_metrics: getattr(m, n),
@@ -403,21 +403,13 @@ class Database:
     def _record_feedback(self, entry, plan: PlanNode, root: Any) -> None:
         """Fold one execution's per-operator actuals into the entry's
         :class:`~repro.observe.feedback.PlanFeedback` (built lazily at
-        first execution, with estimates from the same sampling estimator
-        that priced the plan)."""
+        first execution, with the estimates of the cost model that chose
+        the plan, carried on the entry)."""
         from ..observe.feedback import PlanFeedback
 
         feedback = entry.feedback
         if feedback is None:
-            try:
-                estimator = CardinalityEstimator(
-                    self.catalog,
-                    entry.spec,
-                    sample=self.planner.sample(*entry.sample_settings),
-                )
-            except Exception:
-                estimator = None
-            feedback = PlanFeedback.build(plan, root, estimator)
+            feedback = PlanFeedback.build(plan, root, entry.estimates)
             # benign last-writer-wins race: concurrent first executions
             # build equivalent node lists
             entry.feedback = feedback
@@ -933,8 +925,7 @@ class Database:
                 self.catalog,
                 entry.spec,
                 entry.plan,
-                sample=self.planner.sample(sample_ratio, seed),
-                seed=seed,
+                estimates=entry.estimates,
                 decisions=entry.decisions,
             )
         return report.render()

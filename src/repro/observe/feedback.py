@@ -11,8 +11,8 @@ The node list is built at *first* execution, when the physical operator
 tree exists — that is the only moment the plan-descriptor ↔ operator
 pairing is unambiguous (a compiled segment collapses its descriptor
 subtree into one fused operator; pairing at prepare time would count
-nodes that never materialize).  Estimates come from the same
-sampling-based cardinality estimator that priced the plan.
+nodes that never materialize).  Estimates are the ones the cost model
+that chose the plan priced it with, carried on the cache entry.
 """
 
 from __future__ import annotations
@@ -93,17 +93,15 @@ class PlanFeedback:
         self._lock = threading.Lock()
 
     @classmethod
-    def build(cls, plan: Any, root_operator: Any, estimator: Any = None):
+    def build(cls, plan: Any, root_operator: Any, estimates: Any = None):
         """Create the node list from the first execution's operator
-        tree; ``estimator`` (optional) supplies per-node estimates."""
+        tree; ``estimates`` (optional) maps a node's fingerprint to its
+        ``(estimated rows, estimated cost)``."""
         nodes = []
         for plan_node, operator, depth in pair_plan_operators(plan, root_operator):
             estimated = None
-            if estimator is not None:
-                try:
-                    estimated = float(estimator.estimate(plan_node))
-                except Exception:
-                    estimated = None
+            if estimates and plan_node.fingerprint() in estimates:
+                estimated = float(estimates[plan_node.fingerprint()][0])
             label = getattr(operator, "describe", None)
             nodes.append(
                 OperatorFeedback(

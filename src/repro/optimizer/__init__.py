@@ -1,4 +1,4 @@
-"""Rank-aware query optimizer: plans, costing, sampling estimation, DP."""
+"""Rank-aware query optimizer: plans, costing, estimation, DP."""
 
 from .cardinality import (
     DEFAULT_SAMPLE_RATIO,
@@ -38,6 +38,7 @@ from .plans import (
 )
 from .query_spec import JoinCondition, QuerySpec
 from .rule_based import RuleBasedOptimizer, canonical_logical_plan
+from .synopsis import JoinSynopsis, SynopsisEstimator
 
 __all__ = [
     "AnalyzeReport",
@@ -51,6 +52,7 @@ __all__ = [
     "HRJNPlan",
     "HashJoinPlan",
     "JoinCondition",
+    "JoinSynopsis",
     "LimitPlan",
     "MuPlan",
     "NRJNPlan",
@@ -76,6 +78,7 @@ __all__ = [
     "SeqScanPlan",
     "SortMergeJoinPlan",
     "SortPlan",
+    "SynopsisEstimator",
     "decide_regimes",
     "optimize_traditional",
     "render_decisions",

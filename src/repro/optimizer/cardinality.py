@@ -1,5 +1,12 @@
 """Sampling-based cardinality estimation for rank-aware operators (§5.2).
 
+This is the paper's method, kept as the reproduced baseline: it serves
+``bench_fig13_cardinality`` and its tests, and can be injected into an
+optimizer (``RankAwareOptimizer(..., estimator=...)``).  The engine's
+optimizers take their ranked cardinalities from a join synopsis instead
+(:mod:`repro.optimizer.synopsis`); they still read selection selectivities
+from the :class:`SampleDatabase` below.
+
 The output cardinality of a rank-aware operator is *context-sensitive*: it
 depends on ``k`` and on the operator's position in the complete plan, so it
 cannot be propagated bottom-up from base-table statistics.  The paper's
@@ -36,7 +43,7 @@ from ..algebra.rank_relation import rank_order_key, ScoredRow
 from ..storage.catalog import Catalog
 from ..storage.index import ColumnIndex, MultiKeyIndex, RankIndex
 from ..execution.iterator import ExecutionContext
-from .plans import BatchSegmentPlan, PlanNode
+from .plans import PlanNode
 from .query_spec import QuerySpec
 
 DEFAULT_SAMPLE_RATIO = 0.001
@@ -204,11 +211,6 @@ class CardinalityEstimator:
         return self._run(plan).outputs_above_cutoff
 
     def _run(self, plan: PlanNode) -> SampleRun:
-        # A compiled segment produces the identical tuples as its row-mode
-        # twin; estimate (and memoize) through the wrapper so it never
-        # re-executes a subplan on the sample.
-        if isinstance(plan, BatchSegmentPlan):
-            plan = plan.inner
         key = plan.fingerprint()
         if key in self._memo:
             return self._memo[key]

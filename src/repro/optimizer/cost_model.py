@@ -10,9 +10,10 @@ Two cardinalities drive the model:
   operator (System-R style: table sizes × selectivities).  It governs
   *blocking* regions of a plan: below a Sort or a classical join everything
   is drained completely.
-* **ranked (k-sensitive) cardinality** — the §5.2 sampling estimate of how
-  many tuples the operator must emit for the query's top-k; it governs the
-  incremental regions.
+* **ranked (k-sensitive) cardinality** — the estimator's count of how many
+  tuples the operator must emit for the query's top-k (the join synopsis,
+  :mod:`repro.optimizer.synopsis`, in the engine; §5.2's table samples in
+  the reproduced baseline); it governs the incremental regions.
 
 An operator consumes its child's *ranked* cardinality when the child
 delivers an informative descending stream (some predicate evaluated below),
@@ -31,7 +32,7 @@ from ..execution.metrics import (
     SCAN_UNIT,
 )
 from ..storage.catalog import Catalog
-from .cardinality import CardinalityEstimator, SampleDatabase
+from .cardinality import CardinalityEstimator
 from .plans import (
     BatchSegmentPlan,
     ColumnOrderScanPlan,
@@ -54,6 +55,7 @@ from .plans import (
     SortPlan,
 )
 from .query_spec import QuerySpec
+from .synopsis import FullCardinalities, SynopsisEstimator
 
 import math
 
@@ -89,6 +91,18 @@ COMPILED_EMIT_UNIT = 0.015
 _BLOCKING = (SortPlan, SortMergeJoinPlan, HashJoinPlan, NestedLoopJoinPlan)
 
 
+def plan_estimates(
+    plan: PlanNode, cost_model: "CostModel"
+) -> dict[str, tuple[float, float]]:
+    """``fingerprint -> (estimated rows, estimated cost)`` for every node
+    of ``plan``, as ``cost_model`` priced them — what EXPLAIN ANALYZE and
+    plan feedback compare actuals against."""
+    return {
+        node.fingerprint(): (cost_model.production(node), cost_model.cost(node))
+        for node in plan.walk()
+    }
+
+
 class CostModel:
     """Plan costing bound to one query (via its cardinality estimator)."""
 
@@ -96,13 +110,14 @@ class CostModel:
         self,
         catalog: Catalog,
         spec: QuerySpec,
-        estimator: CardinalityEstimator,
+        estimator: "SynopsisEstimator | FullCardinalities | CardinalityEstimator",
     ):
         self.catalog = catalog
         self.spec = spec
         self.scoring: ScoringFunction = spec.scoring
         self.estimator = estimator
         self._full_memo: dict[str, float] = {}
+        self._production_memo: dict[tuple, float] = {}
         self._cost_memo: dict[tuple, float] = {}
         self._selectivity_memo: dict[str, float] = {}
 
@@ -121,7 +136,8 @@ class CostModel:
         return self._full_memo[key]
 
     def ranked_cardinality(self, plan: PlanNode) -> float:
-        """k-sensitive output cardinality (sampling estimator, §5.2)."""
+        """k-sensitive output cardinality, from the estimator: the join
+        synopsis in the engine, §5.2's table samples in the baseline."""
         return self.estimator.estimate(plan)
 
     def production(self, plan: PlanNode, drained: bool = False) -> float:
@@ -130,11 +146,14 @@ class CostModel:
         Ranked (k-sensitive) when the node delivers an informative
         descending stream; full otherwise.
         """
-        if drained or not plan.is_ranked or not plan.rank_predicates:
-            return self.full_cardinality(plan)
-        return min(
-            self.ranked_cardinality(plan), self.full_cardinality(plan)
-        )
+        key = (plan.fingerprint(), drained)
+        value = self._production_memo.get(key)
+        if value is None:
+            value = self.full_cardinality(plan)
+            if not drained and plan.is_ranked and plan.rank_predicates:
+                value = min(self.ranked_cardinality(plan), value)
+            self._production_memo[key] = value
+        return value
 
     # ------------------------------------------------------------------
     # selectivities

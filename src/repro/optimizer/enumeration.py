@@ -33,7 +33,7 @@ from ..algebra.expressions import ColumnRef
 from ..algebra.predicates import BooleanPredicate
 from ..storage.catalog import Catalog
 from ..storage.index import ColumnIndex, MultiKeyIndex, RankIndex
-from .cardinality import DEFAULT_SAMPLE_RATIO, CardinalityEstimator, SampleDatabase
+from .cardinality import DEFAULT_SAMPLE_RATIO, SampleDatabase
 from .cost_model import CostModel
 from .plans import (
     ColumnOrderScanPlan,
@@ -53,6 +53,7 @@ from .plans import (
     SortPlan,
 )
 from .query_spec import JoinCondition, QuerySpec
+from .synopsis import JoinSynopsis, engine_estimator
 
 #: (SR, SP, SB): joined relations, evaluated ranking predicates, applied
 #: Boolean selections — the third dimension is the §5.1 extension for
@@ -66,10 +67,39 @@ class Candidate:
 
     plan: PlanNode
     cost: float
+    #: the tie-break key — estimated depth (the tuples the plan is
+    #: estimated to emit), then shape — computed on the first tie
+    tie_key: tuple | None = None
 
     @property
     def physical_key(self) -> tuple:
         return (self.plan.column_order, self.plan.is_ranked)
+
+
+#: operator kinds in tie-break order (see ``RankAwareOptimizer._tie_key``):
+#: plain scans before index-ordered ones, hash before sort-merge before
+#: nested-loop joins, rank-joins before their nested-loop form
+_KIND_ORDER = {
+    kind: position
+    for position, kind in enumerate(
+        (
+            LimitPlan,
+            ProjectPlan,
+            SortPlan,
+            MuPlan,
+            FilterPlan,
+            HRJNPlan,
+            NRJNPlan,
+            HashJoinPlan,
+            SortMergeJoinPlan,
+            NestedLoopJoinPlan,
+            SeqScanPlan,
+            RankScanPlan,
+            ScanSelectPlan,
+            ColumnOrderScanPlan,
+        )
+    )
+}
 
 
 class OptimizationError(Exception):
@@ -114,11 +144,24 @@ class RankAwareOptimizer:
         enumerate_selections: bool = False,
         threshold_mode: str = "drawn",
         allow_cartesian: bool = False,
+        *,
+        synopsis: JoinSynopsis | None = None,
+        estimator=None,
     ):
         self.catalog = catalog
         self.spec = spec
-        self.estimator = CardinalityEstimator(
-            catalog, spec, sample=sample, ratio=sample_ratio, seed=seed
+        #: ranked cardinalities come from ``estimator`` when given (the
+        #: §5.2 CardinalityEstimator, as a reproduction baseline), else
+        #: from the join synopsis (:mod:`repro.optimizer.synopsis`) — or
+        #: from nothing, without the ranking dimension
+        self.estimator = estimator or engine_estimator(
+            catalog,
+            spec,
+            sample,
+            synopsis,
+            sample_ratio,
+            seed,
+            ranked=enumerate_ranking,
         )
         self.cost_model = CostModel(catalog, spec, self.estimator)
         self.left_deep = left_deep
@@ -131,6 +174,7 @@ class RankAwareOptimizer:
         self.memo: dict[Signature, dict[tuple, Candidate]] = {}
         #: number of plans generated (for enumeration-efficiency reports)
         self.plans_generated = 0
+        self._evaluable_on: dict[frozenset[str], frozenset[str]] = {}
 
     # ------------------------------------------------------------------
     # public API
@@ -152,8 +196,7 @@ class RankAwareOptimizer:
                 self.memo.clear()
                 return self.optimize()
             raise OptimizationError("no complete plan found")
-        best = min(final, key=lambda c: c.cost)
-        plan: PlanNode = best.plan
+        plan: PlanNode = self._best(final).plan
         plan = LimitPlan(plan, self.spec.k)
         if self.spec.projection:
             plan = ProjectPlan(plan, self.spec.projection)
@@ -171,7 +214,7 @@ class RankAwareOptimizer:
         candidates = self.memo.get(signature)
         if not candidates:
             return None
-        return min(candidates.values(), key=lambda c: c.cost)
+        return self._best(candidates.values())
 
     def _selections_within(self, sr: frozenset[str]) -> list[BooleanPredicate]:
         """Selections whose table lies in ``sr`` (declaration order)."""
@@ -281,7 +324,10 @@ class RankAwareOptimizer:
             yield sp1, sp2
 
     def _evaluable(self, sp: frozenset[str], sr: frozenset[str]) -> bool:
-        evaluable = set(self.spec.predicates_evaluable_on(sr))
+        evaluable = self._evaluable_on.get(sr)
+        if evaluable is None:
+            evaluable = frozenset(self.spec.predicates_evaluable_on(sr))
+            self._evaluable_on[sr] = evaluable
         return sp <= evaluable
 
     def _candidates(
@@ -298,12 +344,48 @@ class RankAwareOptimizer:
     ) -> None:
         """Cost a generated plan and keep it if it wins its physical class."""
         self.plans_generated += 1
-        candidate = Candidate(plan, self.cost_model.cost(plan))
+        candidate = self._candidate(plan)
         bucket = self.memo.setdefault((sr, sp, sb), {})
         key = candidate.physical_key
         incumbent = bucket.get(key)
-        if incumbent is None or candidate.cost < incumbent.cost:
+        if incumbent is None or self._wins(candidate, incumbent):
             bucket[key] = candidate
+
+    def _candidate(self, plan: PlanNode) -> Candidate:
+        return Candidate(plan, self.cost_model.cost(plan))
+
+    # ------------------------------------------------------------------
+    # deterministic choice among equal costs
+    # ------------------------------------------------------------------
+    def _tie_key(self, candidate: Candidate) -> tuple:
+        """What breaks a cost tie: the plan's estimated depth, then over
+        its nodes in pre-order their estimated depths, operator kinds
+        (:data:`_KIND_ORDER`) and labels (the fingerprint's parts)."""
+        if candidate.tie_key is None:
+            production = self.cost_model.production
+            nodes = list(candidate.plan.walk())
+            last = len(_KIND_ORDER)
+            candidate.tie_key = (
+                production(candidate.plan),
+                tuple(production(node) for node in nodes),
+                tuple(_KIND_ORDER.get(type(node), last) for node in nodes),
+                tuple(node.label() for node in nodes),
+            )
+        return candidate.tie_key
+
+    def _wins(self, candidate: Candidate, incumbent: Candidate) -> bool:
+        """Lower cost, then :meth:`_tie_key` — never the order the two
+        plans were generated in."""
+        if candidate.cost != incumbent.cost:
+            return candidate.cost < incumbent.cost
+        return self._tie_key(candidate) < self._tie_key(incumbent)
+
+    def _best(self, candidates) -> Candidate:
+        candidates = list(candidates)
+        cost = min(c.cost for c in candidates)
+        return min(
+            (c for c in candidates if c.cost == cost), key=self._tie_key
+        )
 
     # ------------------------------------------------------------------
     # plan constructors
@@ -509,8 +591,9 @@ class RankAwareOptimizer:
         ]
         for signature in partial_signatures:
             for candidate in self._candidates(*signature):
-                plan = SortPlan(candidate.plan, all_predicates)
-                out.append(Candidate(plan, self.cost_model.cost(plan)))
+                out.append(
+                    self._candidate(SortPlan(candidate.plan, all_predicates))
+                )
         return out
 
 

@@ -2,8 +2,10 @@
 
 Runs a physical plan and renders its tree with, per operator,
 
-* the optimizer's *estimated* output cardinality (the §5.2 sampling
-  estimator — the quantity Figure 13 evaluates) and estimated cost, and
+* the optimizer's *estimated* output rows and cost — those of the cost
+  model that chose the plan, when the plan came from the planner
+  (:attr:`CachedPlan.estimates <repro.planner.cache.CachedPlan.estimates>`)
+  — and
 * the *actual* tuples in/out observed during execution.
 
 This is the engine's analogue of PostgreSQL's ``EXPLAIN ANALYZE`` and makes
@@ -27,10 +29,11 @@ from ..algebra.predicates import ScoringFunction
 from ..execution.iterator import ExecutionContext, PhysicalOperator
 from ..observe.feedback import pair_plan_operators
 from ..storage.catalog import Catalog
-from .cardinality import DEFAULT_SAMPLE_RATIO, CardinalityEstimator, SampleDatabase
-from .cost_model import CostModel
+from .cardinality import DEFAULT_SAMPLE_RATIO
+from .cost_model import CostModel, plan_estimates
 from .plans import BatchSegmentPlan, PlanNode
 from .query_spec import QuerySpec
+from .synopsis import engine_estimator
 
 
 @dataclass
@@ -102,12 +105,19 @@ def explain_analyze(
     spec: QuerySpec,
     plan: PlanNode,
     k: int | None = None,
-    sample: SampleDatabase | None = None,
+    estimates: "dict | None" = None,
+    decisions: "list | None" = None,
     sample_ratio: float = DEFAULT_SAMPLE_RATIO,
     seed: int = 0,
-    decisions: "list | None" = None,
 ) -> AnalyzeReport:
     """Execute ``plan`` and report estimated-vs-actual per operator.
+
+    ``estimates`` maps each node's fingerprint to its ``(estimated rows,
+    estimated cost)`` — pass the planner entry's
+    :attr:`~repro.planner.cache.CachedPlan.estimates` so the report judges
+    the estimator that chose the plan.  Without them the plan is priced
+    here by the engine's cost model (selectivities from the
+    ``(sample_ratio, seed)`` sample).
 
     ``plan`` may contain compiled segments (:class:`BatchSegmentPlan`):
     each is reported as one node, since the fused function has no
@@ -115,10 +125,11 @@ def explain_analyze(
     ``decisions`` (the per-segment regime pricing records) are rendered as
     a footer when supplied.
     """
-    estimator = CardinalityEstimator(
-        catalog, spec, sample=sample, ratio=sample_ratio, seed=seed
-    )
-    cost_model = CostModel(catalog, spec, estimator)
+    if estimates is None:
+        estimator = engine_estimator(
+            catalog, spec, sample_ratio=sample_ratio, seed=seed
+        )
+        estimates = plan_estimates(plan, CostModel(catalog, spec, estimator))
     scoring: ScoringFunction = spec.scoring
     context = ExecutionContext(catalog, scoring)
     root = plan.build()
@@ -131,7 +142,7 @@ def explain_analyze(
                 break
             returned += 1
         nodes = [
-            _report(node, operator, depth, estimator, cost_model)
+            _report(node, operator, depth, estimates)
             for node, operator, depth in pair_plan_operators(plan, root)
         ]
     finally:
@@ -143,8 +154,7 @@ def _report(
     plan: PlanNode,
     operator: PhysicalOperator,
     depth: int,
-    estimator: CardinalityEstimator,
-    cost_model: CostModel,
+    estimates: dict,
 ) -> NodeReport:
     label = plan.label()
     wall_ms = None
@@ -153,11 +163,12 @@ def _report(
         if plan.decision is not None:
             label += f" ({plan.decision.summary()})"
         wall_ms = operator.stats.wall_seconds * 1000.0
+    estimated_rows, estimated_cost = estimates[plan.fingerprint()]
     return NodeReport(
         label=label,
         depth=depth,
-        estimated_rows=estimator.estimate(plan),
-        estimated_cost=cost_model.cost(plan),
+        estimated_rows=estimated_rows,
+        estimated_cost=estimated_cost,
         actual_in=operator.stats.tuples_in,
         actual_out=operator.stats.tuples_out,
         wall_ms=wall_ms,

@@ -33,7 +33,6 @@ the ranking principle is about.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from ..execution import codegen
@@ -99,7 +98,7 @@ def decide_regimes(
 
     Returns ``(plan, decisions, segments_compiled, compile_seconds)``.
     The decided plan shares every untouched subtree with ``plan``;
-    rewritten interior nodes are shallow copies, so a row plan and its
+    rewritten interior nodes are fresh nodes, so a row plan and its
     decided twin can coexist.  A segment whose compilation raises keeps
     its row plan, invisibly to the client.
     """
@@ -138,9 +137,7 @@ def _decide(plan, cost_model, forced, decisions, compiled) -> PlanNode:
     )
     if all(new is old for new, old in zip(children, plan.children)):
         return plan
-    clone = copy.copy(plan)
-    clone.children = children
-    return clone
+    return plan.with_children(children)
 
 
 def render_decisions(decisions: list[SegmentDecision]) -> str:

@@ -3,8 +3,8 @@
 The optimizer manipulates immutable, buildable *descriptors* rather than
 live operators: a :class:`PlanNode` tree can be turned into a fresh
 :class:`~repro.execution.iterator.PhysicalOperator` tree any number of times
-(once against the real catalog, many times against the sample database for
-cardinality estimation).
+(the §5.2 baseline estimator runs candidate subplans on its samples; the
+engine's join-synopsis estimator runs none).
 
 Every node carries the optimizer signature ``(SR, SP)`` — covered base
 tables and evaluated ranking predicates (§5.1).
@@ -25,27 +25,80 @@ from ..execution.setops import RankDifference, RankIntersect, RankUnion
 from ..execution.sort import Limit, Sort
 
 
+_EMPTY: frozenset[str] = frozenset()
+
+#: one shared instance per distinct identity set, so plan trees — and the
+#: cached plans that keep them — do not each carry their own copies
+_SETS: dict[frozenset[str], frozenset[str]] = {}
+
+
+def _canonical(names: frozenset[str]) -> frozenset[str]:
+    if len(_SETS) > 4096:
+        _SETS.clear()
+    return _SETS.setdefault(names, names)
+
+
+def _single(name: str) -> frozenset[str]:
+    return _canonical(frozenset((name,)))
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    """``a | b``, reusing an operand when it already is the union."""
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return _canonical(a | b)
+
+
 class PlanNode:
-    """Base class of physical plan descriptors."""
+    """Base class of physical plan descriptors.
+
+    A node's identity — ``fingerprint()``, ``tables`` and
+    ``rank_predicates`` — is derived once, when the node is built: a
+    subclass sets its own fields *before* calling ``PlanNode.__init__``,
+    which reads them through :meth:`label`, :meth:`_own_tables` and
+    :meth:`_derive_rank_predicates`.  Nodes are never mutated afterwards;
+    :meth:`with_children` builds a fresh node instead.
+    """
+
+    __slots__ = ("children", "tables", "rank_predicates", "_fingerprint")
 
     def __init__(self, children: Sequence["PlanNode"] = ()):
         self.children: tuple[PlanNode, ...] = tuple(children)
+        tables = self._own_tables()
+        for child in self.children:
+            tables = _union(tables, child.tables)
+        #: SR — the base tables this plan covers
+        self.tables: frozenset[str] = tables
+        #: SP — the ranking predicates this plan has evaluated
+        self.rank_predicates: frozenset[str] = self._derive_rank_predicates()
+        label = self.label()
+        if self.children:
+            inner = ",".join(child.fingerprint() for child in self.children)
+            label = f"{label}({inner})"
+        self._fingerprint = label
+
+    def _own_tables(self) -> frozenset[str]:
+        return _EMPTY
+
+    def _derive_rank_predicates(self) -> frozenset[str]:
+        out: frozenset[str] = _EMPTY
+        for child in self.children:
+            out = _union(out, child.rank_predicates)
+        return out
+
+    def with_children(self, children: Sequence["PlanNode"]) -> "PlanNode":
+        """A fresh node with this node's fields over new ``children``
+        (identity derived anew)."""
+        clone = object.__new__(type(self))
+        for kind in type(self).__mro__:
+            for name in getattr(kind, "__slots__", ()):
+                setattr(clone, name, getattr(self, name))
+        PlanNode.__init__(clone, children)
+        return clone
 
     # -- signature -----------------------------------------------------
-    @property
-    def tables(self) -> frozenset[str]:
-        out: set[str] = set()
-        for child in self.children:
-            out |= child.tables
-        return frozenset(out)
-
-    @property
-    def rank_predicates(self) -> frozenset[str]:
-        out: set[str] = set()
-        for child in self.children:
-            out |= child.rank_predicates
-        return frozenset(out)
-
     @property
     def signature(self) -> tuple[frozenset[str], frozenset[str]]:
         return (self.tables, self.rank_predicates)
@@ -69,14 +122,11 @@ class PlanNode:
         raise NotImplementedError
 
     def __repr__(self) -> str:
-        return self.fingerprint()
+        return self._fingerprint
 
     def fingerprint(self) -> str:
         """A canonical string identifying this plan shape (memo key)."""
-        if not self.children:
-            return self.label()
-        inner = ",".join(child.fingerprint() for child in self.children)
-        return f"{self.label()}({inner})"
+        return self._fingerprint
 
     def explain(self, indent: int = 0) -> str:
         lines = ["  " * indent + self.label()]
@@ -97,13 +147,14 @@ class PlanNode:
 class SeqScanPlan(PlanNode):
     """Sequential heap scan."""
 
-    def __init__(self, table: str):
-        super().__init__()
-        self.table = table
+    __slots__ = ("table",)
 
-    @property
-    def tables(self) -> frozenset[str]:
-        return frozenset({self.table})
+    def __init__(self, table: str):
+        self.table = table
+        super().__init__()
+
+    def _own_tables(self) -> frozenset[str]:
+        return _single(self.table)
 
     def build(self) -> PhysicalOperator:
         return SeqScan(self.table)
@@ -115,18 +166,18 @@ class SeqScanPlan(PlanNode):
 class RankScanPlan(PlanNode):
     """Rank-index scan in descending predicate-score order."""
 
+    __slots__ = ("table", "predicate_name")
+
     def __init__(self, table: str, predicate_name: str):
-        super().__init__()
         self.table = table
         self.predicate_name = predicate_name
+        super().__init__()
 
-    @property
-    def tables(self) -> frozenset[str]:
-        return frozenset({self.table})
+    def _own_tables(self) -> frozenset[str]:
+        return _single(self.table)
 
-    @property
-    def rank_predicates(self) -> frozenset[str]:
-        return frozenset({self.predicate_name})
+    def _derive_rank_predicates(self) -> frozenset[str]:
+        return _single(self.predicate_name)
 
     def build(self) -> PhysicalOperator:
         return RankScan(self.table, self.predicate_name)
@@ -138,14 +189,15 @@ class RankScanPlan(PlanNode):
 class ColumnOrderScanPlan(PlanNode):
     """Index scan in column order (interesting order for merge joins)."""
 
+    __slots__ = ("table", "column")
+
     def __init__(self, table: str, column: str):
-        super().__init__()
         self.table = table
         self.column = column
+        super().__init__()
 
-    @property
-    def tables(self) -> frozenset[str]:
-        return frozenset({self.table})
+    def _own_tables(self) -> frozenset[str]:
+        return _single(self.table)
 
     @property
     def column_order(self) -> str | None:
@@ -161,19 +213,19 @@ class ColumnOrderScanPlan(PlanNode):
 class ScanSelectPlan(PlanNode):
     """Scan-based selection via a multi-key index (§4.2)."""
 
+    __slots__ = ("table", "bool_column", "predicate_name")
+
     def __init__(self, table: str, bool_column: str, predicate_name: str):
-        super().__init__()
         self.table = table
         self.bool_column = bool_column
         self.predicate_name = predicate_name
+        super().__init__()
 
-    @property
-    def tables(self) -> frozenset[str]:
-        return frozenset({self.table})
+    def _own_tables(self) -> frozenset[str]:
+        return _single(self.table)
 
-    @property
-    def rank_predicates(self) -> frozenset[str]:
-        return frozenset({self.predicate_name})
+    def _derive_rank_predicates(self) -> frozenset[str]:
+        return _single(self.predicate_name)
 
     def build(self) -> PhysicalOperator:
         return ScanSelect(self.table, self.bool_column, self.predicate_name)
@@ -189,9 +241,11 @@ class ScanSelectPlan(PlanNode):
 class FilterPlan(PlanNode):
     """Boolean selection."""
 
+    __slots__ = ("condition",)
+
     def __init__(self, child: PlanNode, condition: BooleanPredicate):
-        super().__init__([child])
         self.condition = condition
+        super().__init__([child])
 
     @property
     def column_order(self) -> str | None:
@@ -211,14 +265,17 @@ class FilterPlan(PlanNode):
 class MuPlan(PlanNode):
     """The rank operator µ_p."""
 
+    __slots__ = ("predicate_name", "threshold_mode")
+
     def __init__(self, child: PlanNode, predicate_name: str, threshold_mode: str = "drawn"):
-        super().__init__([child])
         self.predicate_name = predicate_name
         self.threshold_mode = threshold_mode
+        super().__init__([child])
 
-    @property
-    def rank_predicates(self) -> frozenset[str]:
-        return self.children[0].rank_predicates | {self.predicate_name}
+    def _derive_rank_predicates(self) -> frozenset[str]:
+        return _union(
+            self.children[0].rank_predicates, _single(self.predicate_name)
+        )
 
     def build(self) -> PhysicalOperator:
         return Mu(self.children[0].build(), self.predicate_name, self.threshold_mode)
@@ -230,9 +287,11 @@ class MuPlan(PlanNode):
 class ProjectPlan(PlanNode):
     """Projection."""
 
+    __slots__ = ("columns",)
+
     def __init__(self, child: PlanNode, columns: Sequence[str]):
-        super().__init__([child])
         self.columns = tuple(columns)
+        super().__init__([child])
 
     @property
     def is_ranked(self) -> bool:
@@ -253,13 +312,14 @@ class SortPlan(PlanNode):
     carries them all.
     """
 
-    def __init__(self, child: PlanNode, all_predicates: frozenset[str] = frozenset()):
-        super().__init__([child])
-        self.all_predicates = frozenset(all_predicates)
+    __slots__ = ("all_predicates",)
 
-    @property
-    def rank_predicates(self) -> frozenset[str]:
-        return self.all_predicates | self.children[0].rank_predicates
+    def __init__(self, child: PlanNode, all_predicates: frozenset[str] = frozenset()):
+        self.all_predicates = _canonical(frozenset(all_predicates))
+        super().__init__([child])
+
+    def _derive_rank_predicates(self) -> frozenset[str]:
+        return _union(self.all_predicates, self.children[0].rank_predicates)
 
     def build(self) -> PhysicalOperator:
         return Sort(self.children[0].build())
@@ -271,12 +331,13 @@ class SortPlan(PlanNode):
 class LimitPlan(PlanNode):
     """λ_k."""
 
-    def __init__(self, child: PlanNode, k: int):
-        super().__init__([child])
-        self.k = k
+    __slots__ = ("k",)
 
-    @property
-    def rank_predicates(self) -> frozenset[str]:
+    def __init__(self, child: PlanNode, k: int):
+        self.k = k
+        super().__init__([child])
+
+    def _derive_rank_predicates(self) -> frozenset[str]:
         return self.children[0].rank_predicates
 
     @property
@@ -297,6 +358,8 @@ class LimitPlan(PlanNode):
 class HRJNPlan(PlanNode):
     """Hash rank-join on an equi condition."""
 
+    __slots__ = ("left_key", "right_key", "threshold_mode")
+
     def __init__(
         self,
         left: PlanNode,
@@ -305,10 +368,10 @@ class HRJNPlan(PlanNode):
         right_key: str,
         threshold_mode: str = "drawn",
     ):
-        super().__init__([left, right])
         self.left_key = left_key
         self.right_key = right_key
         self.threshold_mode = threshold_mode
+        super().__init__([left, right])
 
     def build(self) -> PhysicalOperator:
         return HRJN(
@@ -326,6 +389,8 @@ class HRJNPlan(PlanNode):
 class NRJNPlan(PlanNode):
     """Nested-loop rank-join on an arbitrary condition."""
 
+    __slots__ = ("condition", "threshold_mode")
+
     def __init__(
         self,
         left: PlanNode,
@@ -333,9 +398,9 @@ class NRJNPlan(PlanNode):
         condition: BooleanPredicate,
         threshold_mode: str = "drawn",
     ):
-        super().__init__([left, right])
         self.condition = condition
         self.threshold_mode = threshold_mode
+        super().__init__([left, right])
 
     def build(self) -> PhysicalOperator:
         return NRJN(
@@ -352,10 +417,12 @@ class NRJNPlan(PlanNode):
 class SortMergeJoinPlan(PlanNode):
     """Classical sort-merge join (not score-ordered)."""
 
+    __slots__ = ("left_key", "right_key")
+
     def __init__(self, left: PlanNode, right: PlanNode, left_key: str, right_key: str):
-        super().__init__([left, right])
         self.left_key = left_key
         self.right_key = right_key
+        super().__init__([left, right])
 
     @property
     def is_ranked(self) -> bool:
@@ -382,10 +449,12 @@ class SortMergeJoinPlan(PlanNode):
 class HashJoinPlan(PlanNode):
     """Classical hash join (not score-ordered)."""
 
+    __slots__ = ("left_key", "right_key")
+
     def __init__(self, left: PlanNode, right: PlanNode, left_key: str, right_key: str):
-        super().__init__([left, right])
         self.left_key = left_key
         self.right_key = right_key
+        super().__init__([left, right])
 
     @property
     def is_ranked(self) -> bool:
@@ -406,9 +475,11 @@ class HashJoinPlan(PlanNode):
 class NestedLoopJoinPlan(PlanNode):
     """Classical nested-loop join (not score-ordered)."""
 
+    __slots__ = ("condition",)
+
     def __init__(self, left: PlanNode, right: PlanNode, condition: BooleanPredicate | None):
-        super().__init__([left, right])
         self.condition = condition
+        super().__init__([left, right])
 
     @property
     def is_ranked(self) -> bool:
@@ -433,6 +504,8 @@ class NestedLoopJoinPlan(PlanNode):
 class RankUnionPlan(PlanNode):
     """Incremental rank-aware union."""
 
+    __slots__ = ()
+
     def build(self) -> PhysicalOperator:
         return RankUnion(self.children[0].build(), self.children[1].build())
 
@@ -443,9 +516,11 @@ class RankUnionPlan(PlanNode):
 class RankIntersectPlan(PlanNode):
     """Incremental rank-aware intersection (optionally ∩_r, by identity)."""
 
+    __slots__ = ("by_identity",)
+
     def __init__(self, children, by_identity: bool = False):
-        super().__init__(children)
         self.by_identity = by_identity
+        super().__init__(children)
 
     def build(self) -> PhysicalOperator:
         return RankIntersect(
@@ -459,8 +534,9 @@ class RankIntersectPlan(PlanNode):
 class RankDifferencePlan(PlanNode):
     """Incremental rank-aware difference."""
 
-    @property
-    def rank_predicates(self) -> frozenset[str]:
+    __slots__ = ()
+
+    def _derive_rank_predicates(self) -> frozenset[str]:
         return self.children[0].rank_predicates
 
     def build(self) -> PhysicalOperator:
@@ -489,21 +565,22 @@ class BatchSegmentPlan(PlanNode):
     plan's, wrapped, because the fused function produces the same tuples.
     """
 
+    __slots__ = ("inner", "compiled", "decision")
+
     def __init__(self, inner: PlanNode, compiled, decision=None):
-        super().__init__()
         self.inner = inner
         #: the segment's :class:`~repro.execution.codegen.CompiledArtifact`
         self.compiled = compiled
         #: the :class:`~repro.optimizer.hybrid.SegmentDecision` that chose
         #: the compiled regime (an annotation, never part of the fingerprint)
         self.decision = decision
+        super().__init__()
+        self._fingerprint = f"compiled({inner.fingerprint()})"
 
-    @property
-    def tables(self) -> frozenset[str]:
+    def _own_tables(self) -> frozenset[str]:
         return self.inner.tables
 
-    @property
-    def rank_predicates(self) -> frozenset[str]:
+    def _derive_rank_predicates(self) -> frozenset[str]:
         return self.inner.rank_predicates
 
     @property
@@ -519,9 +596,6 @@ class BatchSegmentPlan(PlanNode):
 
     def label(self) -> str:
         return "compiled"
-
-    def fingerprint(self) -> str:
-        return f"compiled({self.inner.fingerprint()})"
 
     def explain(self, indent: int = 0) -> str:
         head = "compiled segment"

@@ -45,8 +45,9 @@ from ..algebra.operators import (
 from ..algebra.predicates import BooleanPredicate
 from ..storage.catalog import Catalog
 from ..storage.index import RankIndex
-from .cardinality import DEFAULT_SAMPLE_RATIO, CardinalityEstimator, SampleDatabase
+from .cardinality import DEFAULT_SAMPLE_RATIO, SampleDatabase
 from .cost_model import CostModel
+from .synopsis import JoinSynopsis, engine_estimator
 from .enumeration import OptimizationError
 from .plans import (
     FilterPlan,
@@ -122,11 +123,13 @@ class RuleBasedOptimizer:
         seed: int = 0,
         max_plans: int = 300,
         threshold_mode: str = "drawn",
+        *,
+        synopsis: JoinSynopsis | None = None,
     ):
         self.catalog = catalog
         self.spec = spec
-        self.estimator = CardinalityEstimator(
-            catalog, spec, sample=sample, ratio=sample_ratio, seed=seed
+        self.estimator = engine_estimator(
+            catalog, spec, sample, synopsis, sample_ratio, seed
         )
         self.cost_model = CostModel(catalog, spec, self.estimator)
         self.max_plans = max_plans

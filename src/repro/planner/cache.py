@@ -72,6 +72,11 @@ class CachedPlan:
     #: (:class:`~repro.optimizer.hybrid.SegmentDecision`) — what explain
     #: renders; ``None`` under ``execution="row"`` (nothing is priced)
     decisions: "list | None" = None
+    #: ``fingerprint -> (estimated rows, estimated cost)`` of every plan
+    #: node, from the cost model that chose the plan
+    #: (:func:`~repro.optimizer.cost_model.plan_estimates`) — what the
+    #: feedback and EXPLAIN ANALYZE judge actuals against
+    estimates: dict = field(default_factory=dict)
     #: how expensive this entry was to build (measured planning seconds) —
     #: the weight cost-aware eviction protects it with
     plan_cost: float = 0.0
@@ -113,13 +118,6 @@ class CachedPlan:
         with self.execution_lock if parameters else nullcontext():
             bind_slots(parameters, params)
             yield
-
-    @property
-    def sample_settings(self) -> tuple[float, int]:
-        """The ``(sample_ratio, seed)`` whose sample priced this plan, read
-        back from the optimizer knobs its signature carries."""
-        knobs = dict(self.signature[2])
-        return knobs["sample_ratio"], knobs["seed"]
 
     @property
     def executable(self) -> PlanNode:

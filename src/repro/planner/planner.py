@@ -34,12 +34,13 @@ from ..algebra.parameters import bind_slots
 from ..observe.trace import _NULL_CONTEXT
 from ..execution.iterator import EvaluatorCache
 from ..optimizer.cardinality import DEFAULT_SAMPLE_RATIO, SampleDatabase
-from ..optimizer.cost_model import CostModel
+from ..optimizer.cost_model import CostModel, plan_estimates
 from ..optimizer.enumeration import RankAwareOptimizer
 from ..optimizer.hybrid import decide_regimes
 from ..optimizer.plans import PlanNode
 from ..optimizer.query_spec import QuerySpec
 from ..optimizer.rule_based import RuleBasedOptimizer
+from ..optimizer.synopsis import JoinSynopsis, join_graph_key
 from ..sql.binder import Binder
 from ..sql.parser import parse
 from ..storage.catalog import Catalog
@@ -48,6 +49,12 @@ from .signature import plan_signature
 
 #: the optimization strategies the planner unifies
 STRATEGIES = ("rank-aware", "traditional", "rule-based")
+
+#: join synopses kept per planner (least recently used dropped first)
+SYNOPSIS_CAPACITY = 64
+
+#: optimizer arguments the planner supplies itself — never knobs
+_ENGINE_ARGUMENTS = ("sample", "synopsis", "estimator")
 
 #: accepted ``execution`` modes — the one regime selector (per engine and
 #: per statement):
@@ -84,6 +91,8 @@ class PlannerMetrics:
     plans_compiled: int = 0
     #: cumulative wall time spent generating + compiling fused functions
     compile_seconds: float = 0.0
+    #: join synopses drawn (first use of a join graph, or a stale one)
+    synopses_built: int = 0
     by_strategy: dict[str, int] = field(default_factory=dict)
 
     def summary(self) -> dict[str, float]:
@@ -95,6 +104,7 @@ class PlannerMetrics:
             "plan_seconds": self.plan_seconds,
             "plans_compiled": self.plans_compiled,
             "compile_seconds": self.compile_seconds,
+            "synopses_built": self.synopses_built,
         }
 
 
@@ -122,7 +132,10 @@ class Planner:
         #: they were built under and are stale once it moves on
         self.generation = 0
         self._sample_cache: dict[tuple[float, int], SampleDatabase] = {}
-        #: guards generation bumps, the sample cache and metric counters —
+        #: join graph -> its synopsis; survives invalidation (refreshed
+        #: lazily when stale, see :meth:`synopsis`)
+        self._synopses: dict[tuple, JoinSynopsis] = {}
+        #: guards generation bumps, the caches and metric counters —
         #: the planner is shared by every concurrent session of a served
         #: database, so its bookkeeping must be race-free.  Optimization
         #: itself (the expensive part) runs outside the lock; two sessions
@@ -153,10 +166,11 @@ class Planner:
         return self.bind(query) if isinstance(query, str) else query
 
     # ------------------------------------------------------------------
-    # samples (shared by every optimizer; data-dependent, so invalidated)
+    # samples and synopses (shared by every optimizer)
     # ------------------------------------------------------------------
     def sample(self, ratio: float, seed: int) -> SampleDatabase:
-        """The (cached) sample database for a ``(ratio, seed)`` pair."""
+        """The (cached) sample database for a ``(ratio, seed)`` pair — what
+        selection selectivities are measured on."""
         key = (ratio, seed)
         with self._lock:
             sample = self._sample_cache.get(key)
@@ -164,6 +178,30 @@ class Planner:
                 sample = SampleDatabase(self.catalog, ratio=ratio, seed=seed)
                 self._sample_cache[key] = sample
             return sample
+
+    def synopsis(self, spec: QuerySpec) -> JoinSynopsis:
+        """The (cached) join synopsis for the spec's join graph.
+
+        Unlike the samples it survives :meth:`invalidate`: a data commit
+        leaves it in place until a covered table's row count drifts past
+        :data:`~repro.optimizer.synopsis.DRIFT` or its table or index set
+        changes, and only then is it drawn again."""
+        key = join_graph_key(spec)
+        with self._lock:
+            synopsis = self._synopses.pop(key, None)
+            if synopsis is None or synopsis.stale():
+                synopsis = JoinSynopsis(self.catalog, spec.join_conditions)
+                self.metrics.synopses_built += 1
+            self._synopses[key] = synopsis
+            while len(self._synopses) > SYNOPSIS_CAPACITY:
+                del self._synopses[next(iter(self._synopses))]
+            return synopsis
+
+    @staticmethod
+    def _check_knobs(knobs: dict[str, Any]) -> None:
+        supplied = sorted(set(knobs) & set(_ENGINE_ARGUMENTS))
+        if supplied:
+            raise TypeError(f"not planner knobs: {supplied}")
 
     # ------------------------------------------------------------------
     # optimization
@@ -176,8 +214,13 @@ class Planner:
         **knobs: Any,
     ) -> RankAwareOptimizer:
         """A rank-aware optimizer instance for a spec (for inspection)."""
+        self._check_knobs(knobs)
         return RankAwareOptimizer(
-            self.catalog, spec, sample=self.sample(sample_ratio, seed), **knobs
+            self.catalog,
+            spec,
+            sample=self.sample(sample_ratio, seed),
+            synopsis=self.synopsis(spec),
+            **knobs,
         )
 
     def plan(
@@ -214,9 +257,10 @@ class Planner:
         The signature never covers them, so every binding of one template
         shares a single cache entry; on a hit the values are written into
         the *entry's* parameter slots (the ones its compiled evaluators
-        read).  On a miss they also serve as *peeked* values: the
-        sampling-based cardinality estimator evaluates predicates during
-        enumeration, so the first binding shapes the template plan — later
+        read).  On a miss they also serve as *peeked* values: the estimator
+        evaluates the selections on the join synopsis's walk rows and on
+        the selectivity sample, so the first binding shapes the template
+        plan — later
         bindings reuse it unchanged (standard bind-peeking semantics;
         correctness never depends on the peeked values, only plan quality).
         A parameterized query prepared without ``params`` raises
@@ -285,6 +329,7 @@ class Planner:
                         plan, cost_model, forced=execution == "compiled"
                     )
                 )
+        estimates = plan_estimates(plan, cost_model)
         elapsed = time.perf_counter() - start
         with self._lock:
             self.metrics.plan_seconds += elapsed
@@ -305,6 +350,7 @@ class Planner:
             k=spec.k,
             scoring=spec.scoring,
             decisions=decisions,
+            estimates=estimates,
             plan_cost=elapsed,
             compiled_segments=compiled_segments,
             compile_seconds=compile_seconds,
@@ -324,10 +370,15 @@ class Planner:
         """Run the strategy's optimizer; returns the plan *and* the cost
         model that priced it (the regime pass reuses it, so row-vs-compiled
         is judged by the same model that chose the plan)."""
+        self._check_knobs(knobs)
         sample = self.sample(sample_ratio, seed)
         if strategy == "rank-aware":
             optimizer = RankAwareOptimizer(
-                self.catalog, spec, sample=sample, **knobs
+                self.catalog,
+                spec,
+                sample=sample,
+                synopsis=self.synopsis(spec),
+                **knobs,
             )
             return optimizer.optimize(), optimizer.cost_model
         if strategy == "traditional":
@@ -336,13 +387,16 @@ class Planner:
                     f"traditional strategy takes no knobs, got {sorted(knobs)}"
                 )
             optimizer = RankAwareOptimizer(
-                self.catalog,
-                spec,
-                sample=sample,
-                enumerate_ranking=False,
+                self.catalog, spec, sample=sample, enumerate_ranking=False
             )
             return optimizer.optimize(), optimizer.cost_model
-        rule_based = RuleBasedOptimizer(self.catalog, spec, sample=sample, **knobs)
+        rule_based = RuleBasedOptimizer(
+            self.catalog,
+            spec,
+            sample=sample,
+            synopsis=self.synopsis(spec),
+            **knobs,
+        )
         return rule_based.optimize(), rule_based.cost_model
 
     def plan_logical(
@@ -356,8 +410,13 @@ class Planner:
         """Optimize a hand-built logical plan (rule-based path, uncached —
         logical trees carry no normalized signature)."""
         start = time.perf_counter()
+        self._check_knobs(knobs)
         optimizer = RuleBasedOptimizer(
-            self.catalog, spec, sample=self.sample(sample_ratio, seed), **knobs
+            self.catalog,
+            spec,
+            sample=self.sample(sample_ratio, seed),
+            synopsis=self.synopsis(spec),
+            **knobs,
         )
         plan = optimizer.optimize(logical=logical)
         elapsed = time.perf_counter() - start
@@ -370,7 +429,8 @@ class Planner:
     # invalidation
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
-        """Orphan every cached plan and sample (schema/data/stats changed)."""
+        """Orphan every cached plan and sample (schema/data/stats changed).
+        Join synopses stay: each refreshes itself when stale."""
         with self._lock:
             self.generation += 1
             self.metrics.invalidations += 1

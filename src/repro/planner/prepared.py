@@ -9,8 +9,8 @@ statistics have moved underneath it (stale plans are never executed).
 Parameterized statements (``?`` / ``:name`` placeholders) are prepared
 *once per template*: ``run(params=...)`` injects the bindings into the
 cached plan's parameter slots, so every constant reuses the same plan and
-compiled evaluators.  Because the optimizer's sampling estimator needs
-concrete values, a parameterized statement prepared without initial
+compiled evaluators.  Because the optimizer's estimates evaluate the
+selections on concrete values, a parameterized statement prepared without initial
 bindings defers planning to its first ``run(params=...)`` (bind peeking).
 
 A :class:`Session` is one client's execution context — the same class for
@@ -63,7 +63,7 @@ class PreparedQuery:
     set of bindings (``run(params=...)``); bindings are per-run, never
     remembered between runs.  Planning happens on the first run (or at
     construction when initial ``params`` are given) using those first
-    bindings as peeked values for the sampling-based cost estimates; all
+    bindings as peeked values for the cost estimates; all
     later bindings execute the same cached template plan.
     """
 
@@ -87,7 +87,7 @@ class PreparedQuery:
         self._pending_spec: QuerySpec | None = None
         if self._parameterized and params is None:
             # Defer planning to the first run(params=...): optimizing needs
-            # concrete values for the sampling estimator (bind peeking).
+            # concrete values for the estimates (bind peeking).
             self._pending_spec = spec
         else:
             self._entry, self._hit = planner.prepare(

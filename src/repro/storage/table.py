@@ -15,7 +15,7 @@ follows a *rebind* discipline (see :class:`~repro.storage.index.Index`):
 entry arrays are never mutated in place, so a version can pin an index's
 state with an O(1) shallow copy.  A reader that captured a version
 (directly, or through a :class:`~repro.storage.snapshot.DatabaseSnapshot`)
-keeps scanning exactly the rows, index entries and column arrays it
+keeps scanning exactly the rows, index entries and row vectors it
 started with; it never blocks a writer and never observes half-applied
 DML.
 
@@ -28,10 +28,9 @@ view across calls must capture :meth:`Table.version` once (the serving
 layer does this at statement admission).
 
 Besides the row heap, each version carries a lazily-built *columnar view*
-(:meth:`TableVersion.columns`): one Python list per column, parallel to
-the heap, plus the row-id and row-object vectors.  Compiled segments
-(:mod:`repro.execution.codegen`) drive their scan loops over this view's
-row and row-id vectors.  The view is cached *per version* —
+(:meth:`TableVersion.columns`): the row-object and row-id vectors,
+parallel to the heap.  Compiled segments (:mod:`repro.execution.codegen`)
+drive their scan loops over them.  The view is cached *per version* —
 publication-safe by construction: a writer publishing a new version never
 touches the arrays an old snapshot's readers are scanning, and a version
 whose heap is unchanged (index attachment) carries the already-built view
@@ -53,16 +52,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass(frozen=True)
 class ColumnarView:
-    """An immutable columnar snapshot of a table's heap.
+    """An immutable snapshot of a table's heap as parallel vectors.
 
-    ``columns[i]`` is the full vector of column ``i``'s values in heap
-    order; ``rids`` and ``rows`` are the parallel identity and row-object
-    vectors.  All vectors share indices with each other and with the heap
-    ordinals at snapshot time.
+    ``rows`` and ``rids`` are the row-object and identity vectors in heap
+    order; they share indices with each other and with the heap ordinals
+    at snapshot time.
     """
 
     schema: Schema
-    columns: tuple[list, ...]
     rids: list[tuple[tuple[str, int], ...]]
     rows: list[Row]
 
@@ -142,7 +139,7 @@ class TableVersion:
 
         Built on first use, once per version; the returned snapshot is
         immutable and safe to share across concurrent scans.  Readers
-        holding this version keep these exact column arrays no matter how
+        holding this version keep these exact vectors no matter how
         many newer versions writers publish.
         """
         view = self._columnar
@@ -151,15 +148,8 @@ class TableVersion:
         with self._columnar_lock:
             if self._columnar is None:
                 rows = list(self._rows)
-                if rows:
-                    vectors = tuple(
-                        list(v) for v in zip(*(r.values for r in rows))
-                    )
-                else:
-                    vectors = tuple([] for __ in range(len(self.schema)))
                 self._columnar = ColumnarView(
                     schema=self.schema,
-                    columns=vectors,
                     rids=[r.rid for r in rows],
                     rows=rows,
                 )
@@ -450,7 +440,7 @@ class Table:
 
         The heap is unchanged, so the published version carries the cached
         columnar view forward — attaching an index never invalidates
-        readers' column arrays.
+        readers' vectors.
         """
         with self._write_lock:
             if index.name in self._live_indexes:

@@ -67,18 +67,14 @@ class TestPlanFeedbackOnCachedPlans:
         assert root.mean_actual_out == pytest.approx(5.0)
 
     def test_estimates_come_from_the_entrys_own_sample(self, db):
-        # The feedback estimator must use the sample that priced the plan,
-        # not a fixed default one.
-        from repro.optimizer.cardinality import CardinalityEstimator
-
+        # The feedback judges the estimates the plan was priced with (on
+        # the entry's own sample), carried on the entry — not a second
+        # estimator built afterwards.
         db.query(SQL, sample_ratio=0.5, seed=3)
         entry, __ = db.planner.prepare(SQL, sample_ratio=0.5, seed=3)
-        assert entry.sample_settings == (0.5, 3)
-        estimator = CardinalityEstimator(
-            db.catalog, entry.spec, sample=db.planner.sample(0.5, 3)
-        )
         root = entry.feedback.nodes[0]
-        assert root.estimated_rows == estimator.estimate(entry.plan)
+        assert root.estimated_rows == entry.estimates[entry.plan.fingerprint()][0]
+        assert len(entry.estimates) == sum(1 for __ in entry.plan.walk())
 
     def test_misestimates_filter(self, db):
         db.query(SQL)

@@ -143,3 +143,29 @@ class TestDatabaseEntryPoint:
         monkeypatch.setattr(explain, "explain_analyze", spy)
         db.explain_analyze(sql)
         assert analyzed == [ran]
+
+    def test_estimates_are_the_ones_that_chose_the_plan(
+        self, workload, monkeypatch
+    ):
+        """EXPLAIN ANALYZE judges the estimator in use: the estimates the
+        cost model priced the cached plan with, not a fresh estimator's."""
+        from repro.optimizer import explain
+
+        db = workload.database
+        sql = (
+            "SELECT * FROM A, B WHERE A.jc1 = B.jc1 AND A.b "
+            "ORDER BY f1(A.p1) + f3(B.p1) LIMIT 4"
+        )
+        entry, __ = db.planner.prepare(sql)
+        seen = []
+        analyze = explain.explain_analyze
+
+        def spy(catalog, spec, plan, **kwargs):
+            seen.append(kwargs["estimates"])
+            return analyze(catalog, spec, plan, **kwargs)
+
+        monkeypatch.setattr(explain, "explain_analyze", spy)
+        text = db.explain_analyze(sql)
+        assert seen == [entry.estimates]
+        rows, cost = entry.estimates[entry.plan.fingerprint()]
+        assert f"est={rows:,.0f}" in text.splitlines()[0]

@@ -21,7 +21,7 @@ class TestColumnarView:
         fresh = table.columns()
         assert fresh is not view
         assert len(fresh) == 3
-        assert fresh.columns[0] == [1, 2, 9]
+        assert [r[0] for r in fresh.rows] == [1, 2, 9]
         assert fresh.rids == [r.rid for r in table.rows()]
 
 

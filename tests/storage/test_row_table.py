@@ -105,8 +105,7 @@ class TestColumnarViewInvalidation:
         rows = list(table.rows())
         assert len(view) == len(rows)
         assert view.rids == [r.rid for r in rows]
-        assert view.columns[0] == [r[0] for r in rows]
-        assert view.columns[1] == [r[1] for r in rows]
+        assert view.rows == rows
 
     def test_insert_many_after_columnar_read(self):
         table = self.make()

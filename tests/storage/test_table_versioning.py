@@ -81,13 +81,13 @@ class TestColumnarPublicationSafety:
         table.delete_where(lambda row: row[0] == 1)
         # The captured view object and its exact arrays are untouched.
         assert old_version.columns() is old_view
-        assert old_view.columns[0] == [1, 2]
-        assert old_view.columns[1] == [0.1, 0.2]
+        assert [r.values for r in old_view.rows] == [(1, 0.1), (2, 0.2)]
+        assert old_view.rids == [(("t", 0),), (("t", 1),)]
         assert len(old_view) == 2
         # The current version builds fresh arrays reflecting the writes.
         new_view = table.columns()
         assert new_view is not old_view
-        assert new_view.columns[0] == [2, 3]
+        assert [r[0] for r in new_view.rows] == [2, 3]
 
     def test_view_is_cached_per_version(self):
         table = make_table()
