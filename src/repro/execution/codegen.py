@@ -22,12 +22,28 @@ after the main loop.  The µ frontier and all rank-aware operators stay on
 the iterators — the fused function runs inside :class:`CompiledSegment`,
 one row-world operator that takes the place of the sort.
 
+**The epilogue works a column at a time.**  When the main pipeline ends in
+a hash-join probe, that join's results are materialized late: the loop
+appends the probe tuple, the partner tuple and the joined rid to three
+lists, and only the ``fetch_limit`` winners are concatenated, just before
+the function returns (a filter or projection above the join reads the
+joined tuple, so there the join still concatenates in-loop).  A callable
+scorer over columns becomes one ``map(fn, map(itemgetter(i), side), ...)``
+and one comprehension with the clamp chain; ``Expression`` scorers and
+``spin_loops`` keep a per-row loop that reads columns off the split.  ``F``
+is ``combine``'s arithmetic applied column-wise — ``sum`` over the bare
+scores when every weight is 1.0, ``sum(map(mul, W, per))`` for other
+weights, the baked ``combine`` for the other combiners — and the top-k is
+``heapq.nsmallest`` (or ``sorted``) over ``(-F, rid, index)`` triples,
+with no Python key function.
+
 **Parity contract.**  Row mode is the oracle: a compiled segment must
 produce identical results — rows, scores, rid tie order — *and* identical
 fully-drained metric counters.  Generated code therefore replicates the
 row operators' semantics exactly (NULL propagation, comparison collapse,
-score clamping, ``(-F, rid)`` ordering, the same ``heapq`` / ``sorted``
-top-k) and charges the same totals the row operators charge tuple by
+score clamping, bit-identical ``F``, ``(-F, rid)`` ordering — rids are
+unique, so the triples' index never decides — and the same ``heapq`` /
+``sorted`` top-k) and charges the same totals the row operators charge tuple by
 tuple, summed once: ``charge_scan`` per scan, ``charge_boolean`` with each
 filter's input cardinality, ``charge_move`` with the summed per-operator
 emissions, ``charge_join_pair`` with the probe-side partner count,
@@ -45,6 +61,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter, mul, neg
 from typing import Any, Callable
 
 from ..algebra.expressions import (
@@ -88,7 +105,8 @@ class CompiledArtifact:
     ``function(context, fetch_limit)`` runs the whole pipeline and returns
     ``(ordered_items, ordered_scores, ordered_bounds, n)`` — the ordered
     result the row :class:`~repro.execution.sort.Sort` materializes — where
-    ``ordered_items`` is ``[(carrier, rid), ...]`` in ``(-F, rid)`` order,
+    ``ordered_items`` is ``[(carrier, rid), ...]`` in ``(-F, rid)`` order
+    (only these ``fetch_limit`` carriers are ever built as joined tuples),
     ``ordered_scores`` maps predicate name to the reordered score vector,
     ``ordered_bounds`` carries the per-tuple ``F`` values, and ``n`` is the
     pre-top-k input cardinality.
@@ -213,6 +231,32 @@ def supports(inner, catalog, scoring: ScoringFunction) -> bool:
 # the emitter
 # ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Split:
+    """A join result kept as its two sides, never concatenated: column
+    ``i`` of the joined schema is ``left[i]`` below ``width`` and
+    ``right[i - width]`` from there on.  (With ``width`` at the schema's
+    length, ``left`` is an ordinary tuple and ``right`` is never read.)"""
+
+    left: str
+    right: str
+    width: int
+
+    def locate(self, position: int) -> tuple[str, int]:
+        if position < self.width:
+            return self.left, position
+        return self.right, position - self.width
+
+    def read(self, position: int) -> str:
+        side, index = self.locate(position)
+        return f"{side}[{index}]"
+
+    def column(self, position: int) -> str:
+        """An iterator over one column, when both sides are lists."""
+        side, index = self.locate(position)
+        return f"map(_itemgetter({index}), {side})"
+
+
 class _Emitter:
     """Accumulates generated source lines, baked constants, and the
     aggregate metric charges the epilogue must issue."""
@@ -222,6 +266,11 @@ class _Emitter:
         self.namespace: dict[str, Any] = {
             "_nsmallest": heapq.nsmallest,
             "_log2": math.log2,
+            "_itemgetter": itemgetter,
+            "_row_values": attrgetter("values"),
+            "_third": itemgetter(2),
+            "_mul": mul,
+            "_neg": neg,
         }
         self._serial = 0
         self._params: dict[tuple[int, str], str] = {}
@@ -263,9 +312,12 @@ class _Emitter:
             self._params[key] = var
         return var
 
-    def value(self, expr: Expression, cur: str, schema: Schema, depth: int) -> str:
-        """Emit evaluation of ``expr`` against the row-like ``cur``; returns
-        a source atom (safe to repeat) or a single-assignment temp.
+    def value(
+        self, expr: Expression, cur: "str | _Split", schema: Schema, depth: int
+    ) -> str:
+        """Emit evaluation of ``expr`` against the row-like ``cur`` (a
+        tuple variable, or a :class:`_Split` join result); returns a
+        source atom (safe to repeat) or a single-assignment temp.
 
         Replicates :meth:`Expression.compile` closure semantics exactly:
         NULL propagation in arithmetic, NULL-to-False comparison collapse,
@@ -275,7 +327,7 @@ class _Emitter:
         return atom
 
     def _value(
-        self, expr: Expression, cur: str, schema: Schema, depth: int
+        self, expr: Expression, cur: "str | _Split", schema: Schema, depth: int
     ) -> tuple[str, bool]:
         """(source atom, may-be-None) — the flag folds away the NULL checks
         the interpreted closures perform, exactly where their outcome is
@@ -283,7 +335,10 @@ class _Emitter:
         and ``0.25 is None`` in generated source would be a SyntaxWarning —
         fatal under the warnings-as-errors CI jobs)."""
         if isinstance(expr, ColumnRef):
-            return f"{cur}[{schema.index_of(expr.name)}]", True
+            position = schema.index_of(expr.name)
+            if isinstance(cur, _Split):
+                return cur.read(position), True
+            return f"{cur}[{position}]", True
         if isinstance(expr, Parameter):
             return self.param_var(expr), True
         if isinstance(expr, Literal):
@@ -338,7 +393,9 @@ class _Emitter:
             f"no compiled form for expression node {type(expr).__name__}"
         )
 
-    def _boolean(self, expr: BooleanOp, cur: str, schema: Schema, depth: int) -> str:
+    def _boolean(
+        self, expr: BooleanOp, cur: "str | _Split", schema: Schema, depth: int
+    ) -> str:
         out = self.fresh("t")
         if expr.op == "not":
             inner = self.value(expr.operands[0], cur, schema, depth)
@@ -399,6 +456,7 @@ def _emit_pipeline(
     consume,
     tail_count_expr,
     depth: int,
+    split_top: bool = False,
 ) -> tuple[Schema, str]:
     """Emit one pipeline as a fused scan-driven loop.
 
@@ -407,12 +465,18 @@ def _emit_pipeline(
     carrier item (a ``Row`` while the carrier is ``"rows"``) and
     ``access`` the plain value tuple to index — hoisted once per
     iteration, so column reads never go through ``Row.__getitem__``.
+    ``rid`` is a source expression for the tuple's row id.
     ``tail_count_expr`` names the pipeline's final emission count when the
     caller computes it after the loop (``_n`` for the main pipeline);
     ``None`` forces per-operator counters.  Returns the final schema and
     carrier kind (``"rows"`` while tuples are still base ``Row`` objects,
     ``"values"`` once a project or join rebuilt them as plain tuples —
     the base rows survive only scans and filters).
+
+    With ``split_top`` and a hash-join probe as the pipeline's last step,
+    that join's results are not concatenated: ``cur`` and ``access`` are
+    a :class:`_Split` over the probe tuple and the partner tuple, and the
+    carrier is ``"split"``.
     """
     plans = _plan_types()
     ops = _flatten_pipeline(root)
@@ -539,6 +603,15 @@ def _emit_pipeline(
             prid = emitter.fresh("prid")
             emitter.emit(d, f"for {pv}, {prid} in {partners}:")
             d += 1
+            if split_top and i == len(ops) - 1:
+                # Late materialization: only the winners the epilogue
+                # selects are ever concatenated.  The last step's count is
+                # the tail count, so it has no in-loop counter.
+                cur = access = _Split(access, pv, len(schema))
+                rid = f"{rid} + {prid}"
+                carrier = "split"
+                schema = schemas[i]
+                break
             jv = emitter.fresh("jv")
             jrid = emitter.fresh("jrid")
             emitter.emit(d, f"{jv} = {access} + {pv}")
@@ -577,21 +650,31 @@ def compile_segment(inner, catalog, scoring: ScoringFunction) -> CompiledArtifac
     emitter.emit(1, "_catalog = context.catalog")
     emitter.emit(1, "_metrics = context.metrics")
     prelude_index = len(emitter.lines)
-    emitter.emit(1, "_items = []")
+    top = inner.children[0]
+    # A hash-join probe at the top of the pipeline keeps its results split
+    # (see _emit_pipeline): one list per side, concatenated for the
+    # winners only.
+    split = isinstance(top, plans.HashJoinPlan)
+    for var in ("_left", "_right") if split else ("_items",):
+        emitter.emit(1, f"{var} = []")
+        emitter.emit(1, f"{var}_append = {var}.append")
     emitter.emit(1, "_rids = []")
-    emitter.emit(1, "_items_append = _items.append")
     emitter.emit(1, "_rids_append = _rids.append")
 
     def consume(cur, access, rid, carrier, schema, depth):
-        emitter.emit(depth, f"_items_append({cur})")
+        if carrier == "split":
+            emitter.emit(depth, f"_left_append({cur.left})")
+            emitter.emit(depth, f"_right_append({cur.right})")
+        else:
+            emitter.emit(depth, f"_items_append({cur})")
         emitter.emit(depth, f"_rids_append({rid})")
 
     schema, carrier = _emit_pipeline(
-        emitter, inner.children[0], catalog, consume, "_n", 1
+        emitter, top, catalog, consume, "_n", 1, split_top=split
     )
 
     # ---- epilogue: aggregate charges ---------------------------------
-    emitter.emit(1, "_n = len(_items)")
+    emitter.emit(1, "_n = len(_rids)")
     if emitter.move_terms:
         emitter.emit(
             1, f"_metrics.charge_move({' + '.join(emitter.move_terms)})"
@@ -601,93 +684,114 @@ def compile_segment(inner, catalog, scoring: ScoringFunction) -> CompiledArtifac
     for pairs in emitter.pair_counters:
         emitter.emit(1, f"_metrics.charge_join_pair({pairs})")
 
-    # ---- epilogue: score every ranking predicate ---------------------
+    # ---- epilogue: score every ranking predicate, a column at a time --
+    # ``lists`` locates a column among the result lists (map over it at C
+    # speed); ``row`` is what a per-row loop, ``row_loop``, indexes.
+    if split:
+        width = len(_pipeline_schema(top.children[0], catalog))
+        lists = _Split("_left", "_right", width)
+        row_loop = "for _lv, _rv in zip(_left, _right):"
+        row = _Split("_lv", "_rv", width)
+    else:
+        values = "_items"
+        if carrier == "rows":
+            # Items are base Row objects: index their value tuples.
+            values = "_values"
+            emitter.emit(1, "_values = list(map(_row_values, _items))")
+        lists = _Split(values, values, len(schema))
+        row_loop = f"for _v in {values}:"
+        row = _Split("_v", "_v", len(schema))
+
     score_vars: list[tuple[str, str]] = []
     for name in names:
         predicate = scoring.predicate(name)
         sv = emitter.fresh("scores")
-        app = emitter.fresh("sapp")
-        item = emitter.fresh("item")
         score_vars.append((name, sv))
-        emitter.emit(1, f"{sv} = []")
-        emitter.emit(1, f"{app} = {sv}.append")
-        emitter.emit(1, f"for {item} in _items:")
-        if carrier == "rows":
-            # Same value-tuple hoist as the pipeline loop: items are still
-            # Row objects, so index their tuples directly.
-            item_values = emitter.fresh("itemv")
-            emitter.emit(2, f"{item_values} = {item}.values")
-            item = item_values
-        if predicate.spin_loops:
-            # The calibrated busy-loop the row scorer runs per evaluation
-            # — kept so wall-time comparisons stay honest.
-            sink = emitter.fresh("sink")
-            idx = emitter.fresh("spin")
-            emitter.emit(2, f"{sink} = 0")
-            emitter.emit(2, f"for {idx} in range({predicate.spin_loops}):")
-            emitter.emit(3, f"{sink} += {idx}")
         scorer = predicate.scorer
-        if isinstance(scorer, Expression):
-            raw = emitter.value(scorer, item, schema, 2)
-        else:
+        # RankingPredicate.compile's exact clamp chain, as one expression.
+        p_max = repr(predicate.p_max)
+        clamp = (
+            f"0.0 if _s is None else 0.0 if _s < 0.0 else {p_max} "
+            f"if _s > {p_max} else float(_s)"
+        )
+        positions = [] if isinstance(scorer, Expression) else [
+            schema.index_of(c) for c in predicate.columns
+        ]
+        if positions and not predicate.spin_loops:
+            # A callable over columns: map it over the column iterators,
+            # so the scorer is the only Python frame per result.
             fn = emitter.const(scorer, "pfn")
-            positions = [schema.index_of(c) for c in predicate.columns]
-            args = ", ".join(f"{item}[{p}]" for p in positions)
-            raw = emitter.fresh("t")
-            emitter.emit(2, f"{raw} = {fn}({args})")
-        s = emitter.fresh("s")
-        # RankingPredicate.compile's exact clamp chain.
-        emitter.emit(2, f"{s} = {raw}")
-        emitter.emit(2, f"if {s} is None:")
-        emitter.emit(3, f"{s} = 0.0")
-        emitter.emit(2, f"elif {s} < 0.0:")
-        emitter.emit(3, f"{s} = 0.0")
-        emitter.emit(2, f"elif {s} > {predicate.p_max!r}:")
-        emitter.emit(3, f"{s} = {predicate.p_max!r}")
-        emitter.emit(2, "else:")
-        emitter.emit(3, f"{s} = float({s})")
-        emitter.emit(2, f"{app}({s})")
+            args = ", ".join(lists.column(p) for p in positions)
+            emitter.emit(1, f"{sv} = [{clamp} for _s in map({fn}, {args})]")
+        else:
+            app = emitter.fresh("sapp")
+            emitter.emit(1, f"{sv} = []")
+            emitter.emit(1, f"{app} = {sv}.append")
+            emitter.emit(1, row_loop)
+            if predicate.spin_loops:
+                # The calibrated busy-loop the row scorer runs per
+                # evaluation — kept so wall-time comparisons stay honest.
+                sink = emitter.fresh("sink")
+                idx = emitter.fresh("spin")
+                emitter.emit(2, f"{sink} = 0")
+                emitter.emit(2, f"for {idx} in range({predicate.spin_loops}):")
+                emitter.emit(3, f"{sink} += {idx}")
+            if isinstance(scorer, Expression):
+                raw = emitter.value(scorer, row, schema, 2)
+            else:
+                fn = emitter.const(scorer, "pfn")
+                reads = ", ".join(row.read(p) for p in positions)
+                raw = f"{fn}({reads})"
+            emitter.emit(2, f"_s = {raw}")
+            emitter.emit(2, f"{app}({clamp})")
         emitter.emit(1, f"_metrics.charge_predicate({predicate.cost!r}, _n)")
 
-    # ---- epilogue: per-row F via the same upper_bound arithmetic -----
+    # ---- epilogue: per-row F with combine's exact arithmetic ---------
     # Every predicate is evaluated here and the score columns follow
-    # ``scoring.predicates`` order, so ``upper_bound(dict)`` reduces to
-    # ``combine(per)`` on the identical sequence.  combine is called
-    # through the baked ScoringFunction rather than inlined: the
-    # combiner's float accumulation must be bit-identical.
-    emitter.namespace["_combine"] = scoring.combine
+    # ``scoring.predicates`` order, so ``upper_bound(dict)`` is
+    # ``combine(per)`` on the identical sequence.  For sum/wsum that is
+    # the builtin ``sum`` over ``w * s`` in declaration order; with unit
+    # weights ``1.0 * s`` is exactly ``s``, so ``sum`` over the bare
+    # scores is bit-identical (on every Python, compensated ``sum`` or
+    # not).  The other combiners call the baked ``combine``.
     columns = ", ".join(sv for __, sv in score_vars)
-    trailing = "," if len(score_vars) == 1 else ""
-    emitter.emit(1, f"_score_columns = ({columns}{trailing})")
-    emitter.emit(1, "_bounds = [")
-    emitter.emit(2, "_combine(_per)")
-    emitter.emit(2, "for _per in zip(*_score_columns)")
-    emitter.emit(1, "] if _n else []")
+    if scoring.combiner in ("sum", "wsum"):
+        if all(w == 1.0 for w in scoring.weights):
+            emitter.emit(1, f"_bounds = list(map(sum, zip({columns})))")
+        else:
+            weights = emitter.const(scoring.weights, "w")
+            emitter.emit(
+                1,
+                f"_bounds = [sum(map(_mul, {weights}, _per)) "
+                f"for _per in zip({columns})]",
+            )
+    else:
+        emitter.namespace["_combine"] = scoring.combine
+        emitter.emit(1, f"_bounds = list(map(_combine, zip({columns})))")
 
     # ---- epilogue: the sort (Sort's exact top-k and formulas) --------
+    # The (-F, rid, index) triples compare exactly as Sort's (-F, rid)
+    # key: rids are unique, so the index is never reached, and heapq's
+    # keyed form decorates with the input position in the same way.
+    emitter.emit(1, "_keys = zip(map(_neg, _bounds), _rids, range(_n))")
     emitter.emit(1, "if fetch_limit is not None and fetch_limit < _n:")
     emitter.emit(
         2,
         "_metrics.charge_comparisons("
         "int(_n * max(1, _log2(max(2, fetch_limit)))))",
     )
-    emitter.emit(
-        2,
-        "_order = _nsmallest(fetch_limit, range(_n), "
-        "key=lambda i: (-_bounds[i], _rids[i]))",
-    )
+    emitter.emit(2, "_order = list(map(_third, _nsmallest(fetch_limit, _keys)))")
     emitter.emit(1, "else:")
     emitter.emit(
         2, "_metrics.charge_comparisons(int(_n * max(1, _log2(_n or 1))))"
     )
-    emitter.emit(
-        2, "_order = sorted(range(_n), key=lambda i: (-_bounds[i], _rids[i]))"
-    )
+    emitter.emit(2, "_order = list(map(_third, sorted(_keys)))")
     scores_items = ", ".join(
         f"{name!r}: [{sv}[_i] for _i in _order]" for name, sv in score_vars
     )
+    item = "_left[_i] + _right[_i]" if split else "_items[_i]"
     emitter.emit(1, "return (")
-    emitter.emit(2, "[(_items[_i], _rids[_i]) for _i in _order],")
+    emitter.emit(2, f"[({item}, _rids[_i]) for _i in _order],")
     emitter.emit(2, f"{{{scores_items}}},")
     emitter.emit(2, "[_bounds[_i] for _i in _order],")
     emitter.emit(2, "_n,")

@@ -18,7 +18,9 @@ estimator accuracy inspectable on any query::
 Operators whose estimate is off by more than 10x in either direction are
 flagged with ``!! <n>x misestimate`` — the human-readable face of the same
 estimated-vs-actual feedback the plan cache records for adaptive
-replanning (:class:`repro.observe.feedback.PlanFeedback`).
+replanning (:class:`repro.observe.feedback.PlanFeedback`).  A blocking
+sort or compiled segment is judged on the rows it consumed, not on the
+few a λ above it pulled.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from ..observe.feedback import pair_plan_operators
 from ..storage.catalog import Catalog
 from .cardinality import DEFAULT_SAMPLE_RATIO
 from .cost_model import CostModel, plan_estimates
-from .plans import BatchSegmentPlan, PlanNode
+from .plans import BatchSegmentPlan, PlanNode, SortPlan
 from .query_spec import QuerySpec
 from .synopsis import engine_estimator
 
@@ -49,13 +51,18 @@ class NodeReport:
     #: measured wall-clock milliseconds of a compiled segment's fused
     #: function call; ``None`` for row-mode operators.
     wall_ms: float | None = None
+    #: a blocking node (a sort, or a compiled segment topped by one): it
+    #: consumes its whole input whatever a λ above it pulls, so its
+    #: estimate is judged against the rows it consumed
+    blocking: bool = False
 
     @property
     def misestimate_factor(self) -> float:
         """How far off the estimate was, as a >=1 ratio (either
         direction); zero-floored so empty operators do not divide out."""
         estimated = max(self.estimated_rows, 1.0)
-        actual = max(float(self.actual_out), 1.0)
+        rows = self.actual_in if self.blocking else self.actual_out
+        actual = max(float(rows), 1.0)
         return max(estimated / actual, actual / estimated)
 
 
@@ -172,4 +179,5 @@ def _report(
         actual_in=operator.stats.tuples_in,
         actual_out=operator.stats.tuples_out,
         wall_ms=wall_ms,
+        blocking=isinstance(plan, (SortPlan, BatchSegmentPlan)),
     )

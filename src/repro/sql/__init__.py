@@ -7,6 +7,7 @@ from .ast import (
     ColumnNode,
     ExpressionNode,
     LiteralNode,
+    NegateNode,
     OrderTerm,
     SelectStatement,
     TableRef,
@@ -25,6 +26,7 @@ __all__ = [
     "ExpressionNode",
     "LexError",
     "LiteralNode",
+    "NegateNode",
     "OrderTerm",
     "ParseError",
     "Parser",

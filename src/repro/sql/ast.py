@@ -49,6 +49,14 @@ class BinaryOpNode:
 
 
 @dataclass(frozen=True)
+class NegateNode:
+    """Unary minus over a non-literal operand (a negated number literal
+    is folded into its :class:`LiteralNode` by the parser)."""
+
+    operand: "ExpressionNode"
+
+
+@dataclass(frozen=True)
 class BooleanNode:
     """AND / OR / NOT."""
 
@@ -65,7 +73,8 @@ class CallNode:
 
 
 ExpressionNode = Union[
-    ColumnNode, LiteralNode, ParameterNode, BinaryOpNode, BooleanNode, CallNode
+    ColumnNode, LiteralNode, ParameterNode, BinaryOpNode, NegateNode,
+    BooleanNode, CallNode,
 ]
 
 

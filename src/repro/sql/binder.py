@@ -44,6 +44,7 @@ from .ast import (
     ColumnNode,
     ExpressionNode,
     LiteralNode,
+    NegateNode,
     ParameterNode,
     SelectStatement,
 )
@@ -154,6 +155,17 @@ class Binder:
                 return Arithmetic(node.op, left, right)
             self._expect_parameter_types(left, right, arithmetic=False)
             return Comparison(node.op, left, right)
+        if isinstance(node, NegateNode):
+            # ``-x`` is ``-1 * x``: exact for every number (the sign of
+            # zero included) and NULL-propagating, in every regime.  On
+            # text it would give '' instead of failing, so text is
+            # rejected here.
+            operand = self._expression(node.operand, alias_map)
+            if self._is_text(operand):
+                raise BindError(f"unary minus needs a number, not {operand!r}")
+            minus_one = Literal(-1)
+            self._expect_parameter_types(minus_one, operand, arithmetic=True)
+            return Arithmetic("*", minus_one, operand)
         if isinstance(node, BooleanNode):
             return BooleanOp(
                 node.op,
@@ -165,6 +177,15 @@ class Binder:
                 "(as a ranking predicate)"
             )
         raise BindError(f"unsupported expression node: {type(node).__name__}")
+
+    def _is_text(self, expression: Expression) -> bool:
+        if isinstance(expression, Literal):
+            return isinstance(expression.value, str)
+        if isinstance(expression, ColumnRef):
+            table, __, __column = expression.name.partition(".")
+            schema = self.catalog.table(table).schema
+            return schema.column(expression.name).dtype is DataType.TEXT
+        return False
 
     def _expect_parameter_types(
         self, left: Expression, right: Expression, arithmetic: bool
@@ -288,6 +309,8 @@ def _contains_parameter(node: ExpressionNode) -> bool:
         return True
     if isinstance(node, BinaryOpNode):
         return _contains_parameter(node.left) or _contains_parameter(node.right)
+    if isinstance(node, NegateNode):
+        return _contains_parameter(node.operand)
     if isinstance(node, BooleanNode):
         return any(_contains_parameter(operand) for operand in node.operands)
     if isinstance(node, CallNode):

@@ -13,8 +13,8 @@ Grammar (simplified)::
     comparison := additive [cmp_op additive]
     additive  := multiplicative (('+'|'-') multiplicative)*
     multiplicative := primary (('*'|'/'|'%') primary)*
-    primary   := number | string | TRUE | FALSE | param | call | column
-                 | '(' additive ')'
+    primary   := '-' primary | number | string | TRUE | FALSE | param
+                 | call | column | '(' additive ')'
     param     := '?' | ':' name        -- bind variables; one style per statement
     order_term := [number '*'] (call | column | ...)
 """
@@ -28,6 +28,7 @@ from .ast import (
     ColumnNode,
     ExpressionNode,
     LiteralNode,
+    NegateNode,
     OrderTerm,
     ParameterNode,
     SelectStatement,
@@ -284,6 +285,15 @@ class Parser:
             return inner
         if token.type is TokenType.IDENTIFIER:
             return self._identifier_expression()
+        if token.type is TokenType.OPERATOR and token.value == "-":
+            # Unary minus (checked last: the common primaries pay nothing).
+            self._advance()
+            operand = self._primary()
+            if isinstance(operand, LiteralNode) and type(operand.value) in (
+                int, float
+            ):
+                return LiteralNode(-operand.value)
+            return NegateNode(operand)
         raise ParseError(f"unexpected token {token.value!r} at {token.position}")
 
     def _parameter(self) -> ParameterNode:

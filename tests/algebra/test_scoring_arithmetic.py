@@ -14,6 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algebra.predicates import RankingPredicate, ScoringFunction
+from repro.execution.codegen import compile_segment
+from repro.execution.iterator import ExecutionContext
+from repro.optimizer.plans import SeqScanPlan, SortPlan
+from repro.storage import Catalog, DataType, Schema
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -91,3 +95,56 @@ def test_combine_keeps_its_arity_check():
     )
     with pytest.raises(ValueError, match="arity"):
         scoring.combine([0.5])
+
+
+def compiled_bounds(scoring: ScoringFunction, rows) -> list[float]:
+    """The F column a compiled sort segment computes over ``rows`` (one
+    value per predicate, in declaration order), in input order."""
+    width = len(scoring.predicates)
+    catalog = Catalog()
+    table = catalog.create_table(
+        "t", Schema.of(*((f"c{i}", DataType.FLOAT) for i in range(width)))
+    )
+    for row in rows:
+        table.insert(list(row))
+    artifact = compile_segment(SortPlan(SeqScanPlan("t")), catalog, scoring)
+    items, __, bounds, __ = artifact.function(
+        ExecutionContext(catalog, scoring), None
+    )
+    by_ordinal = {rid: bound for (__, rid), bound in zip(items, bounds)}
+    return [by_ordinal[rid] for rid in sorted(by_ordinal)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(scoring_and_scores())
+def test_compiled_bounds_are_combine(case):
+    """Every combiner's compiled F column (``sum`` over bare scores, the
+    weighted ``sum(map(mul, W, per))``, or the baked ``combine``) equals
+    ``combine`` and ``upper_bound`` bit for bit."""
+    scoring, full, __ = case
+    ordered = [full[p.name] for p in scoring.predicates]
+    (bound,) = compiled_bounds(scoring, [ordered])
+    assert bound == scoring.combine(ordered)
+    assert bound == scoring.upper_bound(full)
+
+
+@pytest.mark.parametrize("weights", [None, (1.0, 1.0, 1.0), (2.0, 0.5, 3.0)])
+def test_compiled_bounds_where_compensated_sum_differs(weights):
+    """``1e16 + 1.0 + 1.0`` is ``1e16`` summed naively and ``1e16 + 2`` by
+    a compensated ``sum`` (Python 3.12+).  Whichever this Python's builtin
+    does, the compiled F column does the same."""
+    predicates = [
+        RankingPredicate(name, [f"t.c{i}"], lambda v: v, p_max=1e16)
+        for i, name in enumerate(("p0", "p1", "p2"))
+    ]
+    combiner = "sum" if weights is None else "wsum"
+    scoring = ScoringFunction(predicates, combiner=combiner, weights=weights)
+    rows = [(1e16, 1.0, 1.0), (1.0, 1e16, 1.0), (1.0, 1.0, 1e16)]
+    for row, bound in zip(rows, compiled_bounds(scoring, rows)):
+        scores = dict(zip(scoring.predicate_names, row))
+        assert bound == scoring.combine(row)
+        assert bound == scoring.upper_bound(scores)
+    if weights != (2.0, 0.5, 3.0):
+        naive = (1e16 + 1.0) + 1.0
+        assert compiled_bounds(scoring, rows[:1]) == [sum(rows[0])]
+        assert sum(rows[0]) in (naive, 1e16 + 2.0)

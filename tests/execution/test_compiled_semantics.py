@@ -194,6 +194,9 @@ CONDITIONS = {
     "big_int_gt": f"T.big > {BIG}",
     "big_int_eq": f"T.big = {BIG}",
     "empty": "T.x > 0.5 AND T.x < 0.5",
+    "negative_literal": "T.x > -0.5 AND T.a > -1",
+    "unary_minus_column": "-T.a < -3",
+    "unary_minus_expression": "-(T.x - 1) > 0.5",
 }
 
 
@@ -242,6 +245,7 @@ ORDERINGS = {
     "product": "px(T.x) * pa(T.a)",
     "expression_predicate": "(1 - T.x) / 2",
     "expression_over_two_columns": "T.x + T.a",
+    "unary_minus_expression": "(-T.x + 1) / 2",
 }
 
 
@@ -345,3 +349,209 @@ def test_division_by_zero_raises_the_same_error(engines):
     for mode in ("row", "compiled"):
         with pytest.raises(ZeroDivisionError):
             observe(engines[mode], sql, (0,))
+
+
+# ----------------------------------------------------------------------
+# the sort epilogue: late materialization, bulk scoring, keyless top-k
+# ----------------------------------------------------------------------
+#
+# J1 ⋈ J2 ⋈ J3 on small key domains, so every probe row meets several
+# partners; every score column takes one of three values, so whole runs of
+# join results tie on F and only the rid decides their order.
+
+NAN = float("nan")
+
+
+def build_tie_db(execution: str) -> Database:
+    db = Database(execution=execution)
+    db.create_table(
+        "J1", [("id", DataType.INT), ("k", DataType.INT), ("v", DataType.INT)]
+    )
+    db.create_table(
+        "J2",
+        [("k", DataType.INT), ("m", DataType.INT), ("w", DataType.INT)],
+    )
+    db.create_table("J3", [("m", DataType.INT), ("z", DataType.INT)])
+    rng = random.Random(5)
+    db.insert(
+        "J1", [(i, rng.randrange(4), rng.randrange(1, 4)) for i in range(40)]
+    )
+    db.insert(
+        "J2",
+        [(rng.randrange(4), rng.randrange(3), rng.randrange(1, 4)) for __ in range(30)],
+    )
+    db.insert("J3", [(rng.randrange(3), rng.randrange(1, 4)) for __ in range(12)])
+    db.register_predicate("q1", ["J1.v"], lambda v: v / 4)
+    db.register_predicate("q2", ["J2.w"], lambda w: w / 4)
+    db.register_predicate("q3", ["J3.z"], lambda z: z / 4)
+    # Out-of-range results: each clamp branch, and NaN (which passes it).
+    db.register_predicate("qneg", ["J1.v"], lambda v: v - 2)
+    db.register_predicate("qbig", ["J2.w"], lambda w: w, p_max=2.0)
+    db.register_predicate("qnone", ["J2.w"], lambda w: None if w == 2 else w / 3)
+    db.register_predicate("qnan", ["J1.v"], lambda v: NAN if v == 3 else v / 4)
+    # Scorers over both sides of the top join J1 ⋈ J2.
+    db.register_predicate(
+        "qboth", ["J1.v", "J2.w"], lambda v, w: (v + w) / 6, cost=2.0
+    )
+    db.register_predicate(
+        "qexpr", ["J1.v", "J2.w"], col("J1.v") * col("J2.w") / 9
+    )
+    db.analyze()
+    return db
+
+
+@pytest.fixture(scope="module")
+def tie_engines():
+    return {mode: build_tie_db(mode) for mode in ("row", "compiled")}
+
+
+def observe_exact(db, query):
+    """Like :func:`observe` for a SQL text or a bound ``QuerySpec``, with
+    scores compared by bit pattern (NaN included)."""
+    entry, __ = db.planner.prepare(query, strategy="traditional")
+    result = db.execute(
+        entry.executable, entry.scoring, k=entry.k, evaluators=entry.evaluators
+    )
+    rows = [
+        (
+            tuple(sr.row.values),
+            sr.row.rid,
+            {name: score.hex() for name, score in sr.scores.items()},
+        )
+        for sr in result.scored_rows
+    ]
+    return entry, rows, result.metrics.summary()
+
+
+def compiled_source(entry) -> str:
+    (artifact,) = [
+        node.compiled
+        for node in entry.executable.walk()
+        if getattr(node, "compiled", None) is not None
+    ]
+    return artifact.source
+
+
+def assert_epilogue_matches_row(engines, query, late=True):
+    __, want_rows, want_work = observe_exact(engines["row"], query)
+    entry, got_rows, got_work = observe_exact(engines["compiled"], query)
+    source = compiled_source(entry)
+    assert ("_left_append" in source) == late, source
+    assert got_rows == want_rows, query
+    assert_same_work(got_work, want_work)
+    return got_rows
+
+
+JOIN_SHAPES = {
+    "scan": ("SELECT * FROM J1", "q1(J1.v)", False),
+    "two_way": (
+        "SELECT * FROM J1, J2 WHERE J1.k = J2.k",
+        "q1(J1.v) + q2(J2.w)",
+        True,
+    ),
+    "three_way": (
+        "SELECT * FROM J1, J2, J3 WHERE J1.k = J2.k AND J2.m = J3.m",
+        "q1(J1.v) + q2(J2.w) + q3(J3.z)",
+        True,
+    ),
+}
+
+#: None, 1, a k below the input size, and a limit above it
+FETCH_LIMITS = {"none": "", "one": " LIMIT 1", "k": " LIMIT 7", "over": " LIMIT 100000"}
+
+
+@pytest.mark.parametrize("limit", sorted(FETCH_LIMITS))
+@pytest.mark.parametrize("shape", sorted(JOIN_SHAPES))
+def test_tied_scores_match_row(tie_engines, shape, limit):
+    base, order, late = JOIN_SHAPES[shape]
+    rows = assert_epilogue_matches_row(
+        tie_engines, f"{base} ORDER BY {order}{FETCH_LIMITS[limit]}", late
+    )
+    if limit in ("none", "over"):
+        # Not vacuous: many results share a score, so rids break the ties.
+        scores = [tuple(sorted(s.items())) for __, __, s in rows]
+        assert len(set(scores)) < len(scores) / 3
+
+
+TWO_WAY = "SELECT * FROM J1, J2 WHERE J1.k = J2.k"
+
+EPILOGUE_ORDERINGS = {
+    "wsum_non_unit": "0.3 * q1(J1.v) + 0.7 * q2(J2.w)",
+    "wsum_mixed": "2 * q1(J1.v) + q2(J2.w)",
+    "product": "q1(J1.v) * q2(J2.w)",
+    "negative_clamped": "qneg(J1.v) + q2(J2.w)",
+    "above_p_max_clamped": "qbig(J2.w) + q1(J1.v)",
+    "none_scores": "qnone(J2.w) + q1(J1.v)",
+    "nan_scores": "qnan(J1.v) + q2(J2.w)",
+    "callable_over_both_sides": "qboth(J1.v, J2.w) + q1(J1.v)",
+    "expression_over_both_sides": "qexpr(J1.v, J2.w) + q2(J2.w)",
+    "raw_expression_over_both_sides": "(J1.v + J2.w) / 6",
+}
+
+
+@pytest.mark.parametrize("limit", ["none", "k"])
+@pytest.mark.parametrize("ordering", sorted(EPILOGUE_ORDERINGS))
+def test_epilogue_scoring_matches_row(tie_engines, ordering, limit):
+    sql = f"{TWO_WAY} ORDER BY {EPILOGUE_ORDERINGS[ordering]}{FETCH_LIMITS[limit]}"
+    assert_epilogue_matches_row(tie_engines, sql)
+
+
+def test_nan_scores_reach_the_epilogue(tie_engines):
+    rows = assert_epilogue_matches_row(
+        tie_engines, f"{TWO_WAY} ORDER BY qnan(J1.v) + q2(J2.w)"
+    )
+    assert any(s["qnan"] == "nan" for __, __, s in rows)
+
+
+@pytest.mark.parametrize("limit", ["none", "k"])
+@pytest.mark.parametrize("combiner", ["min", "max", "avg", "product"])
+def test_other_combiners_match_row(tie_engines, combiner, limit):
+    """SQL spells only sum, wsum and product; min / max / avg reach the
+    epilogue through a bound spec whose scoring function is swapped."""
+    from dataclasses import replace
+
+    from repro.algebra.predicates import ScoringFunction
+
+    sql = (
+        f"{TWO_WAY} ORDER BY q1(J1.v) + qnone(J2.w) + qboth(J1.v, J2.w)"
+        f"{FETCH_LIMITS[limit]}"
+    )
+    queries = {}
+    for mode, db in tie_engines.items():
+        spec = db.bind(sql)
+        queries[mode] = replace(
+            spec, scoring=ScoringFunction(spec.scoring.predicates, combiner)
+        )
+    __, want_rows, want_work = observe_exact(tie_engines["row"], queries["row"])
+    entry, got_rows, got_work = observe_exact(
+        tie_engines["compiled"], queries["compiled"]
+    )
+    assert "_combine" in compiled_source(entry)
+    assert got_rows == want_rows
+    assert_same_work(got_work, want_work)
+
+
+def test_filter_above_the_top_join_keeps_concatenating(tie_engines):
+    """A residual over both sides runs above the join, so the join's
+    results are concatenated in-loop, as before."""
+    sql = (
+        f"{TWO_WAY} AND J1.v > J2.w ORDER BY qboth(J1.v, J2.w) + q1(J1.v) "
+        "LIMIT 5"
+    )
+    assert assert_epilogue_matches_row(tie_engines, sql, late=False)
+
+
+def test_cursor_drains_the_full_order_past_k(tie_engines):
+    """A cursor strips the λ, so the compiled epilogue sorts everything;
+    draining past k returns the row engine's whole sequence."""
+    sql = f"{TWO_WAY} ORDER BY q1(J1.v) + q2(J2.w) + qboth(J1.v, J2.w) LIMIT 5"
+    drained = {}
+    for mode, db in tie_engines.items():
+        with db.prepare(sql, strategy="traditional").cursor() as cursor:
+            out = []
+            while (item := cursor.fetch_next_scored()) is not None:
+                values, score = item
+                out.append((values, score.hex()))
+        drained[mode] = out
+    assert len(drained["row"]) > 5
+    assert drained["compiled"] == drained["row"]

@@ -104,6 +104,45 @@ class TestMisestimateFlag:
         text = self._report(estimated=10.0, actual=9).render()
         assert "misestimate" not in text
 
+    def test_blocking_nodes_are_judged_on_rows_consumed(self):
+        """A sort under λ consumes its whole input but emits only the k
+        rows λ pulls: its estimate (the input's) is judged on ``in``."""
+        from repro.optimizer.explain import NodeReport
+
+        def node(blocking):
+            return NodeReport(
+                label="sort", depth=0, estimated_rows=50_000.0,
+                estimated_cost=1.0, actual_in=31_996, actual_out=10,
+                blocking=blocking,
+            )
+
+        assert node(True).misestimate_factor == pytest.approx(50_000 / 31_996)
+        assert node(False).misestimate_factor == pytest.approx(5_000.0)
+
+    def test_traditional_plan_under_limit_is_not_misflagged(self):
+        """Traditional S3@10 on the §6 data: the compiled sort segment
+        consumes ~32k join results and returns 10; neither it nor a row
+        sort is flagged for the 10."""
+        db = build_workload(
+            WorkloadConfig(table_size=2000, join_selectivity=0.005, seed=42)
+        ).database
+        sql = (
+            "SELECT * FROM A, B, C "
+            "WHERE A.b AND B.b AND A.jc1 = B.jc1 AND B.jc2 = C.jc2 "
+            "ORDER BY f1(A.p1) + f2(A.p2) + f3(B.p1) + f4(B.p2) + f5(C.p1) "
+            "LIMIT 10"
+        )
+        for execution in ("compiled", "row"):
+            text = db.explain_analyze(
+                sql, strategy="traditional", execution=execution
+            )
+            top = next(
+                line for line in text.splitlines()
+                if line.lstrip().startswith(("compiled[", "sort"))
+            )
+            assert "act=10" in top and "in=31996" in top, top
+            assert "misestimate" not in top, top
+
 
 class TestDatabaseEntryPoint:
     def test_explain_analyze_via_sql(self, workload):
