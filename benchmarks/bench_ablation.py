@@ -178,8 +178,6 @@ class TestSelectionScheduling:
             optimizer = RankAwareOptimizer(
                 workload.catalog,
                 spec,
-                sample_ratio=0.1,
-                seed=5,
                 left_deep=True,
                 enumerate_selections=(dimensions == "3d"),
             )
@@ -203,8 +201,6 @@ class TestSelectionScheduling:
             optimizer = RankAwareOptimizer(
                 workload.catalog,
                 spec,
-                sample_ratio=0.1,
-                seed=5,
                 left_deep=True,
                 enumerate_selections=flag,
             )

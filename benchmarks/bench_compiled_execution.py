@@ -203,8 +203,6 @@ def test_auto_mode_decisions_and_parity(benchmark):
         entry, __ = large.database.planner.prepare(
             sql,
             strategy="traditional",
-            sample_ratio=0.05,
-            seed=7,
             use_cache=False,
             execution=mode,
         )
@@ -244,7 +242,7 @@ def test_auto_mode_decisions_and_parity(benchmark):
     )
     tiny_sql = "SELECT * FROM A WHERE A.b ORDER BY f1(A.p1) + f2(A.p2) LIMIT 10"
     tiny_entry, __ = tiny.database.planner.prepare(
-        tiny_sql, strategy="traditional", sample_ratio=0.5, seed=7, execution="auto"
+        tiny_sql, strategy="traditional", execution="auto"
     )
     assert [d.winner for d in tiny_entry.decisions] == ["row"], (
         "64-row segments must stay tuple-at-a-time"

@@ -112,7 +112,7 @@ def drive_sessions(server, sessions: int) -> dict:
     latencies: list[float] = []
     lock = threading.Lock()
     errors: list[BaseException] = []
-    clients = [server.session(sample_ratio=0.05, seed=1) for __ in range(sessions)]
+    clients = [server.session() for __ in range(sessions)]
 
     def loop(client) -> None:
         mine: list[float] = []
@@ -159,7 +159,7 @@ def measure(db: Database, sessions: int, warm: bool) -> dict:
     db.planner.invalidate()  # every case starts from the same cold planner
     with db.serve(workers=WORKER_THREADS) as server:
         if warm:
-            with server.session(sample_ratio=0.05, seed=1) as primer:
+            with server.session() as primer:
                 for sql, params in TEMPLATES:
                     primer.execute(sql, params=params)
         stats = drive_sessions(server, sessions)

@@ -37,8 +37,6 @@ def test_fig9_enumeration(benchmark, mode):
         optimizer = RankAwareOptimizer(
             workload.catalog,
             workload.spec,
-            sample_ratio=0.05,
-            seed=3,
             **CONFIGS[mode],
         )
         plan = optimizer.optimize()

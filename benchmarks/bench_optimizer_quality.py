@@ -50,14 +50,12 @@ def test_optimizer_chosen(benchmark, mode):
     def optimize_and_run():
         if mode == "dp":
             plan = RankAwareOptimizer(
-                workload.catalog, workload.spec, sample_ratio=0.05, seed=3
+                workload.catalog, workload.spec
             ).optimize()
         elif mode == "dp_heuristic":
             plan = RankAwareOptimizer(
                 workload.catalog,
                 workload.spec,
-                sample_ratio=0.05,
-                seed=3,
                 left_deep=True,
                 greedy_mu=True,
             ).optimize()
@@ -65,13 +63,11 @@ def test_optimizer_chosen(benchmark, mode):
             plan = RuleBasedOptimizer(
                 workload.catalog,
                 workload.spec,
-                sample_ratio=0.05,
-                seed=3,
                 max_plans=120,
             ).optimize()
         else:
             plan = optimize_traditional(
-                workload.catalog, workload.spec, sample_ratio=0.05, seed=3
+                workload.catalog, workload.spec
             )
         return _run_and_record(workload, plan, mode)
 

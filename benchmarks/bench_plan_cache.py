@@ -32,9 +32,6 @@ from repro.execution import ExecutionContext, run_plan
 
 from .conftest import cached_workload
 
-#: optimizer knobs shared by both paths (identical signatures)
-KNOBS = dict(sample_ratio=0.05, seed=3)
-
 #: Fig. 9 shape at interactive scale: fanout j·s = 10 (conftest scale note),
 #: small k so the cold run is enumeration-dominated — the repeated-traffic
 #: regime the plan cache targets.
@@ -75,12 +72,12 @@ def test_plan_cache_speedup(benchmark):
 
     def cold():
         planner.invalidate()
-        entry, hit = planner.prepare(workload.spec, **KNOBS)
+        entry, hit = planner.prepare(workload.spec)
         assert not hit
         return execute(entry)
 
     def warm():
-        entry, hit = planner.prepare(workload.spec, **KNOBS)
+        entry, hit = planner.prepare(workload.spec)
         assert hit
         return execute(entry)
 
@@ -141,13 +138,13 @@ def test_parameterized_template_reuse(benchmark):
     # parameters (literal texts never share a signature).
     def cold():
         db.planner.invalidate()
-        return db.query(literal(probe), **KNOBS)
+        return db.query(literal(probe))
 
     cold_ms, cold_result = _timed(cold, COLD_ROUNDS)
 
     # Build the template once, then sweep constants over the warm path.
     db.planner.invalidate()
-    first = db.query(template, params=probe, **KNOBS)
+    first = db.query(template, params=probe)
     assert not first.plan_cached  # the cold template build
     assert first.rows == cold_result.rows  # peeked plan, identical answer
     plans_before = db.planner.metrics.plans_built
@@ -158,7 +155,7 @@ def test_parameterized_template_reuse(benchmark):
     # measurement style — execution depth varies with cap tightness, so a
     # sweep average would fold the most expensive bindings into the gate).
     warm_ms, warm_result = _timed(
-        lambda: db.query(template, params=probe, **KNOBS), WARM_ROUNDS
+        lambda: db.query(template, params=probe), WARM_ROUNDS
     )
     assert warm_result.plan_cached
     assert warm_result.rows == cold_result.rows
@@ -166,7 +163,7 @@ def test_parameterized_template_reuse(benchmark):
     # Untimed sweep: every distinct constant must hit and stay correct.
     results = []
     for binding in bindings:
-        result = db.query(template, params=binding, **KNOBS)
+        result = db.query(template, params=binding)
         assert result.plan_cached
         results.append(result)
 
@@ -184,7 +181,7 @@ def test_parameterized_template_reuse(benchmark):
     assert hit_rate == 1.0, f"warm template hit-rate {hit_rate:.2f}"
 
     benchmark.pedantic(
-        lambda: db.query(template, params=probe, **KNOBS),
+        lambda: db.query(template, params=probe),
         rounds=WARM_ROUNDS,
         iterations=1,
     )
@@ -211,11 +208,11 @@ def test_sql_session_warm_path(benchmark):
         "SELECT * FROM hotel, restaurant WHERE hotel.area = restaurant.area "
         "ORDER BY cheap(hotel.price) + tasty(restaurant.price) LIMIT 10"
     )
-    session = db.session(sample_ratio=0.05, seed=1)
+    session = db.session()
 
     def cold():
         db.planner.invalidate()
-        return db.query(sql, sample_ratio=0.05, seed=1)
+        return db.query(sql)
 
     cold_ms, cold_result = _timed(cold, COLD_ROUNDS)
     session.execute(sql)  # prime statement + plan cache

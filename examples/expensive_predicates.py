@@ -62,10 +62,10 @@ def main() -> None:
             "ORDER BY popular(product.popularity) + discounted(product.list_price) "
             f"LIMIT {k}"
         )
-        ranked = db.query(sql, sample_ratio=0.02, seed=5)
+        ranked = db.query(sql)
         spec = db.bind(sql)
         traditional = db.execute(
-            db.plan_traditional(sql, sample_ratio=0.02, seed=5),
+            db.plan_traditional(sql),
             spec.scoring,
             k=spec.k,
         )

@@ -74,7 +74,7 @@ def main() -> None:
     for title, set_plan in questions:
         plan = LogicalLimit(set_plan, 5)
         result = db.query_logical(
-            plan, spec, sample_ratio=0.3, seed=2, max_plans=30
+            plan, spec, max_plans=30
         )
         print(f"Top 5 {title}:")
         for row, score in zip(result.rows, result.scores):

@@ -64,7 +64,7 @@ def main() -> None:
         LIMIT 10
     """
     print("Browsing results page by page (the LIMIT is just a hint):\n")
-    with db.open_cursor(sql, sample_ratio=0.02, seed=9) as cursor:
+    with db.open_cursor(sql) as cursor:
         previous_cost = 0.0
         for page in range(1, 4):
             rows = []
@@ -90,7 +90,7 @@ def main() -> None:
         restored = load_database(
             target, predicates={"fresh": freshness, "relevant": relevance}
         )
-        result = restored.query(sql, sample_ratio=0.02, seed=9)
+        result = restored.query(sql)
         print(f"\nReloaded from {target.name}: top result is "
               f"{result.rows[0][0]} (score {result.scores[0]:.3f})")
 

@@ -47,7 +47,7 @@ def main() -> None:
         ORDER BY cheap(hotel.price) + starry(hotel.stars)
         LIMIT 5
     """
-    result = db.query(sql, sample_ratio=0.1, seed=1)
+    result = db.query(sql)
 
     print("Chosen plan:")
     print(result.explain())
@@ -76,8 +76,6 @@ def main() -> None:
         ORDER BY cheap(hotel.price) + starry(hotel.stars)
         LIMIT 3
         """,
-        sample_ratio=0.1,
-        seed=1,
     )
     print()
     print("Prepared template, three bindings:")

@@ -118,13 +118,13 @@ def main() -> None:
         LIMIT 5
     """
 
-    ranked = db.query(sql, sample_ratio=0.1, seed=3)
+    ranked = db.query(sql)
     print("Rank-aware plan:")
     print(ranked.explain())
     print()
 
     spec = db.bind(sql)
-    traditional_plan = db.plan_traditional(sql, sample_ratio=0.1, seed=3)
+    traditional_plan = db.plan_traditional(sql)
     traditional = db.execute(traditional_plan, spec.scoring, k=spec.k)
     print("Traditional (materialize-then-sort) plan:")
     print(traditional.explain())

@@ -263,7 +263,7 @@ class ShellState:
 
     def __init__(self, db: Database, show_metrics: bool = False):
         self.db = db
-        self.session = db.session(sample_ratio=0.05, seed=1)
+        self.session = db.session()
         self.show_metrics = show_metrics
         #: \set variables feeding :name placeholders
         self.variables: dict[str, object] = {}

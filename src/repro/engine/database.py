@@ -60,7 +60,6 @@ from ..algebra.predicates import RankingPredicate, ScoringFunction
 from ..execution.iterator import EvaluatorCache, ExecutionContext, collect_plan
 from ..observe import MetricsRegistry, Tracer
 from ..observe import system_tables as _system_tables
-from ..optimizer.cardinality import DEFAULT_SAMPLE_RATIO
 from ..optimizer.enumeration import RankAwareOptimizer
 from ..optimizer.plans import PlanNode
 from ..optimizer.query_spec import QuerySpec
@@ -351,7 +350,7 @@ class Database:
             raise RuntimeError("database is closed")
 
     def _invalidate(self) -> None:
-        """Invalidate cached plans/samples after a schema/data/stats change."""
+        """Invalidate cached plans after a schema/data/stats change."""
         self.planner.invalidate()
 
     def _register_metrics(self) -> None:
@@ -619,18 +618,10 @@ class Database:
         self._check_open()
         return self.planner.bind(sql)
 
-    def optimizer(
-        self,
-        spec: QuerySpec,
-        sample_ratio: float = DEFAULT_SAMPLE_RATIO,
-        seed: int = 0,
-        **kwargs: Any,
-    ) -> RankAwareOptimizer:
-        """A rank-aware optimizer for a spec (sample database cached)."""
+    def optimizer(self, spec: QuerySpec, **kwargs: Any) -> RankAwareOptimizer:
+        """A rank-aware optimizer for a spec (join synopsis cached)."""
         self._check_open()
-        return self.planner.optimizer(
-            spec, sample_ratio=sample_ratio, seed=seed, **kwargs
-        )
+        return self.planner.optimizer(spec, **kwargs)
 
     def plan(self, query: "str | QuerySpec", **kwargs: Any) -> PlanNode:
         """Optimize a SQL string or spec into a physical plan (cached)."""
@@ -897,8 +888,6 @@ class Database:
     def explain_analyze(
         self,
         query: "str | QuerySpec",
-        sample_ratio: float = DEFAULT_SAMPLE_RATIO,
-        seed: int = 0,
         params: Any = None,
         strategy: str = "rank-aware",
         **kwargs: Any,
@@ -914,8 +903,6 @@ class Database:
         entry, __ = self.planner.prepare(
             query,
             strategy=strategy,
-            sample_ratio=sample_ratio,
-            seed=seed,
             params=params,
             bind=False,
             **kwargs,
@@ -935,8 +922,6 @@ class Database:
         logical: LogicalOperator,
         spec: QuerySpec,
         k: int | None = None,
-        sample_ratio: float = DEFAULT_SAMPLE_RATIO,
-        seed: int = 0,
         **kwargs: Any,
     ) -> QueryResult:
         """Optimize and execute a hand-built *logical* plan.
@@ -949,7 +934,5 @@ class Database:
         context (its table list should cover the plan's tables).
         """
         self._check_open()
-        physical = self.planner.plan_logical(
-            logical, spec, sample_ratio=sample_ratio, seed=seed, **kwargs
-        )
+        physical = self.planner.plan_logical(logical, spec, **kwargs)
         return self.execute(physical, spec.scoring, k=k if k is not None else spec.k)

@@ -24,6 +24,18 @@ from typing import Any, Iterator
 __all__ = ["OperatorFeedback", "PlanFeedback", "pair_plan_operators"]
 
 
+def misestimate_factor(
+    estimated_rows: float, actual_in: float, actual_out: float, blocking: bool
+) -> float:
+    """How far a node's row estimate is off, as a ≥1 ratio (10.0 = 10× in
+    either direction), zero-floored: a blocking node is judged on the rows
+    it consumed, any other on the rows it emitted.  The one rule of both
+    ``explain_analyze`` and the feedback store."""
+    estimated = max(estimated_rows, 1.0)
+    actual = max(float(actual_in if blocking else actual_out), 1.0)
+    return max(estimated / actual, actual / estimated)
+
+
 def pair_plan_operators(
     plan: Any, operator: Any, depth: int = 0
 ) -> "Iterator[tuple[Any, Any, int]]":
@@ -50,6 +62,8 @@ class OperatorFeedback:
     actual_in: int = 0
     actual_out: int = 0
     executions: int = 0
+    #: :attr:`PlanNode.blocking <repro.optimizer.plans.PlanNode.blocking>`
+    blocking: bool = False
 
     @property
     def mean_actual_out(self) -> "float | None":
@@ -58,15 +72,16 @@ class OperatorFeedback:
         return self.actual_out / self.executions
 
     def misestimate_factor(self) -> "float | None":
-        """How far the estimate is from the mean observed output, as a
-        ≥1 ratio (10.0 = off by 10× in either direction); None until
-        both sides exist."""
-        actual = self.mean_actual_out
-        if actual is None or self.estimated_rows is None:
+        """:func:`misestimate_factor` on the mean observed rows; None
+        until both sides exist."""
+        if self.executions == 0 or self.estimated_rows is None:
             return None
-        est = max(self.estimated_rows, 1.0)
-        act = max(actual, 1.0)
-        return max(est, act) / min(est, act)
+        return misestimate_factor(
+            self.estimated_rows,
+            self.actual_in / self.executions,
+            self.actual_out / self.executions,
+            self.blocking,
+        )
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -108,6 +123,7 @@ class PlanFeedback:
                     label=label() if callable(label) else plan_node.label(),
                     depth=depth,
                     estimated_rows=estimated,
+                    blocking=plan_node.blocking,
                 )
             )
         return cls(nodes)

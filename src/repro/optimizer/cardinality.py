@@ -1,11 +1,12 @@
 """Sampling-based cardinality estimation for rank-aware operators (§5.2).
 
-This is the paper's method, kept as the reproduced baseline: it serves
-``bench_fig13_cardinality`` and its tests, and can be injected into an
-optimizer (``RankAwareOptimizer(..., estimator=...)``).  The engine's
-optimizers take their ranked cardinalities from a join synopsis instead
-(:mod:`repro.optimizer.synopsis`); they still read selection selectivities
-from the :class:`SampleDatabase` below.
+This is the paper's method, kept only as the reproduced baseline: it
+serves ``bench_fig13_cardinality``, the sampling-ratio ablation and their
+tests, and is reached solely by injection into an optimizer
+(``RankAwareOptimizer(..., estimator=...)``), which then prices
+selectivities on the same sample too.  The engine's optimizers take every
+statistic — ranked cardinalities and selectivities — from a join synopsis
+(:mod:`repro.optimizer.synopsis`) and never build a table sample.
 
 The output cardinality of a rank-aware operator is *context-sensitive*: it
 depends on ``k`` and on the operator's position in the complete plan, so it
@@ -38,6 +39,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from ..algebra.expressions import Expression
 from ..algebra.predicates import ScoringFunction
 from ..algebra.rank_relation import rank_order_key, ScoredRow
 from ..storage.catalog import Catalog
@@ -45,6 +47,7 @@ from ..storage.index import ColumnIndex, MultiKeyIndex, RankIndex
 from ..execution.iterator import ExecutionContext
 from .plans import PlanNode
 from .query_spec import QuerySpec
+from .synopsis import passing_fraction
 
 DEFAULT_SAMPLE_RATIO = 0.001
 #: Sample executions cap: a runaway subplan on the sample stops here.
@@ -198,6 +201,11 @@ class CardinalityEstimator:
             scores = {name: fn(scored.row) for name, fn in compiled.items()}
             out.append(ScoredRow(scored.row, scores))
         return out
+
+    def selectivity(self, table: str, expression: Expression) -> float:
+        """A single-table condition's selectivity, on the sample."""
+        sample = self.sample.catalog.table(table)
+        return passing_fraction(list(sample.rows()), expression.compile(sample.schema))
 
     # ------------------------------------------------------------------
     # step 3: per-subplan estimation with the propagation formulas

@@ -23,6 +23,7 @@ every tuple at the maximal score, so any buffering consumer drains it.
 
 from __future__ import annotations
 
+from ..algebra.expressions import ColumnRef
 from ..algebra.predicates import BooleanPredicate, ScoringFunction
 from ..execution.metrics import (
     BOOLEAN_EVAL_UNIT,
@@ -159,22 +160,17 @@ class CostModel:
     # selectivities
     # ------------------------------------------------------------------
     def selection_selectivity(self, condition: BooleanPredicate) -> float:
-        """Fraction of tuples satisfying a single-table condition
-        (measured on the sample database)."""
+        """Fraction of tuples satisfying a single-table condition (the
+        estimator's: the join synopsis's uniform rows in the engine)."""
         key = condition.name
-        if key in self._selectivity_memo:
-            return self._selectivity_memo[key]
-        tables = condition.tables()
-        fraction = 0.5
-        if len(tables) == 1:
-            (table_name,) = tables
-            sample = self.estimator.sample.catalog.table(table_name)
-            total = sample.row_count
-            if total:
-                fn = condition.compile(sample.schema)
-                hits = sum(1 for row in sample.rows() if fn(row))
-                fraction = max(hits / total, 1.0 / (2 * total))
-        self._selectivity_memo[key] = fraction
+        fraction = self._selectivity_memo.get(key)
+        if fraction is None:
+            tables = condition.tables()
+            fraction = 0.5
+            if len(tables) == 1:
+                (table,) = tables
+                fraction = self.estimator.selectivity(table, condition.expression)
+            self._selectivity_memo[key] = fraction
         return fraction
 
     def join_selectivity(self, left_key: str, right_key: str) -> float:
@@ -201,8 +197,11 @@ class CostModel:
         if isinstance(plan, (SeqScanPlan, RankScanPlan, ColumnOrderScanPlan)):
             return self._table_size(plan.table)
         if isinstance(plan, ScanSelectPlan):
-            bool_condition = self._scan_select_condition(plan)
-            return self._table_size(plan.table) * bool_condition
+            # the fraction of rows whose Boolean key is true
+            key = ColumnRef(plan.bool_column)
+            return self._table_size(plan.table) * self.estimator.selectivity(
+                plan.table, key
+            )
         if isinstance(plan, FilterPlan):
             return self.full_cardinality(plan.children[0]) * self.selection_selectivity(
                 plan.condition
@@ -228,15 +227,6 @@ class CostModel:
         if isinstance(plan, RankDifferencePlan):
             return self.full_cardinality(plan.children[0])
         raise TypeError(f"unknown plan node: {type(plan).__name__}")
-
-    def _scan_select_condition(self, plan: ScanSelectPlan) -> float:
-        """Selectivity of a scan-select's Boolean key (fraction true)."""
-        sample = self.estimator.sample.catalog.table(plan.table)
-        if not sample.row_count:
-            return 0.5
-        position = sample.schema.index_of(plan.bool_column)
-        hits = sum(1 for row in sample.rows() if row[position])
-        return max(hits / sample.row_count, 1.0 / (2 * sample.row_count))
 
     # ------------------------------------------------------------------
     # cost

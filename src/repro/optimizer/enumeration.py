@@ -33,7 +33,6 @@ from ..algebra.expressions import ColumnRef
 from ..algebra.predicates import BooleanPredicate
 from ..storage.catalog import Catalog
 from ..storage.index import ColumnIndex, MultiKeyIndex, RankIndex
-from .cardinality import DEFAULT_SAMPLE_RATIO, SampleDatabase
 from .cost_model import CostModel
 from .plans import (
     ColumnOrderScanPlan,
@@ -135,9 +134,6 @@ class RankAwareOptimizer:
         self,
         catalog: Catalog,
         spec: QuerySpec,
-        sample: SampleDatabase | None = None,
-        sample_ratio: float = DEFAULT_SAMPLE_RATIO,
-        seed: int = 0,
         left_deep: bool = False,
         greedy_mu: bool = False,
         enumerate_ranking: bool = True,
@@ -150,18 +146,13 @@ class RankAwareOptimizer:
     ):
         self.catalog = catalog
         self.spec = spec
-        #: ranked cardinalities come from ``estimator`` when given (the
-        #: §5.2 CardinalityEstimator, as a reproduction baseline), else
-        #: from the join synopsis (:mod:`repro.optimizer.synopsis`) — or
-        #: from nothing, without the ranking dimension
+        #: cardinalities and selectivities come from ``estimator`` when
+        #: given (the §5.2 CardinalityEstimator, as a reproduction
+        #: baseline), else from the join synopsis
+        #: (:mod:`repro.optimizer.synopsis`) — its uniform rows alone,
+        #: without the ranking dimension
         self.estimator = estimator or engine_estimator(
-            catalog,
-            spec,
-            sample,
-            synopsis,
-            sample_ratio,
-            seed,
-            ranked=enumerate_ranking,
+            catalog, spec, synopsis, ranked=enumerate_ranking
         )
         self.cost_model = CostModel(catalog, spec, self.estimator)
         self.left_deep = left_deep
@@ -597,21 +588,7 @@ class RankAwareOptimizer:
         return out
 
 
-def optimize_traditional(
-    catalog: Catalog,
-    spec: QuerySpec,
-    sample: SampleDatabase | None = None,
-    sample_ratio: float = DEFAULT_SAMPLE_RATIO,
-    seed: int = 0,
-) -> PlanNode:
+def optimize_traditional(catalog: Catalog, spec: QuerySpec) -> PlanNode:
     """The traditional-optimizer baseline: join enumeration only, blocking
     materialize-then-sort on top (the paper's plan 1 shape)."""
-    optimizer = RankAwareOptimizer(
-        catalog,
-        spec,
-        sample=sample,
-        sample_ratio=sample_ratio,
-        seed=seed,
-        enumerate_ranking=False,
-    )
-    return optimizer.optimize()
+    return RankAwareOptimizer(catalog, spec, enumerate_ranking=False).optimize()

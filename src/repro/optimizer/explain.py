@@ -29,11 +29,10 @@ from dataclasses import dataclass
 
 from ..algebra.predicates import ScoringFunction
 from ..execution.iterator import ExecutionContext, PhysicalOperator
-from ..observe.feedback import pair_plan_operators
+from ..observe.feedback import misestimate_factor, pair_plan_operators
 from ..storage.catalog import Catalog
-from .cardinality import DEFAULT_SAMPLE_RATIO
 from .cost_model import CostModel, plan_estimates
-from .plans import BatchSegmentPlan, PlanNode, SortPlan
+from .plans import BatchSegmentPlan, PlanNode
 from .query_spec import QuerySpec
 from .synopsis import engine_estimator
 
@@ -51,19 +50,16 @@ class NodeReport:
     #: measured wall-clock milliseconds of a compiled segment's fused
     #: function call; ``None`` for row-mode operators.
     wall_ms: float | None = None
-    #: a blocking node (a sort, or a compiled segment topped by one): it
-    #: consumes its whole input whatever a λ above it pulls, so its
-    #: estimate is judged against the rows it consumed
+    #: :attr:`PlanNode.blocking <repro.optimizer.plans.PlanNode.blocking>`
     blocking: bool = False
 
     @property
     def misestimate_factor(self) -> float:
-        """How far off the estimate was, as a >=1 ratio (either
-        direction); zero-floored so empty operators do not divide out."""
-        estimated = max(self.estimated_rows, 1.0)
-        rows = self.actual_in if self.blocking else self.actual_out
-        actual = max(float(rows), 1.0)
-        return max(estimated / actual, actual / estimated)
+        """How far off the estimate was (see
+        :func:`~repro.observe.feedback.misestimate_factor`)."""
+        return misestimate_factor(
+            self.estimated_rows, self.actual_in, self.actual_out, self.blocking
+        )
 
 
 @dataclass
@@ -114,8 +110,6 @@ def explain_analyze(
     k: int | None = None,
     estimates: "dict | None" = None,
     decisions: "list | None" = None,
-    sample_ratio: float = DEFAULT_SAMPLE_RATIO,
-    seed: int = 0,
 ) -> AnalyzeReport:
     """Execute ``plan`` and report estimated-vs-actual per operator.
 
@@ -123,8 +117,7 @@ def explain_analyze(
     estimated cost)`` — pass the planner entry's
     :attr:`~repro.planner.cache.CachedPlan.estimates` so the report judges
     the estimator that chose the plan.  Without them the plan is priced
-    here by the engine's cost model (selectivities from the
-    ``(sample_ratio, seed)`` sample).
+    here by the engine's cost model, on a fresh join synopsis.
 
     ``plan`` may contain compiled segments (:class:`BatchSegmentPlan`):
     each is reported as one node, since the fused function has no
@@ -133,9 +126,7 @@ def explain_analyze(
     a footer when supplied.
     """
     if estimates is None:
-        estimator = engine_estimator(
-            catalog, spec, sample_ratio=sample_ratio, seed=seed
-        )
+        estimator = engine_estimator(catalog, spec)
         estimates = plan_estimates(plan, CostModel(catalog, spec, estimator))
     scoring: ScoringFunction = spec.scoring
     context = ExecutionContext(catalog, scoring)
@@ -179,5 +170,5 @@ def _report(
         actual_in=operator.stats.tuples_in,
         actual_out=operator.stats.tuples_out,
         wall_ms=wall_ms,
-        blocking=isinstance(plan, (SortPlan, BatchSegmentPlan)),
+        blocking=plan.blocking,
     )

@@ -64,6 +64,11 @@ class PlanNode:
 
     __slots__ = ("children", "tables", "rank_predicates", "_fingerprint")
 
+    #: whether the node consumes its whole input whatever a λ above it
+    #: pulls (a sort, or a compiled segment topped by one) — the rows its
+    #: estimate is judged against are then the rows it consumed
+    blocking = False
+
     def __init__(self, children: Sequence["PlanNode"] = ()):
         self.children: tuple[PlanNode, ...] = tuple(children)
         tables = self._own_tables()
@@ -313,6 +318,8 @@ class SortPlan(PlanNode):
     """
 
     __slots__ = ("all_predicates",)
+
+    blocking = True
 
     def __init__(self, child: PlanNode, all_predicates: frozenset[str] = frozenset()):
         self.all_predicates = _canonical(frozenset(all_predicates))
@@ -566,6 +573,8 @@ class BatchSegmentPlan(PlanNode):
     """
 
     __slots__ = ("inner", "compiled", "decision")
+
+    blocking = True
 
     def __init__(self, inner: PlanNode, compiled, decision=None):
         self.inner = inner

@@ -45,7 +45,6 @@ from ..algebra.operators import (
 from ..algebra.predicates import BooleanPredicate
 from ..storage.catalog import Catalog
 from ..storage.index import RankIndex
-from .cardinality import DEFAULT_SAMPLE_RATIO, SampleDatabase
 from .cost_model import CostModel
 from .synopsis import JoinSynopsis, engine_estimator
 from .enumeration import OptimizationError
@@ -118,9 +117,6 @@ class RuleBasedOptimizer:
         self,
         catalog: Catalog,
         spec: QuerySpec,
-        sample: SampleDatabase | None = None,
-        sample_ratio: float = DEFAULT_SAMPLE_RATIO,
-        seed: int = 0,
         max_plans: int = 300,
         threshold_mode: str = "drawn",
         *,
@@ -128,9 +124,7 @@ class RuleBasedOptimizer:
     ):
         self.catalog = catalog
         self.spec = spec
-        self.estimator = engine_estimator(
-            catalog, spec, sample, synopsis, sample_ratio, seed
-        )
+        self.estimator = engine_estimator(catalog, spec, synopsis)
         self.cost_model = CostModel(catalog, spec, self.estimator)
         self.max_plans = max_plans
         self.threshold_mode = threshold_mode

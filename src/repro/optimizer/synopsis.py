@@ -34,6 +34,11 @@ it only when a covered table's row count drifts past :data:`DRIFT` or its
 table or index set changes.  A :class:`SynopsisEstimator` binds it to one
 statement: it evaluates the statement's selections on the walk rows and
 counts signatures.
+
+The synopsis is also the engine's only source of selectivities: the
+fraction of a table's :data:`WALKS` uniform rows that pass a condition.
+They are drawn on the table's own seed, never taken from a walk (whose
+rows depend on which table sets were drawn before).
 """
 
 from __future__ import annotations
@@ -44,13 +49,12 @@ import random
 import threading
 from typing import Any
 
-from ..algebra.expressions import ColumnRef
+from ..algebra.expressions import ColumnRef, Evaluator, Expression
 from ..algebra.predicates import RankingPredicate
 from ..storage.catalog import Catalog
 from ..storage.index import ColumnIndex
 from ..storage.row import Row
 from ..storage.schema import SchemaError
-from .cardinality import DEFAULT_SAMPLE_RATIO, SampleDatabase
 from .plans import (
     BatchSegmentPlan,
     FilterPlan,
@@ -69,6 +73,8 @@ WALKS = 512
 DRIFT = 0.10
 #: the walks' random seed (walks are deterministic per table set)
 SEED = 0
+#: parameter-free selectivities memoized per synopsis (oldest dropped first)
+SELECTIVITY_MEMO = 32
 
 
 def join_graph_key(spec: QuerySpec) -> tuple:
@@ -141,6 +147,10 @@ class JoinSynopsis:
         self._rows: dict[str, list[Row]] = {}
         self._lookups: dict[tuple[str, str], dict] = {}
         self._walks: dict[frozenset[str], _Walks] = {}
+        self._uniform: dict[str, list[Row]] = {}
+        #: (table, expression key) -> (expression, selectivity); holding
+        #: the expression keeps the ids inside its key alive
+        self._selectivities: dict[tuple, tuple[Expression, float]] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -193,6 +203,44 @@ class JoinSynopsis:
                 rows = []
             lookup[value] = rows
         return rows
+
+    # ------------------------------------------------------------------
+    # selectivities
+    # ------------------------------------------------------------------
+    def uniform(self, table: str) -> list[Row]:
+        """:data:`WALKS` uniform rows of ``table`` (none when it is empty),
+        drawn like walk starts but on the table's own seed."""
+        rows = self._uniform.get(table)
+        if rows is None:
+            with self._lock:
+                rows = self._uniform.get(table)
+                if rows is None:
+                    table_rows = self._table_rows(table)
+                    rng = random.Random(f"{SEED}:uniform:{table}")
+                    rows = self._uniform[table] = [
+                        table_rows[rng.randrange(len(table_rows))]
+                        for __ in range(WALKS if table_rows else 0)
+                    ]
+        return rows
+
+    def selectivity(self, table: str, expression: Expression) -> float:
+        """The fraction of ``table``'s uniform rows that pass
+        ``expression``.  Memoized unless the expression holds a parameter:
+        its key does not cover the peeked value."""
+        from ..planner.signature import expression_key
+
+        key = (table, expression_key(expression))
+        cached = self._selectivities.get(key)
+        if cached is not None:
+            return cached[1]
+        fn = expression.compile(self.catalog.table(table).schema)
+        fraction = passing_fraction(self.uniform(table), fn)
+        if _parameter_free(key[1]):
+            with self._lock:
+                self._selectivities[key] = (expression, fraction)
+                if len(self._selectivities) > SELECTIVITY_MEMO:
+                    del self._selectivities[next(iter(self._selectivities))]
+        return fraction
 
     # ------------------------------------------------------------------
     # walks
@@ -355,6 +403,23 @@ class JoinSynopsis:
 _COMPLETE = object()
 
 
+def passing_fraction(rows: list[Row], fn: Evaluator) -> float:
+    """The fraction of ``rows`` on which ``fn`` is true, floored at half a
+    row (0.5 without rows) so no selection prices as empty."""
+    if not rows:
+        return 0.5
+    hits = len(list(filter(fn, rows)))
+    return max(hits / len(rows), 1.0 / (2 * len(rows)))
+
+
+def _parameter_free(key: tuple) -> bool:
+    """Whether an :func:`~repro.planner.signature.expression_key` holds no
+    parameter slot."""
+    return key[0] != "param" and all(
+        _parameter_free(part) for part in key if isinstance(part, tuple) and part
+    )
+
+
 def _merged(path: list[Row]) -> Row:
     """One walk's rows as the joined row they stand for."""
     return Row(tuple(v for row in path for v in row.values), ())
@@ -372,19 +437,33 @@ def _over_set_operation(plan: PlanNode) -> bool:
     return False
 
 
-class SynopsisEstimator:
-    """Ranked cardinalities for one statement, read off a join synopsis.
+class FullCardinalities:
+    """The estimator of an optimizer without the ranking dimension (the
+    traditional baseline): selectivities from the synopsis's uniform rows,
+    and — nothing it prices being k-sensitive — no ranked cardinality below
+    the full one, so no walk is drawn."""
 
-    Exposes the estimator interface the cost model reads: ``estimate``,
-    ``cutoff`` (``x'``) and ``sample`` (the per-table sample that still
-    measures selection selectivities).
-    """
+    cutoff = -math.inf
 
-    def __init__(self, synopsis: JoinSynopsis, spec: QuerySpec, sample: Any):
+    def __init__(self, synopsis: JoinSynopsis):
         self.synopsis = synopsis
+
+    def estimate(self, plan: PlanNode) -> float:
+        return math.inf
+
+    def selectivity(self, table: str, expression: Expression) -> float:
+        """A single-table condition's selectivity."""
+        return self.synopsis.selectivity(table, expression)
+
+
+class SynopsisEstimator(FullCardinalities):
+    """Ranked cardinalities for one statement, read off a join synopsis:
+    ``estimate`` and ``cutoff`` (``x'``) with the ranking dimension."""
+
+    def __init__(self, synopsis: JoinSynopsis, spec: QuerySpec):
+        super().__init__(synopsis)
         self.spec = spec
         self.scoring = spec.scoring
-        self.sample = sample
         self._selection_tables = {
             c.name: next(iter(c.tables())) for c in spec.selections if c.tables()
         }
@@ -594,37 +673,18 @@ class SynopsisEstimator:
             ]
         return passes
 
-class FullCardinalities:
-    """The estimator of an optimizer without the ranking dimension (the
-    traditional baseline): nothing it prices is k-sensitive, so no ranked
-    cardinality falls below the full one and no synopsis is drawn."""
-
-    cutoff = -math.inf
-
-    def __init__(self, sample: SampleDatabase):
-        self.sample = sample
-
-    def estimate(self, plan: PlanNode) -> float:
-        return math.inf
-
 
 def engine_estimator(
     catalog: Catalog,
     spec: QuerySpec,
-    sample: SampleDatabase | None = None,
     synopsis: JoinSynopsis | None = None,
-    sample_ratio: float = DEFAULT_SAMPLE_RATIO,
-    seed: int = 0,
     ranked: bool = True,
 ) -> "SynopsisEstimator | FullCardinalities":
-    """The estimator every engine optimizer prices with: ranked
-    cardinalities from ``synopsis`` (a fresh one when not given; none
-    without the ranking dimension, ``ranked=False``), selection
-    selectivities from ``sample`` (the ``(sample_ratio, seed)`` sample when
-    not given)."""
-    sample = sample or SampleDatabase(catalog, ratio=sample_ratio, seed=seed)
+    """The estimator every engine optimizer prices with, reading
+    ``synopsis`` (a fresh one when not given): ranked cardinalities and
+    selectivities, or selectivities alone without the ranking dimension
+    (``ranked=False``)."""
+    synopsis = synopsis or JoinSynopsis(catalog, spec.join_conditions)
     if not ranked:
-        return FullCardinalities(sample)
-    return SynopsisEstimator(
-        synopsis or JoinSynopsis(catalog, spec.join_conditions), spec, sample
-    )
+        return FullCardinalities(synopsis)
+    return SynopsisEstimator(synopsis, spec)

@@ -33,11 +33,10 @@ from ..algebra.operators import LogicalOperator
 from ..algebra.parameters import bind_slots
 from ..observe.trace import _NULL_CONTEXT
 from ..execution.iterator import EvaluatorCache
-from ..optimizer.cardinality import DEFAULT_SAMPLE_RATIO, SampleDatabase
 from ..optimizer.cost_model import CostModel, plan_estimates
 from ..optimizer.enumeration import RankAwareOptimizer
 from ..optimizer.hybrid import decide_regimes
-from ..optimizer.plans import PlanNode
+from ..optimizer.plans import PlanNode, ProjectPlan
 from ..optimizer.query_spec import QuerySpec
 from ..optimizer.rule_based import RuleBasedOptimizer
 from ..optimizer.synopsis import JoinSynopsis, join_graph_key
@@ -54,7 +53,7 @@ STRATEGIES = ("rank-aware", "traditional", "rule-based")
 SYNOPSIS_CAPACITY = 64
 
 #: optimizer arguments the planner supplies itself — never knobs
-_ENGINE_ARGUMENTS = ("sample", "synopsis", "estimator")
+_ENGINE_ARGUMENTS = ("synopsis", "estimator")
 
 #: accepted ``execution`` modes — the one regime selector (per engine and
 #: per statement):
@@ -75,6 +74,27 @@ def normalize_execution(mode: str) -> str:
             return text
     raise ValueError(
         f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}"
+    )
+
+
+def _from_order(plan: PlanNode, spec: QuerySpec, catalog: Catalog) -> PlanNode:
+    """``plan``, under a projection that lists a ``SELECT *``'s columns in
+    FROM order when the cheapest join order scans its tables otherwise —
+    so a statement's row layout never depends on the plan picked."""
+    scans = [node.table for node in plan.walk() if not node.children]
+    if (
+        spec.projection is not None
+        or scans == spec.tables
+        or sorted(scans) != sorted(spec.tables)
+    ):
+        return plan
+    return ProjectPlan(
+        plan,
+        [
+            name
+            for table in spec.tables
+            for name in catalog.table(table).schema.qualified_names()
+        ],
     )
 
 
@@ -131,7 +151,6 @@ class Planner:
         #: bumped on every invalidation; cached artifacts carry the value
         #: they were built under and are stale once it moves on
         self.generation = 0
-        self._sample_cache: dict[tuple[float, int], SampleDatabase] = {}
         #: join graph -> its synopsis; survives invalidation (refreshed
         #: lazily when stale, see :meth:`synopsis`)
         self._synopses: dict[tuple, JoinSynopsis] = {}
@@ -166,24 +185,14 @@ class Planner:
         return self.bind(query) if isinstance(query, str) else query
 
     # ------------------------------------------------------------------
-    # samples and synopses (shared by every optimizer)
+    # synopses (every optimizer's statistics)
     # ------------------------------------------------------------------
-    def sample(self, ratio: float, seed: int) -> SampleDatabase:
-        """The (cached) sample database for a ``(ratio, seed)`` pair — what
-        selection selectivities are measured on."""
-        key = (ratio, seed)
-        with self._lock:
-            sample = self._sample_cache.get(key)
-            if sample is None:
-                sample = SampleDatabase(self.catalog, ratio=ratio, seed=seed)
-                self._sample_cache[key] = sample
-            return sample
-
     def synopsis(self, spec: QuerySpec) -> JoinSynopsis:
-        """The (cached) join synopsis for the spec's join graph.
+        """The (cached) join synopsis for the spec's join graph: ranked
+        cardinalities and selectivities for every strategy.
 
-        Unlike the samples it survives :meth:`invalidate`: a data commit
-        leaves it in place until a covered table's row count drifts past
+        It survives :meth:`invalidate`: a data commit leaves it in place
+        until a covered table's row count drifts past
         :data:`~repro.optimizer.synopsis.DRIFT` or its table or index set
         changes, and only then is it drawn again."""
         key = join_graph_key(spec)
@@ -206,21 +215,11 @@ class Planner:
     # ------------------------------------------------------------------
     # optimization
     # ------------------------------------------------------------------
-    def optimizer(
-        self,
-        spec: QuerySpec,
-        sample_ratio: float = DEFAULT_SAMPLE_RATIO,
-        seed: int = 0,
-        **knobs: Any,
-    ) -> RankAwareOptimizer:
+    def optimizer(self, spec: QuerySpec, **knobs: Any) -> RankAwareOptimizer:
         """A rank-aware optimizer instance for a spec (for inspection)."""
         self._check_knobs(knobs)
         return RankAwareOptimizer(
-            self.catalog,
-            spec,
-            sample=self.sample(sample_ratio, seed),
-            synopsis=self.synopsis(spec),
-            **knobs,
+            self.catalog, spec, synopsis=self.synopsis(spec), **knobs
         )
 
     def plan(
@@ -258,11 +257,12 @@ class Planner:
         shares a single cache entry; on a hit the values are written into
         the *entry's* parameter slots (the ones its compiled evaluators
         read).  On a miss they also serve as *peeked* values: the estimator
-        evaluates the selections on the join synopsis's walk rows and on
-        the selectivity sample, so the first binding shapes the template
-        plan — later
-        bindings reuse it unchanged (standard bind-peeking semantics;
-        correctness never depends on the peeked values, only plan quality).
+        evaluates the selections on the join synopsis's walk rows and
+        uniform rows (a selectivity with a parameter is never memoized, so
+        each prepare reads its own values), and the first binding shapes
+        the template plan — later bindings reuse it unchanged (standard
+        bind-peeking semantics; correctness never depends on the peeked
+        values, only plan quality).
         A parameterized query prepared without ``params`` raises
         :class:`~repro.algebra.parameters.ParameterError`.
 
@@ -286,23 +286,12 @@ class Planner:
             # (dropped by the next get), never wrongly fresh.
             generation = self.generation
         spec = self._resolve(query)
-        sample_ratio = float(knobs.pop("sample_ratio", DEFAULT_SAMPLE_RATIO))
-        seed = int(knobs.pop("seed", 0))
         # Popped before the optimizer sees the knobs (the enumerators do
         # not take it) but folded into the signature: plans decided under
         # different execution regimes are different plans (a compiled
         # entry must never serve a row-mode session and vice versa).
         execution = normalize_execution(knobs.pop("execution", self.execution))
-        signature = plan_signature(
-            spec,
-            strategy,
-            dict(
-                knobs,
-                sample_ratio=sample_ratio,
-                seed=seed,
-                execution=execution,
-            ),
-        )
+        signature = plan_signature(spec, strategy, dict(knobs, execution=execution))
         if use_cache:
             entry = self.cache.get(signature, generation)
             if entry is not None:
@@ -312,9 +301,8 @@ class Planner:
         bind_slots(spec.parameters, params)
         start = time.perf_counter()
         with self._span("optimize", strategy=strategy):
-            plan, cost_model = self._optimize(
-                spec, strategy, sample_ratio, seed, knobs
-            )
+            plan, cost_model = self._optimize(spec, strategy, knobs)
+            plan = _from_order(plan, spec, self.catalog)
         decisions = None
         compiled_segments = 0
         compile_seconds = 0.0
@@ -360,25 +348,16 @@ class Planner:
         return entry, False
 
     def _optimize(
-        self,
-        spec: QuerySpec,
-        strategy: str,
-        sample_ratio: float,
-        seed: int,
-        knobs: dict[str, Any],
+        self, spec: QuerySpec, strategy: str, knobs: dict[str, Any]
     ) -> tuple[PlanNode, CostModel]:
         """Run the strategy's optimizer; returns the plan *and* the cost
         model that priced it (the regime pass reuses it, so row-vs-compiled
         is judged by the same model that chose the plan)."""
         self._check_knobs(knobs)
-        sample = self.sample(sample_ratio, seed)
+        synopsis = self.synopsis(spec)
         if strategy == "rank-aware":
             optimizer = RankAwareOptimizer(
-                self.catalog,
-                spec,
-                sample=sample,
-                synopsis=self.synopsis(spec),
-                **knobs,
+                self.catalog, spec, synopsis=synopsis, **knobs
             )
             return optimizer.optimize(), optimizer.cost_model
         if strategy == "traditional":
@@ -387,36 +366,23 @@ class Planner:
                     f"traditional strategy takes no knobs, got {sorted(knobs)}"
                 )
             optimizer = RankAwareOptimizer(
-                self.catalog, spec, sample=sample, enumerate_ranking=False
+                self.catalog, spec, synopsis=synopsis, enumerate_ranking=False
             )
             return optimizer.optimize(), optimizer.cost_model
         rule_based = RuleBasedOptimizer(
-            self.catalog,
-            spec,
-            sample=sample,
-            synopsis=self.synopsis(spec),
-            **knobs,
+            self.catalog, spec, synopsis=synopsis, **knobs
         )
         return rule_based.optimize(), rule_based.cost_model
 
     def plan_logical(
-        self,
-        logical: LogicalOperator,
-        spec: QuerySpec,
-        sample_ratio: float = DEFAULT_SAMPLE_RATIO,
-        seed: int = 0,
-        **knobs: Any,
+        self, logical: LogicalOperator, spec: QuerySpec, **knobs: Any
     ) -> PlanNode:
         """Optimize a hand-built logical plan (rule-based path, uncached —
         logical trees carry no normalized signature)."""
         start = time.perf_counter()
         self._check_knobs(knobs)
         optimizer = RuleBasedOptimizer(
-            self.catalog,
-            spec,
-            sample=self.sample(sample_ratio, seed),
-            synopsis=self.synopsis(spec),
-            **knobs,
+            self.catalog, spec, synopsis=self.synopsis(spec), **knobs
         )
         plan = optimizer.optimize(logical=logical)
         elapsed = time.perf_counter() - start
@@ -429,10 +395,9 @@ class Planner:
     # invalidation
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
-        """Orphan every cached plan and sample (schema/data/stats changed).
-        Join synopses stay: each refreshes itself when stale."""
+        """Orphan every cached plan (schema/data/stats changed).  Join
+        synopses stay: each refreshes itself when stale."""
         with self._lock:
             self.generation += 1
             self.metrics.invalidations += 1
-            self._sample_cache.clear()
         self.cache.invalidate()

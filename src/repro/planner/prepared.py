@@ -9,14 +9,16 @@ statistics have moved underneath it (stale plans are never executed).
 Parameterized statements (``?`` / ``:name`` placeholders) are prepared
 *once per template*: ``run(params=...)`` injects the bindings into the
 cached plan's parameter slots, so every constant reuses the same plan and
-compiled evaluators.  Because the optimizer's estimates evaluate the
-selections on concrete values, a parameterized statement prepared without initial
-bindings defers planning to its first ``run(params=...)`` (bind peeking).
+compiled evaluators.  The optimizer evaluates the selections on the join
+synopsis's rows — the walks and the uniform rows its selectivities come
+from — so it needs concrete values: a parameterized statement prepared
+without initial bindings defers planning to its first ``run(params=...)``
+(bind peeking).
 
 A :class:`Session` is one client's execution context — the same class for
 an embedded ``db.session()`` and for every session a
 :class:`~repro.server.QueryServer` admits.  It carries per-client planning
-settings (strategy, sampling parameters, heuristic knobs), at most one open
+settings (strategy, execution regime, heuristic knobs), at most one open
 transaction and the client's counters, and plans every statement against
 the shared plan cache.
 
@@ -241,7 +243,7 @@ class Session:
     """One client's execution context: settings, a transaction, counters.
 
     ``settings`` are planner knobs applied to every statement the session
-    plans (``strategy``, ``sample_ratio``, ``seed``, heuristic flags …).
+    plans (``strategy``, ``execution``, heuristic flags …).
     Statements plan against the database's shared plan cache, so every
     session reuses plans any other session (or ``db.query``) built; the
     per-session hit/miss counters record how much of that shared work this

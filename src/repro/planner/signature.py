@@ -15,7 +15,7 @@ other.  The signature therefore covers every input the optimizer reads:
   plans, which is exactly what lets one cached template plan serve every
   constant (template reuse);
 * the optimizer strategy and knob values (heuristic flags, threshold mode,
-  sampling parameters).
+  execution regime).
 
 Anything *data*-dependent (table contents, statistics, available indexes)
 is deliberately excluded: data changes don't change the key, they

@@ -196,7 +196,7 @@ def connect(
     **settings: Any,
 ) -> RemoteSession:
     """Open a session on a serving database; ``settings`` become the
-    session's planner settings (strategy, sample_ratio, …)."""
+    session's planner settings (strategy, heuristic flags, …)."""
     sock = socket.create_connection((host, port), timeout=timeout)
     try:
         message: dict[str, Any] = {"op": "hello"}

@@ -100,8 +100,6 @@ class TestCliHelpers:
         db = build_demo_database()
         result = db.query(
             "SELECT * FROM hotel ORDER BY cheap(hotel.price) LIMIT 2",
-            sample_ratio=0.1,
-            seed=1,
         )
         text = format_result(result, show_metrics=True)
         assert "score" in text

@@ -46,8 +46,6 @@ class TestQueries:
     def test_single_table_topk(self, db):
         result = db.query(
             "SELECT * FROM item ORDER BY cheap(item.price) LIMIT 5",
-            sample_ratio=0.2,
-            seed=1,
         )
         assert len(result) == 5
         prices = sorted(r.values[1] for r in db.catalog.table("item").rows())
@@ -58,16 +56,12 @@ class TestQueries:
     def test_scores_descending(self, db):
         result = db.query(
             "SELECT * FROM item ORDER BY cheap(item.price) + stocked(item.stock) LIMIT 10",
-            sample_ratio=0.2,
-            seed=1,
         )
         assert result.scores == sorted(result.scores, reverse=True)
 
     def test_projection(self, db):
         result = db.query(
             "SELECT name FROM item ORDER BY cheap(item.price) LIMIT 3",
-            sample_ratio=0.2,
-            seed=1,
         )
         assert all(len(row) == 1 for row in result.rows)
         assert result.schema.qualified_names() == ["item.name"]
@@ -76,16 +70,12 @@ class TestQueries:
         result = db.query(
             "SELECT * FROM item WHERE item.stock > 25 "
             "ORDER BY cheap(item.price) LIMIT 5",
-            sample_ratio=0.2,
-            seed=1,
         )
         assert all(row[2] > 25 for row in result.rows)
 
     def test_to_dicts(self, db):
         result = db.query(
             "SELECT * FROM item ORDER BY cheap(item.price) LIMIT 2",
-            sample_ratio=0.2,
-            seed=1,
         )
         records = result.to_dicts()
         assert len(records) == 2
@@ -95,16 +85,12 @@ class TestQueries:
     def test_result_iteration_and_indexing(self, db):
         result = db.query(
             "SELECT * FROM item ORDER BY cheap(item.price) LIMIT 3",
-            sample_ratio=0.2,
-            seed=1,
         )
         assert list(result)[0] == result[0]
 
     def test_metrics_exposed(self, db):
         result = db.query(
             "SELECT * FROM item ORDER BY cheap(item.price) LIMIT 1",
-            sample_ratio=0.2,
-            seed=1,
         )
         assert result.metrics.simulated_cost > 0
         assert result.metrics.tuples_scanned >= 1
@@ -112,16 +98,12 @@ class TestQueries:
     def test_explain_returns_plan_text(self, db):
         text = db.explain(
             "SELECT * FROM item ORDER BY cheap(item.price) LIMIT 1",
-            sample_ratio=0.2,
-            seed=1,
         )
         assert "limit(1)" in text
 
     def test_plan_returns_limit_root(self, db):
         plan = db.plan(
             "SELECT * FROM item ORDER BY cheap(item.price) LIMIT 4",
-            sample_ratio=0.2,
-            seed=1,
         )
         assert isinstance(plan, LimitPlan)
 
@@ -129,17 +111,17 @@ class TestQueries:
         sql = (
             "SELECT * FROM item ORDER BY cheap(item.price) + stocked(item.stock) LIMIT 7"
         )
-        ranked = db.query(sql, sample_ratio=0.2, seed=1)
+        ranked = db.query(sql)
         spec = db.bind(sql)
         traditional = db.execute(
-            db.plan_traditional(sql, sample_ratio=0.2, seed=1), spec.scoring, k=spec.k
+            db.plan_traditional(sql), spec.scoring, k=spec.k
         )
         assert [round(s, 9) for s in ranked.scores] == [
             round(s, 9) for s in traditional.scores
         ]
 
     def test_non_ranking_query(self, db):
-        result = db.query("SELECT * FROM item LIMIT 10", sample_ratio=0.2, seed=1)
+        result = db.query("SELECT * FROM item LIMIT 10")
         assert len(result) == 10
 
 
@@ -164,8 +146,6 @@ class TestMultiTableQueries:
         result = shop.query(
             "SELECT * FROM p, v WHERE p.cat = v.cat "
             "ORDER BY good(p.quality) + rated(v.rating) LIMIT 10",
-            sample_ratio=0.2,
-            seed=4,
         )
         expected = sorted(
             (
@@ -183,9 +163,9 @@ class TestMultiTableQueries:
             "SELECT * FROM p, v WHERE p.cat = v.cat "
             "ORDER BY good(p.quality) + rated(v.rating) LIMIT 5"
         )
-        full = shop.query(sql, sample_ratio=0.2, seed=4)
+        full = shop.query(sql)
         heuristic = shop.query(
-            sql, sample_ratio=0.2, seed=4, left_deep=True, greedy_mu=True
+            sql, left_deep=True, greedy_mu=True
         )
         assert [round(s, 9) for s in full.scores] == [
             round(s, 9) for s in heuristic.scores

@@ -20,7 +20,7 @@ def empty_db():
 class TestEmptyTable:
     def test_topk_over_empty(self, empty_db):
         result = empty_db.query(
-            "SELECT * FROM t ORDER BY px(t.x) LIMIT 5", sample_ratio=0.5, seed=1
+            "SELECT * FROM t ORDER BY px(t.x) LIMIT 5"
         )
         assert len(result) == 0
         assert result.rows == []
@@ -28,7 +28,7 @@ class TestEmptyTable:
     def test_traditional_over_empty(self, empty_db):
         sql = "SELECT * FROM t ORDER BY px(t.x) LIMIT 5"
         spec = empty_db.bind(sql)
-        plan = empty_db.plan_traditional(sql, sample_ratio=0.5, seed=1)
+        plan = empty_db.plan_traditional(sql)
         result = empty_db.execute(plan, spec.scoring, k=spec.k)
         assert len(result) == 0
 
@@ -37,7 +37,7 @@ class TestSmallInputs:
     def test_single_row(self, empty_db):
         empty_db.insert("t", [(0.5, True)])
         result = empty_db.query(
-            "SELECT * FROM t ORDER BY px(t.x) LIMIT 5", sample_ratio=0.5, seed=1
+            "SELECT * FROM t ORDER BY px(t.x) LIMIT 5"
         )
         assert len(result) == 1
         assert result.scores[0] == pytest.approx(0.5)
@@ -45,14 +45,14 @@ class TestSmallInputs:
     def test_k_zero(self, empty_db):
         empty_db.insert("t", [(0.5, True)])
         result = empty_db.query(
-            "SELECT * FROM t ORDER BY px(t.x) LIMIT 0", sample_ratio=0.5, seed=1
+            "SELECT * FROM t ORDER BY px(t.x) LIMIT 0"
         )
         assert len(result) == 0
 
     def test_k_exceeds_rows(self, empty_db):
         empty_db.insert("t", [(0.1, True), (0.9, False)])
         result = empty_db.query(
-            "SELECT * FROM t ORDER BY px(t.x) LIMIT 100", sample_ratio=0.5, seed=1
+            "SELECT * FROM t ORDER BY px(t.x) LIMIT 100"
         )
         assert len(result) == 2  # min(k, |result|), per the paper's footnote
 
@@ -60,8 +60,6 @@ class TestSmallInputs:
         empty_db.insert("t", [(0.1, False), (0.2, False)])
         result = empty_db.query(
             "SELECT * FROM t WHERE t.flag ORDER BY px(t.x) LIMIT 5",
-            sample_ratio=0.5,
-            seed=1,
         )
         assert len(result) == 0
 
@@ -70,7 +68,7 @@ class TestNulls:
     def test_null_scores_rank_last(self, empty_db):
         empty_db.insert("t", [(None, True), (0.9, True), (0.5, True)])
         result = empty_db.query(
-            "SELECT * FROM t ORDER BY px(t.x) LIMIT 3", sample_ratio=0.9, seed=1
+            "SELECT * FROM t ORDER BY px(t.x) LIMIT 3"
         )
         assert len(result) == 3
         # NULL maps to score 0 → last.
@@ -80,8 +78,6 @@ class TestNulls:
         empty_db.insert("t", [(None, True), (0.9, True)])
         result = empty_db.query(
             "SELECT * FROM t WHERE t.x > 0 ORDER BY px(t.x) LIMIT 5",
-            sample_ratio=0.9,
-            seed=1,
         )
         assert len(result) == 1
 
@@ -90,7 +86,7 @@ class TestTies:
     def test_tied_scores_all_returned(self, empty_db):
         empty_db.insert("t", [(0.5, True)] * 4)
         result = empty_db.query(
-            "SELECT * FROM t ORDER BY px(t.x) LIMIT 4", sample_ratio=0.9, seed=1
+            "SELECT * FROM t ORDER BY px(t.x) LIMIT 4"
         )
         assert len(result) == 4
         assert all(s == pytest.approx(0.5) for s in result.scores)
@@ -98,6 +94,6 @@ class TestTies:
     def test_deterministic_across_runs(self, empty_db):
         empty_db.insert("t", [(0.5, True), (0.5, False), (0.7, True)])
         sql = "SELECT * FROM t ORDER BY px(t.x) LIMIT 2"
-        a = empty_db.query(sql, sample_ratio=0.9, seed=1)
-        b = empty_db.query(sql, sample_ratio=0.9, seed=1)
+        a = empty_db.query(sql)
+        b = empty_db.query(sql)
         assert a.rows == b.rows

@@ -67,7 +67,7 @@ class TestLogicalSetQueries:
         left, right = ranked_sides(db)
         plan = LogicalLimit(LogicalUnion(left, right), 5)
         result = db.query_logical(
-            plan, spec_for(db, scoring, 5), sample_ratio=0.3, seed=1, max_plans=30
+            plan, spec_for(db, scoring, 5), max_plans=30
         )
         expected = sorted(
             (final_score(ratings, t) for t in streaming | cinema), reverse=True
@@ -79,7 +79,7 @@ class TestLogicalSetQueries:
         left, right = ranked_sides(db)
         plan = LogicalLimit(LogicalIntersect(left, right), 5)
         result = db.query_logical(
-            plan, spec_for(db, scoring, 5), sample_ratio=0.3, seed=1, max_plans=30
+            plan, spec_for(db, scoring, 5), max_plans=30
         )
         both = streaming & cinema
         expected = sorted(
@@ -92,7 +92,7 @@ class TestLogicalSetQueries:
         left, right = ranked_sides(db)
         plan = LogicalLimit(LogicalDifference(left, right), 10)
         result = db.query_logical(
-            plan, spec_for(db, scoring, 10), sample_ratio=0.3, seed=1, max_plans=30
+            plan, spec_for(db, scoring, 10), max_plans=30
         )
         only_streaming = streaming - cinema
         got_titles = {row[0] for row in result.rows}
@@ -104,6 +104,6 @@ class TestLogicalSetQueries:
         left, right = ranked_sides(db)
         plan = LogicalLimit(LogicalUnion(left, right), 3)
         result = db.query_logical(
-            plan, spec_for(db, scoring, 3), sample_ratio=0.3, seed=1, max_plans=30
+            plan, spec_for(db, scoring, 3), max_plans=30
         )
         assert "rankUnion" in result.explain()

@@ -26,7 +26,7 @@ SQL = "SELECT * FROM t ORDER BY px(t.x) LIMIT 4"
 
 class TestToCsv:
     def test_with_scores(self, db, tmp_path):
-        result = db.query(SQL, sample_ratio=0.3, seed=1)
+        result = db.query(SQL)
         path = tmp_path / "out.csv"
         assert result.to_csv(path) == 4
         lines = path.read_text().splitlines()
@@ -34,13 +34,13 @@ class TestToCsv:
         assert len(lines) == 5
 
     def test_without_scores(self, db, tmp_path):
-        result = db.query(SQL, sample_ratio=0.3, seed=1)
+        result = db.query(SQL)
         path = tmp_path / "out.csv"
         result.to_csv(path, include_score=False)
         assert path.read_text().splitlines()[0] == "t.name,t.x"
 
     def test_round_trip_back_into_engine(self, db, tmp_path):
-        result = db.query(SQL, sample_ratio=0.3, seed=1)
+        result = db.query(SQL)
         path = tmp_path / "out.csv"
         result.to_csv(path, include_score=False)
         other = Database()
@@ -51,7 +51,7 @@ class TestToCsv:
 class TestSpecQueries:
     def test_query_accepts_spec(self, db):
         spec = db.bind(SQL)
-        result = db.query(spec, sample_ratio=0.3, seed=1)
+        result = db.query(spec)
         assert len(result) == 4
 
     def test_query_logical_k_override(self, db):
@@ -62,7 +62,7 @@ class TestSpecQueries:
             LogicalScan("t", db.catalog.table("t").schema), "px"
         )
         result = db.query_logical(
-            logical, spec, k=2, sample_ratio=0.3, seed=1, max_plans=10
+            logical, spec, k=2, max_plans=10
         )
         assert len(result) == 2
 
@@ -75,7 +75,7 @@ class TestDeterminismSoak:
         snapshots = []
         for __ in range(3):
             result = workload.database.query(
-                workload.spec, sample_ratio=0.1, seed=4
+                workload.spec
             )
             snapshots.append(
                 (

@@ -138,7 +138,7 @@ def test_optimizer_fuzz(seed):
         {"enumerate_selections": True},
     ):
         optimizer = RankAwareOptimizer(
-            catalog, spec, sample_ratio=0.3, seed=seed, **kwargs
+            catalog, spec, **kwargs
         )
         plan = optimizer.optimize()
         context = ExecutionContext(catalog, scoring)

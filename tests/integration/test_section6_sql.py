@@ -57,16 +57,16 @@ class TestSection6QueryViaSQL:
         assert spec.k == 10
 
     def test_full_pipeline_correct(self, workload):
-        result = workload.database.query(Q, sample_ratio=0.05, seed=7)
+        result = workload.database.query(Q)
         assert [round(s, 9) for s in result.scores] == brute_force(workload, 10)
 
     def test_chosen_plan_is_rank_aware(self, workload):
-        text = workload.database.explain(Q, sample_ratio=0.05, seed=7)
+        text = workload.database.explain(Q)
         assert "sort" not in text  # no blocking materialize-then-sort
         assert "HRJN" in text or "NRJN" in text
 
     def test_heuristic_optimizer_via_sql(self, workload):
         result = workload.database.query(
-            Q, sample_ratio=0.05, seed=7, left_deep=True, greedy_mu=True
+            Q, left_deep=True, greedy_mu=True
         )
         assert [round(s, 9) for s in result.scores] == brute_force(workload, 10)

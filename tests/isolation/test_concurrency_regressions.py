@@ -54,7 +54,7 @@ class TestTransactionViewUnderChurn:
         txn = db.begin()
         baseline = {
             sql: transcript_of(
-                db.query(sql, snapshot=txn.read_view(), sample_ratio=0.05)
+                db.query(sql, snapshot=txn.read_view())
             )
             for sql in QUERIES
         }
@@ -81,7 +81,7 @@ class TestTransactionViewUnderChurn:
             while not stop.is_set() or reads == 0:
                 for sql in QUERIES:
                     result = db.query(
-                        sql, snapshot=txn.read_view(), sample_ratio=0.05
+                        sql, snapshot=txn.read_view()
                     )
                     assert transcript_of(result) == baseline[sql]
                     reads += 1
@@ -108,7 +108,7 @@ class TestTransactionViewUnderChurn:
         # invisible outside the transaction
         assert db.query(point_read, params={"j": 999}).rows == []
         rank_expected = transcript_of(
-            db.query(QUERIES[2], snapshot=txn.read_view(), sample_ratio=0.05)
+            db.query(QUERIES[2], snapshot=txn.read_view())
         )
 
         stop = threading.Event()
@@ -129,7 +129,7 @@ class TestTransactionViewUnderChurn:
                 assert db.query(
                     point_read, params={"j": 999}, snapshot=view
                 ).rows == [buffered_row]
-                rank = db.query(QUERIES[2], snapshot=view, sample_ratio=0.05)
+                rank = db.query(QUERIES[2], snapshot=view)
                 assert transcript_of(rank) == rank_expected
         finally:
             writer.join()
@@ -143,7 +143,7 @@ class TestCompiledExecutionInsideTransactions:
     """The compiled regime over a transaction view."""
 
     SQL = "SELECT * FROM T WHERE T.k > 1 ORDER BY pa(T.x) LIMIT 10"
-    KNOBS = dict(strategy="traditional", sample_ratio=0.5, seed=1)
+    KNOBS = dict(strategy="traditional")
 
     def build_db(self, n: int = 8000) -> Database:
         db = Database(execution="auto")

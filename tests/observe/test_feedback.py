@@ -5,6 +5,7 @@ import pytest
 
 from repro.cli import build_demo_database
 from repro.observe.feedback import OperatorFeedback, PlanFeedback
+from repro.workloads import WorkloadConfig, build_workload
 
 SQL = (
     "SELECT * FROM hotel WHERE area < 5 "
@@ -33,6 +34,11 @@ class TestOperatorFeedback:
         node.actual_out, node.executions = 0, 2
         assert node.misestimate_factor() == pytest.approx(1.0)
 
+    def test_a_blocking_node_is_judged_on_its_input(self):
+        node = OperatorFeedback("sort", 1, estimated_rows=50.0, blocking=True)
+        node.actual_in, node.actual_out, node.executions = 80, 10, 2
+        assert node.misestimate_factor() == pytest.approx(50 / 40)
+
 
 class TestPlanFeedbackOnCachedPlans:
     @pytest.fixture()
@@ -55,7 +61,7 @@ class TestPlanFeedbackOnCachedPlans:
         db.query(SQL)
         feedback = self._entry(db).feedback
         estimated = [n for n in feedback.nodes if n.estimated_rows is not None]
-        assert estimated, "the sampling estimator must price the nodes"
+        assert estimated, "the estimator must price the nodes"
 
     def test_repeat_executions_accumulate(self, db):
         db.query(SQL)
@@ -67,11 +73,10 @@ class TestPlanFeedbackOnCachedPlans:
         assert root.mean_actual_out == pytest.approx(5.0)
 
     def test_estimates_come_from_the_entrys_own_sample(self, db):
-        # The feedback judges the estimates the plan was priced with (on
-        # the entry's own sample), carried on the entry — not a second
-        # estimator built afterwards.
-        db.query(SQL, sample_ratio=0.5, seed=3)
-        entry, __ = db.planner.prepare(SQL, sample_ratio=0.5, seed=3)
+        # The feedback judges the estimates the plan was priced with,
+        # carried on the entry — not a second estimator built afterwards.
+        db.query(SQL)
+        entry, __ = db.planner.prepare(SQL)
         root = entry.feedback.nodes[0]
         assert root.estimated_rows == entry.estimates[entry.plan.fingerprint()][0]
         assert len(entry.estimates) == sum(1 for __ in entry.plan.walk())
@@ -105,3 +110,31 @@ class TestPlanFeedbackOnCachedPlans:
         feedback.nodes.append(OperatorFeedback("phantom", 9))
         db.query(SQL)  # recorded pairs no longer match the node count
         assert feedback.nodes[0].executions == 1
+
+
+class TestOneMisestimateRule:
+    """The feedback store and EXPLAIN ANALYZE judge a node alike: a sort
+    (or a compiled segment topped by one) under λ on the rows it
+    consumed, not on the few λ pulled."""
+
+    S3 = (
+        "SELECT * FROM A, B, C WHERE A.b AND B.b AND A.jc1 = B.jc1 "
+        "AND B.jc2 = C.jc2 ORDER BY f1(A.p1) + f2(A.p2) + f3(B.p1) "
+        "+ f4(B.p2) + f5(C.p1) LIMIT 10"
+    )
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        return build_workload(
+            WorkloadConfig(table_size=2000, join_selectivity=0.005, seed=42)
+        ).database
+
+    @pytest.mark.parametrize("execution", ["auto", "row"])
+    def test_a_traditional_plan_flags_nothing(self, db, execution):
+        db.query(self.S3, strategy="traditional", execution=execution)
+        entry, __ = db.planner.prepare(
+            self.S3, strategy="traditional", execution=execution
+        )
+        blocking = [node for node in entry.feedback.nodes if node.blocking]
+        assert blocking and blocking[0].actual_out == 10
+        assert entry.feedback.misestimates() == []

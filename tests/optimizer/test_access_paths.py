@@ -45,7 +45,7 @@ def spec_for(db, k=5):
 class TestScanSelect:
     def test_optimizer_considers_scan_select(self, flagged_db):
         optimizer = RankAwareOptimizer(
-            flagged_db.catalog, spec_for(flagged_db), sample_ratio=0.2, seed=2
+            flagged_db.catalog, spec_for(flagged_db)
         )
         optimizer.optimize()
         signature = (
@@ -85,7 +85,7 @@ class TestScanSelect:
     def test_end_to_end_query_correct(self, flagged_db):
         spec = spec_for(flagged_db)
         optimizer = RankAwareOptimizer(
-            flagged_db.catalog, spec, sample_ratio=0.2, seed=2
+            flagged_db.catalog, spec
         )
         plan = optimizer.optimize()
         context = ExecutionContext(flagged_db.catalog, spec.scoring)
@@ -102,7 +102,7 @@ class TestInterestingOrders:
         """Plans with an interesting column order survive pruning even when
         costlier (System-R's physical-property rule)."""
         optimizer = RankAwareOptimizer(
-            example5.catalog, example5.spec, sample_ratio=0.2, seed=2
+            example5.catalog, example5.spec
         )
         optimizer.optimize()
         signature = (

@@ -24,7 +24,7 @@ def run_scores(db, plan, k):
 class TestEnumerationCorrectness:
     def test_optimized_plan_answers_correctly(self, example5):
         optimizer = RankAwareOptimizer(
-            example5.catalog, example5.spec, sample_ratio=0.2, seed=2
+            example5.catalog, example5.spec
         )
         plan = optimizer.optimize()
         got, __ = run_scores(example5, plan, example5.spec.k)
@@ -33,7 +33,7 @@ class TestEnumerationCorrectness:
 
     def test_root_is_limit(self, example5):
         optimizer = RankAwareOptimizer(
-            example5.catalog, example5.spec, sample_ratio=0.2, seed=2
+            example5.catalog, example5.spec
         )
         plan = optimizer.optimize()
         assert isinstance(plan, LimitPlan)
@@ -41,7 +41,7 @@ class TestEnumerationCorrectness:
 
     def test_signature_of_final_plan(self, example5):
         optimizer = RankAwareOptimizer(
-            example5.catalog, example5.spec, sample_ratio=0.2, seed=2
+            example5.catalog, example5.spec
         )
         plan = optimizer.optimize()
         assert plan.tables == frozenset({"R", "S"})
@@ -53,7 +53,7 @@ class TestFigure9Signatures:
 
     def optimizer(self, example5):
         optimizer = RankAwareOptimizer(
-            example5.catalog, example5.spec, sample_ratio=0.2, seed=2
+            example5.catalog, example5.spec
         )
         optimizer.optimize()
         return optimizer
@@ -95,14 +95,12 @@ class TestFigure9Signatures:
 class TestHeuristics:
     def test_left_deep_reduces_plans_generated(self, example5):
         exhaustive = RankAwareOptimizer(
-            example5.catalog, example5.spec, sample_ratio=0.2, seed=2
+            example5.catalog, example5.spec
         )
         exhaustive.optimize()
         heuristic = RankAwareOptimizer(
             example5.catalog,
             example5.spec,
-            sample_ratio=0.2,
-            seed=2,
             left_deep=True,
             greedy_mu=True,
         )
@@ -113,8 +111,6 @@ class TestHeuristics:
         optimizer = RankAwareOptimizer(
             example5.catalog,
             example5.spec,
-            sample_ratio=0.2,
-            seed=2,
             left_deep=True,
             greedy_mu=True,
         )
@@ -125,14 +121,12 @@ class TestHeuristics:
 
     def test_heuristic_cost_close_to_exhaustive(self, example5):
         exhaustive = RankAwareOptimizer(
-            example5.catalog, example5.spec, sample_ratio=0.2, seed=2
+            example5.catalog, example5.spec
         )
         best = exhaustive.optimize()
         heuristic = RankAwareOptimizer(
             example5.catalog,
             example5.spec,
-            sample_ratio=0.2,
-            seed=2,
             left_deep=True,
             greedy_mu=True,
         )
@@ -146,7 +140,7 @@ class TestHeuristics:
 class TestTraditionalBaseline:
     def test_traditional_plan_has_sort(self, example5):
         plan = optimize_traditional(
-            example5.catalog, example5.spec, sample_ratio=0.2, seed=2
+            example5.catalog, example5.spec
         )
         kinds = [type(node) for node in plan.walk()]
         assert SortPlan in kinds
@@ -156,7 +150,7 @@ class TestTraditionalBaseline:
 
     def test_traditional_answers_match(self, example5):
         plan = optimize_traditional(
-            example5.catalog, example5.spec, sample_ratio=0.2, seed=2
+            example5.catalog, example5.spec
         )
         got, __ = run_scores(example5, plan, example5.spec.k)
         expected = [round(v, 9) for v in example5.brute_force_scores(example5.spec.k)]
@@ -164,10 +158,10 @@ class TestTraditionalBaseline:
 
     def test_rank_aware_cheaper_in_measured_cost(self, example5):
         ranked_plan = RankAwareOptimizer(
-            example5.catalog, example5.spec, sample_ratio=0.2, seed=2
+            example5.catalog, example5.spec
         ).optimize()
         traditional_plan = optimize_traditional(
-            example5.catalog, example5.spec, sample_ratio=0.2, seed=2
+            example5.catalog, example5.spec
         )
         __, ranked_context = run_scores(example5, ranked_plan, example5.spec.k)
         __, traditional_context = run_scores(
@@ -182,7 +176,7 @@ class TestTraditionalBaseline:
 class TestOptimizerChoosesWell:
     def test_chosen_cost_at_most_all_final_candidates(self, example5):
         optimizer = RankAwareOptimizer(
-            example5.catalog, example5.spec, sample_ratio=0.2, seed=2
+            example5.catalog, example5.spec
         )
         plan = optimizer.optimize()
         chosen_cost = optimizer.cost_model.cost(plan.children[0])

@@ -16,7 +16,7 @@ def workload():
 @pytest.fixture(scope="module")
 def report(workload):
     return explain_analyze(
-        workload.catalog, workload.spec, plan2(workload), sample_ratio=0.1, seed=2
+        workload.catalog, workload.spec, plan2(workload)
     )
 
 
@@ -63,7 +63,7 @@ class TestCompiledWallTimings:
             workload.spec, strategy="traditional", execution="compiled"
         )
         report = explain_analyze(
-            workload.catalog, workload.spec, plan, sample_ratio=0.1, seed=2
+            workload.catalog, workload.spec, plan
         )
         timed = [n for n in report.nodes if n.wall_ms is not None]
         assert len(timed) == 1, "the compiled segment carries its call's time"
@@ -152,7 +152,7 @@ class TestDatabaseEntryPoint:
             "ORDER BY f1(A.p1) + f2(A.p2) + f3(B.p1) + f4(B.p2) + f5(C.p1) "
             "LIMIT 3"
         )
-        text = workload.database.explain_analyze(sql, sample_ratio=0.1, seed=2)
+        text = workload.database.explain_analyze(sql)
         assert "limit(3)" in text
         assert "est=" in text and "act=" in text
         assert "returned 3 rows" in text

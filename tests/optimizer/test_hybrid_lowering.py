@@ -41,7 +41,7 @@ from repro.workloads import WorkloadConfig, build_workload
 from tests.conftest import assert_same_work
 
 SQL = "SELECT * FROM T WHERE T.k > 1 ORDER BY pa(T.x) LIMIT 10"
-KNOBS = dict(strategy="traditional", sample_ratio=0.5, seed=1)
+KNOBS = dict(strategy="traditional")
 
 
 def single_table_db(n: int, execution="auto") -> Database:
@@ -176,8 +176,7 @@ class TestEnumerationIsRowOnly:
         w = self.workload(2000)
         for enumerate_ranking in (True, False):
             optimizer = RankAwareOptimizer(
-                w.catalog, w.spec, sample_ratio=0.2, seed=1,
-                enumerate_ranking=enumerate_ranking,
+                w.catalog, w.spec, enumerate_ranking=enumerate_ranking,
             )
             assert not wrappers(optimizer.optimize())
 
@@ -248,7 +247,7 @@ class TestAutoModeEndToEnd:
             w.database.planner.execution = mode
             for strategy in ("rank-aware", "traditional"):
                 r = w.database.session(
-                    strategy=strategy, sample_ratio=0.2, seed=1
+                    strategy=strategy
                 ).execute(
                     "SELECT * FROM A, B, C WHERE A.jc1 = B.jc1 AND B.jc2 = C.jc2 "
                     "AND A.b AND B.b ORDER BY f1(A.p1) + f2(A.p2) + f3(B.p1) + "

@@ -37,7 +37,7 @@ class TestCartesianFallback:
         products enabled and produces a correct plan."""
         catalog, scoring = build_two_tables()
         spec = QuerySpec(tables=["L", "Rr"], scoring=scoring, k=3)
-        optimizer = RankAwareOptimizer(catalog, spec, sample_ratio=0.3, seed=1)
+        optimizer = RankAwareOptimizer(catalog, spec)
         plan = optimizer.optimize()
         assert optimizer.allow_cartesian  # the retry kicked in
         context = ExecutionContext(catalog, scoring)
@@ -51,7 +51,7 @@ class TestCartesianFallback:
         catalog, scoring = build_two_tables()
         spec = QuerySpec(tables=["L", "Rr"], scoring=scoring, k=3)
         plan = RankAwareOptimizer(
-            catalog, spec, sample_ratio=0.3, seed=1, allow_cartesian=True
+            catalog, spec, allow_cartesian=True
         ).optimize()
         kinds = {type(node) for node in plan.walk()}
         assert NestedLoopJoinPlan in kinds or NRJNPlan in kinds
@@ -63,7 +63,7 @@ class TestSingleTable:
         spec = QuerySpec(tables=["L"], scoring=ScoringFunction(
             [catalog.predicate("pl")]
         ), k=2)
-        plan = RankAwareOptimizer(catalog, spec, sample_ratio=0.3, seed=1).optimize()
+        plan = RankAwareOptimizer(catalog, spec).optimize()
         labels = [n.label() for n in plan.walk()]
         assert any(label.startswith("seqScan") for label in labels)
         assert "rank_pl" in labels
@@ -75,7 +75,7 @@ class TestSingleTable:
             scoring=ScoringFunction([catalog.predicate("pl")]),
             k=10**9,
         )
-        plan = RankAwareOptimizer(catalog, spec, sample_ratio=0.3, seed=1).optimize()
+        plan = RankAwareOptimizer(catalog, spec).optimize()
         context = ExecutionContext(catalog, scoring)
         out = run_plan(plan.build(), context, k=None)
         assert len(out) == 40  # min(k, |result|), paper's footnote 2
@@ -85,7 +85,7 @@ class TestDeterminism:
     def test_same_seed_same_plan(self, example5):
         plans = [
             RankAwareOptimizer(
-                example5.catalog, example5.spec, sample_ratio=0.2, seed=9
+                example5.catalog, example5.spec
             )
             .optimize()
             .fingerprint()
@@ -97,7 +97,7 @@ class TestDeterminism:
         counts = []
         for __ in range(2):
             optimizer = RankAwareOptimizer(
-                example5.catalog, example5.spec, sample_ratio=0.2, seed=9
+                example5.catalog, example5.spec
             )
             optimizer.optimize()
             counts.append(optimizer.plans_generated)

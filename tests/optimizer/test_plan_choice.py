@@ -92,7 +92,6 @@ def section_5_2_optimizer(db, spec, strategy):
     return RankAwareOptimizer(
         db.catalog,
         spec,
-        sample=sample,
         enumerate_ranking=strategy == "rank-aware",
         estimator=CardinalityEstimator(db.catalog, spec, sample=sample),
     )

@@ -64,7 +64,7 @@ class TestCanonicalPlan:
 class TestImplementationRules:
     def optimizer(self, example5, **kwargs):
         return RuleBasedOptimizer(
-            example5.catalog, example5.spec, sample_ratio=0.2, seed=2, **kwargs
+            example5.catalog, example5.spec, **kwargs
         )
 
     def test_scan_implementation(self, example5):
@@ -97,7 +97,7 @@ class TestImplementationRules:
 class TestEndToEnd:
     def test_rule_based_answers_match_brute_force(self, example5):
         optimizer = RuleBasedOptimizer(
-            example5.catalog, example5.spec, sample_ratio=0.2, seed=2, max_plans=150
+            example5.catalog, example5.spec, max_plans=150
         )
         plan = optimizer.optimize()
         context = ExecutionContext(example5.catalog, example5.scoring)
@@ -111,7 +111,7 @@ class TestEndToEnd:
         """The closure search must find something cheaper than the naive
         materialize-then-sort canonical plan."""
         optimizer = RuleBasedOptimizer(
-            example5.catalog, example5.spec, sample_ratio=0.2, seed=2, max_plans=150
+            example5.catalog, example5.spec, max_plans=150
         )
         chosen = optimizer.optimize()
         canonical = canonical_logical_plan(example5.spec, example5.catalog)
@@ -124,10 +124,10 @@ class TestEndToEnd:
         """Both optimizer paths must return correct plans; the DP one may be
         cheaper (it reorders joins freely)."""
         rule_plan = RuleBasedOptimizer(
-            example5.catalog, example5.spec, sample_ratio=0.2, seed=2, max_plans=150
+            example5.catalog, example5.spec, max_plans=150
         ).optimize()
         dp = RankAwareOptimizer(
-            example5.catalog, example5.spec, sample_ratio=0.2, seed=2
+            example5.catalog, example5.spec
         )
         dp_plan = dp.optimize()
         for plan in (rule_plan, dp_plan):

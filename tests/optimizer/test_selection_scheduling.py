@@ -61,7 +61,7 @@ def brute_force(catalog, k):
 class TestSelectionScheduling:
     def optimize(self, catalog, spec, **kwargs):
         return RankAwareOptimizer(
-            catalog, spec, sample_ratio=0.2, seed=4, **kwargs
+            catalog, spec, **kwargs
         )
 
     def test_three_dimensional_memo(self, expensive_filter_db):

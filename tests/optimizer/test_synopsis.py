@@ -12,7 +12,6 @@ from repro.optimizer import (
     JoinCondition,
     QuerySpec,
     RankAwareOptimizer,
-    SampleDatabase,
     SeqScanPlan,
 )
 from repro.optimizer.plans import PlanNode
@@ -26,11 +25,7 @@ from repro.optimizer.synopsis import (
 
 def estimator_for(db, spec=None):
     spec = spec or db.spec
-    return SynopsisEstimator(
-        JoinSynopsis(db.catalog, spec.join_conditions),
-        spec,
-        SampleDatabase(db.catalog, ratio=0.25, seed=1),
-    )
+    return SynopsisEstimator(JoinSynopsis(db.catalog, spec.join_conditions), spec)
 
 
 def exact_join_size(db):

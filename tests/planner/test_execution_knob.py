@@ -23,7 +23,7 @@ from repro.storage import DataType
 
 SQL = "SELECT * FROM T WHERE T.k > 1 ORDER BY pa(T.x) LIMIT 10"
 #: sort-topped, so the 2000-row segment compiles under every non-row mode
-KNOBS = dict(strategy="traditional", sample_ratio=0.5, seed=1)
+KNOBS = dict(strategy="traditional")
 
 
 def build_db(**kwargs) -> Database:

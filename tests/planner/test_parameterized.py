@@ -23,7 +23,6 @@ TEMPLATE = (
     "SELECT * FROM hotel WHERE hotel.price <= :max_price "
     "ORDER BY cheap(hotel.price) + starry(hotel.stars) LIMIT 5"
 )
-KNOBS = dict(sample_ratio=0.05, seed=1)
 
 
 @pytest.fixture
@@ -39,44 +38,42 @@ class TestTemplateSharing:
     def test_one_plan_serves_many_bindings(self, db):
         bindings = [60.0, 120.0, 250.0, 399.0]
         for value in bindings:
-            db.query(TEMPLATE, params={"max_price": value}, **KNOBS)
+            db.query(TEMPLATE, params={"max_price": value})
         assert db.planner.metrics.plans_built == 1
         assert db.planner.cache.stats.hits == len(bindings) - 1
         assert len(db.planner.cache) == 1
 
     def test_warm_template_runs_report_plan_cached(self, db):
-        first = db.query(TEMPLATE, params={"max_price": 100.0}, **KNOBS)
-        second = db.query(TEMPLATE, params={"max_price": 300.0}, **KNOBS)
+        first = db.query(TEMPLATE, params={"max_price": 100.0})
+        second = db.query(TEMPLATE, params={"max_price": 300.0})
         assert not first.plan_cached  # cold template build
         assert second.plan_cached
 
     def test_bindings_are_execution_correct_per_run(self, db):
         for value in (60.0, 120.0, 350.0):
-            result = db.query(TEMPLATE, params={"max_price": value}, **KNOBS)
+            result = db.query(TEMPLATE, params={"max_price": value})
             assert result.rows, f"no rows for max_price={value}"
             assert all(row[1] <= value for row in result.rows)
-            assert result.rows == db.query(literal(value), **KNOBS).rows
+            assert result.rows == db.query(literal(value)).rows
 
     def test_bindings_differ_across_runs(self, db):
         tight = db.query(
             "SELECT * FROM hotel WHERE hotel.price >= :min_price "
             "ORDER BY starry(hotel.stars) LIMIT 5",
             params={"min_price": 390.0},
-            **KNOBS,
         )
         loose = db.query(
             "SELECT * FROM hotel WHERE hotel.price >= :min_price "
             "ORDER BY starry(hotel.stars) LIMIT 5",
             params={"min_price": 40.0},
-            **KNOBS,
         )
         assert loose.plan_cached
         assert tight.rows != loose.rows
         assert all(row[1] >= 390.0 for row in tight.rows)
 
     def test_two_statements_share_one_template_entry(self, db):
-        a = db.prepare(TEMPLATE, params={"max_price": 90.0}, **KNOBS)
-        b = db.prepare(TEMPLATE, params={"max_price": 210.0}, **KNOBS)
+        a = db.prepare(TEMPLATE, params={"max_price": 90.0})
+        b = db.prepare(TEMPLATE, params={"max_price": 210.0})
         assert not a.from_cache
         assert b.from_cache
         assert a.plan is b.plan
@@ -86,8 +83,8 @@ class TestTemplateSharing:
             "SELECT * FROM hotel WHERE hotel.price <= ? AND hotel.stars >= ? "
             "ORDER BY cheap(hotel.price) LIMIT 3"
         )
-        first = db.query(sql, params=[150.0, 2], **KNOBS)
-        second = db.query(sql, params=[300.0, 4], **KNOBS)
+        first = db.query(sql, params=[150.0, 2])
+        second = db.query(sql, params=[300.0, 4])
         assert second.plan_cached
         assert all(row[1] <= 300.0 and row[2] >= 4 for row in second.rows)
         assert db.planner.metrics.plans_built == 1
@@ -124,26 +121,25 @@ class TestSignatures:
 class TestBindingErrors:
     def test_missing_bindings_rejected(self, db):
         with pytest.raises(ParameterError, match="unbound parameter"):
-            db.query(TEMPLATE, **KNOBS)
+            db.query(TEMPLATE)
 
     def test_wrong_name_lists_missing_and_extra(self, db):
         with pytest.raises(ParameterError, match="missing :max_price"):
-            db.query(TEMPLATE, params={"maxprice": 10.0}, **KNOBS)
+            db.query(TEMPLATE, params={"maxprice": 10.0})
 
     def test_type_mismatch_rejected(self, db):
         with pytest.raises(ParameterError, match="expects float"):
-            db.query(TEMPLATE, params={"max_price": "expensive"}, **KNOBS)
+            db.query(TEMPLATE, params={"max_price": "expensive"})
 
     def test_literal_query_rejects_params(self, db):
         with pytest.raises(ParameterError, match="takes no parameters"):
             db.query(
                 "SELECT * FROM hotel ORDER BY cheap(hotel.price) LIMIT 5",
                 params={"max_price": 10.0},
-                **KNOBS,
             )
 
     def test_every_run_needs_full_bindings(self, db):
-        prepared = db.prepare(TEMPLATE, **KNOBS)
+        prepared = db.prepare(TEMPLATE)
         prepared.run(params={"max_price": 100.0})
         with pytest.raises(ParameterError, match="unbound parameter"):
             prepared.run()  # bindings are per-run, never remembered
@@ -151,7 +147,7 @@ class TestBindingErrors:
 
 class TestPreparedParameterized:
     def test_planning_deferred_until_first_run(self, db):
-        prepared = db.prepare(TEMPLATE, **KNOBS)
+        prepared = db.prepare(TEMPLATE)
         assert prepared.parameterized
         assert prepared.parameter_keys == (":max_price",)
         assert db.planner.metrics.plans_built == 0
@@ -162,22 +158,22 @@ class TestPreparedParameterized:
         assert again.plan_cached
 
     def test_plan_property_requires_planning(self, db):
-        prepared = db.prepare(TEMPLATE, **KNOBS)
+        prepared = db.prepare(TEMPLATE)
         with pytest.raises(ParameterError, match="not planned yet"):
             prepared.plan  # noqa: B018 - the property raises
 
     def test_eager_prepare_with_initial_params(self, db):
-        prepared = db.prepare(TEMPLATE, params={"max_price": 100.0}, **KNOBS)
+        prepared = db.prepare(TEMPLATE, params={"max_price": 100.0})
         assert db.planner.metrics.plans_built == 1
         result = prepared.run(params={"max_price": 100.0})
         assert not result.plan_cached  # still the entry's first execution
 
     def test_explain_accepts_params(self, db):
-        prepared = db.prepare(TEMPLATE, **KNOBS)
+        prepared = db.prepare(TEMPLATE)
         assert "limit" in prepared.explain(params={"max_price": 100.0})
 
     def test_explain_after_invalidation_needs_params_to_replan(self, db):
-        prepared = db.prepare(TEMPLATE, params={"max_price": 100.0}, **KNOBS)
+        prepared = db.prepare(TEMPLATE, params={"max_price": 100.0})
         assert "limit" in prepared.explain()  # warm: no bindings needed
         db.insert("hotel", [("hotel-new", 41.0, 5, 1)])
         # The cached template is orphaned; re-planning peeks values like run.
@@ -186,7 +182,7 @@ class TestPreparedParameterized:
         assert "limit" in prepared.explain(params={"max_price": 100.0})
 
     def test_warm_explain_still_validates_params(self, db):
-        prepared = db.prepare(TEMPLATE, **KNOBS)
+        prepared = db.prepare(TEMPLATE)
         prepared.run(params={"max_price": 100.0})  # entry is warm now
         with pytest.raises(ParameterError, match="missing :max_price"):
             prepared.explain(params={"wrong_name": 1.0})
@@ -194,7 +190,7 @@ class TestPreparedParameterized:
         assert "limit" in prepared.explain()
 
     def test_replans_after_catalog_change(self, db):
-        prepared = db.prepare(TEMPLATE, **KNOBS)
+        prepared = db.prepare(TEMPLATE)
         prepared.run(params={"max_price": 100.0})
         db.insert("hotel", [("hotel-new", 41.0, 5, 1)])
         result = prepared.run(params={"max_price": 100.0})
@@ -202,7 +198,7 @@ class TestPreparedParameterized:
         assert any(row[0] == "hotel-new" for row in result.rows)
 
     def test_cursor_with_params(self, db):
-        prepared = db.prepare(TEMPLATE, **KNOBS)
+        prepared = db.prepare(TEMPLATE)
         with prepared.cursor(params={"max_price": 80.0}) as cursor:
             rows = cursor.fetch_many(10)
         assert rows
@@ -215,9 +211,9 @@ class TestPreparedParameterized:
             "SELECT * FROM hotel WHERE hotel.stars >= :min "
             "ORDER BY cheap(hotel.price) LIMIT 3"
         )
-        c1 = db.open_cursor(sql, params={"min": 5}, **KNOBS)
+        c1 = db.open_cursor(sql, params={"min": 5})
         assert c1.fetch_next()[2] >= 5
-        c2 = db.open_cursor(sql, params={"min": 1}, **KNOBS)
+        c2 = db.open_cursor(sql, params={"min": 1})
         for __ in range(6):  # c1 must keep filtering at stars >= 5
             row = c1.fetch_next()
             assert row[2] >= 5, f"cursor lost its binding: {row}"
@@ -226,7 +222,7 @@ class TestPreparedParameterized:
         c2.close()
 
     def test_open_cursor_survives_later_runs_of_same_template(self, db):
-        prepared = db.prepare(TEMPLATE, **KNOBS)
+        prepared = db.prepare(TEMPLATE)
         cursor = prepared.cursor(params={"max_price": 60.0})
         assert cursor.fetch_next()[1] <= 60.0
         prepared.run(params={"max_price": 400.0})  # rebinds the template
@@ -238,14 +234,14 @@ class TestPreparedParameterized:
         cursor.close()
 
     def test_run_k_override_with_params(self, db):
-        prepared = db.prepare(TEMPLATE, **KNOBS)
+        prepared = db.prepare(TEMPLATE)
         big = prepared.run(k=20, params={"max_price": 300.0})
         assert len(big) == 20
 
 
 class TestSessionParameterized:
     def test_session_reuses_one_plan_per_template(self, db):
-        session = db.session(**KNOBS)
+        session = db.session()
         session.execute(TEMPLATE, params={"max_price": 60.0})
         session.execute(TEMPLATE, params={"max_price": 200.0})
         session.execute(TEMPLATE, params={"max_price": 350.0})
@@ -257,7 +253,7 @@ class TestSessionParameterized:
             "SELECT * FROM hotel WHERE hotel.price >= :min_price "
             "ORDER BY cheap(hotel.price) LIMIT 5"
         )
-        session = db.session(**KNOBS)
+        session = db.session()
         low = session.execute(sql, params={"min_price": 40.0})
         high = session.execute(sql, params={"min_price": 200.0})
         assert all(row[1] >= 200.0 for row in high.rows)

@@ -43,8 +43,8 @@ class TestCacheHits:
         assert_identical(cold, warm)
 
     def test_join_query_hits_cache(self, db):
-        cold = db.query(JOIN_SQL, sample_ratio=0.05, seed=1)
-        warm = db.query(JOIN_SQL, sample_ratio=0.05, seed=1)
+        cold = db.query(JOIN_SQL)
+        warm = db.query(JOIN_SQL)
         assert warm.plan_cached
         assert_identical(cold, warm)
 

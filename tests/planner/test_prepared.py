@@ -78,7 +78,7 @@ class TestPreparedQuery:
 
 class TestSession:
     def test_execute_accumulates_metrics(self, db):
-        session = db.session(sample_ratio=0.05, seed=1)
+        session = db.session()
         session.execute(SQL)
         session.execute(SQL)
         summary = session.summary()

@@ -76,7 +76,7 @@ class TestSnapshotVisibility:
                     sql = QUERIES[i % len(QUERIES)]
                     i += 1
                     snapshot = db.snapshot()
-                    result = db.query(sql, snapshot=snapshot, sample_ratio=0.05)
+                    result = db.query(sql, snapshot=snapshot)
                     with lock:
                         captured.append((sql, snapshot, transcript_of(result)))
             except BaseException as error:  # pragma: no cover - diagnostic
@@ -95,7 +95,7 @@ class TestSnapshotVisibility:
         # Parity: serially re-execute each statement against the very
         # snapshot its concurrent run was admitted on — byte-identical.
         for sql, snapshot, concurrent in captured:
-            serial = db.query(sql, snapshot=snapshot, sample_ratio=0.05)
+            serial = db.query(sql, snapshot=snapshot)
             assert transcript_of(serial) == concurrent
 
         # And the churn really produced observably different versions:

@@ -47,7 +47,7 @@ class TestExpressionPredicates:
 
     def test_expression_query_executes_correctly(self, db):
         result = db.query(
-            "SELECT * FROM p ORDER BY p.a LIMIT 3", sample_ratio=0.5, seed=1
+            "SELECT * FROM p ORDER BY p.a LIMIT 3"
         )
         assert [row[0] for row in result.rows] == [1.0, 0.9, 0.8]
 
@@ -55,8 +55,6 @@ class TestExpressionPredicates:
         db.register_predicate("pb", ["p.b"], lambda b: b)
         result = db.query(
             "SELECT * FROM p ORDER BY pb(p.b) + p.a LIMIT 3",
-            sample_ratio=0.5,
-            seed=1,
         )
         # a + b = 1.0 for every row: all tie at 1.0.
         assert result.scores == pytest.approx([1.0, 1.0, 1.0])

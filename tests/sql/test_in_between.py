@@ -77,8 +77,6 @@ class TestExecution:
         result = db.query(
             "SELECT * FROM dish WHERE dish.kind IN ('soup', 'salad') "
             "ORDER BY cheap(dish.price) LIMIT 20",
-            sample_ratio=0.3,
-            seed=1,
         )
         assert len(result) > 0
         assert all(row[1] in ("soup", "salad") for row in result.rows)
@@ -87,8 +85,6 @@ class TestExecution:
         result = db.query(
             "SELECT * FROM dish WHERE dish.kind NOT IN ('soup', 'salad') "
             "ORDER BY cheap(dish.price) LIMIT 20",
-            sample_ratio=0.3,
-            seed=1,
         )
         assert all(row[1] in ("main", "dessert") for row in result.rows)
 
@@ -96,8 +92,6 @@ class TestExecution:
         result = db.query(
             "SELECT * FROM dish WHERE dish.price BETWEEN 10 AND 20 "
             "ORDER BY cheap(dish.price) LIMIT 20",
-            sample_ratio=0.3,
-            seed=1,
         )
         assert all(10 <= row[2] <= 20 for row in result.rows)
 
@@ -105,8 +99,6 @@ class TestExecution:
         result = db.query(
             "SELECT * FROM dish WHERE dish.price BETWEEN 5 AND 15 "
             "ORDER BY cheap(dish.price) LIMIT 5",
-            sample_ratio=0.3,
-            seed=1,
         )
         expected = sorted(
             (

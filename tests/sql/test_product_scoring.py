@@ -56,8 +56,6 @@ class TestExecution:
     def test_product_topk_matches_brute_force(self, db):
         result = db.query(
             "SELECT * FROM t ORDER BY px(t.x) * py(t.y) LIMIT 10",
-            sample_ratio=0.2,
-            seed=2,
         )
         expected = sorted(
             (r[0] * r[1] for r in db.catalog.table("t").rows()), reverse=True
@@ -67,17 +65,15 @@ class TestExecution:
     def test_product_scores_descending(self, db):
         result = db.query(
             "SELECT * FROM t ORDER BY px(t.x) * py(t.y) LIMIT 20",
-            sample_ratio=0.2,
-            seed=2,
         )
         assert result.scores == sorted(result.scores, reverse=True)
 
     def test_product_agrees_with_traditional(self, db):
         sql = "SELECT * FROM t ORDER BY px(t.x) * py(t.y) LIMIT 7"
-        ranked = db.query(sql, sample_ratio=0.2, seed=2)
+        ranked = db.query(sql)
         spec = db.bind(sql)
         traditional = db.execute(
-            db.plan_traditional(sql, sample_ratio=0.2, seed=2),
+            db.plan_traditional(sql),
             spec.scoring,
             k=spec.k,
         )

@@ -236,7 +236,7 @@ def test_workload_query_parity(strategy):
     """The workload query under every optimizer strategy, both regimes."""
     workload = parity_workload()
     plan = workload.database.planner.plan(
-        workload.spec, strategy=strategy, sample_ratio=0.2, seed=1, execution="row"
+        workload.spec, strategy=strategy, execution="row"
     )
     compiled = assert_paths_identical(workload.catalog, workload.scoring, plan)
     if strategy == "traditional":
@@ -278,7 +278,7 @@ def test_generated_query_forced_compile_parity(seed):
     db = generated_database(seed)
     for sql in GENERATED_QUERIES:
         entry, __ = db.planner.prepare(
-            sql, strategy="traditional", sample_ratio=0.5, seed=1, execution="row"
+            sql, strategy="traditional", execution="row"
         )
         compiled = force_compile(entry.plan, db.catalog, entry.scoring)
         assert codegen.compiled_segment_count(compiled) == 1, sql
@@ -304,7 +304,7 @@ def test_generated_query_parity_across_execution_regimes(seed):
         for strategy in ("rank-aware", "traditional"):
             outputs = {
                 mode: db.session(
-                    strategy=strategy, sample_ratio=0.5, seed=1
+                    strategy=strategy
                 ).execute(sql)
                 for mode, db in databases.items()
             }
@@ -329,8 +329,6 @@ class TestCompilePass:
                 workload.database.planner.plan(
                     workload.spec,
                     strategy=strategy,
-                    sample_ratio=0.2,
-                    seed=1,
                     execution="row",
                 )
             )
@@ -374,8 +372,6 @@ class TestCompilePass:
         plan = workload.database.planner.plan(
             workload.spec,
             strategy="traditional",
-            sample_ratio=0.2,
-            seed=1,
             execution="row",
         )
         before = plan.fingerprint()
