@@ -528,9 +528,11 @@ class Database:
             return deleted
 
     def analyze(self, table: str | None = None) -> None:
-        """(Re)compute statistics for one table or all tables."""
+        """(Re)compute statistics for one table or all tables, and redraw
+        the planner's join synopses over them."""
         self._check_open()
         self._invalidate()
+        self.planner.drop_synopses(table)
         if table is not None:
             self.catalog.analyze(table)
             return

@@ -73,8 +73,6 @@ WALKS = 512
 DRIFT = 0.10
 #: the walks' random seed (walks are deterministic per table set)
 SEED = 0
-#: parameter-free selectivities memoized per synopsis (oldest dropped first)
-SELECTIVITY_MEMO = 32
 
 
 def join_graph_key(spec: QuerySpec) -> tuple:
@@ -148,9 +146,6 @@ class JoinSynopsis:
         self._lookups: dict[tuple[str, str], dict] = {}
         self._walks: dict[frozenset[str], _Walks] = {}
         self._uniform: dict[str, list[Row]] = {}
-        #: (table, expression key) -> (expression, selectivity); holding
-        #: the expression keeps the ids inside its key alive
-        self._selectivities: dict[tuple, tuple[Expression, float]] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -208,39 +203,27 @@ class JoinSynopsis:
     # selectivities
     # ------------------------------------------------------------------
     def uniform(self, table: str) -> list[Row]:
-        """:data:`WALKS` uniform rows of ``table`` (none when it is empty),
-        drawn like walk starts but on the table's own seed."""
+        """:data:`WALKS` uniform rows of ``table``, drawn like walk starts
+        but on the table's own seed — or, for a table of at most
+        :data:`WALKS` rows, the table itself (an exact fraction)."""
         rows = self._uniform.get(table)
         if rows is None:
             with self._lock:
                 rows = self._uniform.get(table)
                 if rows is None:
-                    table_rows = self._table_rows(table)
-                    rng = random.Random(f"{SEED}:uniform:{table}")
-                    rows = self._uniform[table] = [
-                        table_rows[rng.randrange(len(table_rows))]
-                        for __ in range(WALKS if table_rows else 0)
-                    ]
+                    rows = self._table_rows(table)
+                    if len(rows) > WALKS:
+                        rng = random.Random(f"{SEED}:uniform:{table}")
+                        rows = [rows[rng.randrange(len(rows))] for __ in range(WALKS)]
+                    self._uniform[table] = rows
         return rows
 
     def selectivity(self, table: str, expression: Expression) -> float:
         """The fraction of ``table``'s uniform rows that pass
-        ``expression``.  Memoized unless the expression holds a parameter:
-        its key does not cover the peeked value."""
-        from ..planner.signature import expression_key
-
-        key = (table, expression_key(expression))
-        cached = self._selectivities.get(key)
-        if cached is not None:
-            return cached[1]
+        ``expression`` (evaluated per call, so a parameter is read at its
+        peeked value)."""
         fn = expression.compile(self.catalog.table(table).schema)
-        fraction = passing_fraction(self.uniform(table), fn)
-        if _parameter_free(key[1]):
-            with self._lock:
-                self._selectivities[key] = (expression, fraction)
-                if len(self._selectivities) > SELECTIVITY_MEMO:
-                    del self._selectivities[next(iter(self._selectivities))]
-        return fraction
+        return passing_fraction(self.uniform(table), fn)
 
     # ------------------------------------------------------------------
     # walks
@@ -410,14 +393,6 @@ def passing_fraction(rows: list[Row], fn: Evaluator) -> float:
         return 0.5
     hits = len(list(filter(fn, rows)))
     return max(hits / len(rows), 1.0 / (2 * len(rows)))
-
-
-def _parameter_free(key: tuple) -> bool:
-    """Whether an :func:`~repro.planner.signature.expression_key` holds no
-    parameter slot."""
-    return key[0] != "param" and all(
-        _parameter_free(part) for part in key if isinstance(part, tuple) and part
-    )
 
 
 def _merged(path: list[Row]) -> Row:

@@ -206,6 +206,15 @@ class Planner:
                 del self._synopses[next(iter(self._synopses))]
             return synopsis
 
+    def drop_synopses(self, table: str | None = None) -> None:
+        """Forget the cached synopses covering ``table`` (every one without
+        it), so the next statement draws its statistics afresh — what an
+        explicit ANALYZE asks for, whatever the drift."""
+        with self._lock:
+            for key in list(self._synopses):
+                if table is None or table in key[0]:
+                    del self._synopses[key]
+
     @staticmethod
     def _check_knobs(knobs: dict[str, Any]) -> None:
         supplied = sorted(set(knobs) & set(_ENGINE_ARGUMENTS))
@@ -258,11 +267,9 @@ class Planner:
         the *entry's* parameter slots (the ones its compiled evaluators
         read).  On a miss they also serve as *peeked* values: the estimator
         evaluates the selections on the join synopsis's walk rows and
-        uniform rows (a selectivity with a parameter is never memoized, so
-        each prepare reads its own values), and the first binding shapes
-        the template plan — later bindings reuse it unchanged (standard
-        bind-peeking semantics; correctness never depends on the peeked
-        values, only plan quality).
+        uniform rows, so the first binding shapes the template plan —
+        later bindings reuse it unchanged (standard bind-peeking semantics;
+        correctness never depends on the peeked values, only plan quality).
         A parameterized query prepared without ``params`` raises
         :class:`~repro.algebra.parameters.ParameterError`.
 

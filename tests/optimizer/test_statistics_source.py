@@ -74,6 +74,35 @@ class TestSelectivities:
         expected = sum(1 for row in rows if fn(row)) / WALKS
         assert synopsis.selectivity("A", condition.expression) == expected
 
+    def test_a_small_table_is_its_own_uniform_rows(self):
+        db = ledger_database(WALKS)
+        spec = db.bind(statement("S1"))
+        synopsis = JoinSynopsis(db.catalog, spec.join_conditions)
+        assert synopsis.uniform("A") == list(db.catalog.table("A").rows())
+
+    def test_analyze_redraws_the_selectivities(self):
+        # Same row count, A.b flipped on every row that had it: no drift,
+        # so only an explicit ANALYZE moves the estimate.
+        db = ledger_database(1000)
+        spec = db.bind(statement("S1"))
+        expression = spec.selections[0].expression
+
+        def estimate():
+            return db.planner.synopsis(spec).selectivity("A", expression)
+
+        before = estimate()
+        b = db.catalog.table("A").schema.index_of("A.b")
+        flipped = [
+            row.values[:b] + (False,) + row.values[b + 1:]
+            for row in db.catalog.table("A").rows()
+            if row[b]
+        ]
+        assert db.delete_where("A", lambda row: row[b]) == len(flipped)
+        db.insert("A", flipped)
+        assert estimate() == before
+        db.analyze()
+        assert estimate() < before / 100
+
     def test_uniform_rows_ignore_the_walks_drawn_before(self, db):
         spec = db.bind(statement("S3"))
         walked = JoinSynopsis(db.catalog, spec.join_conditions)
