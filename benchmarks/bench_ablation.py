@@ -1,9 +1,6 @@
 """Ablation benchmarks for the operator-level design choices of the
 engine ``docs/architecture.md`` maps.
 
-* **Threshold mode**: paper-faithful "drawn" emission thresholds (corner
-  bounds from the last tuple drawn) vs the tighter "live" bounds (producer
-  queue tops) — an optimization beyond the paper.
 * **Rank-scan vs seq-scan + µ** (plan2 vs plan3's B-side): how much the
   precomputed index order saves.
 * **HRJN vs NRJN** on the same equi-join.
@@ -35,36 +32,6 @@ from repro.optimizer import (
 from repro.workloads import plan2
 
 from .conftest import cached_workload, execute, record
-
-
-class TestThresholdMode:
-    @pytest.mark.parametrize("mode", ["drawn", "live"])
-    def test_threshold_mode(self, benchmark, mode):
-        workload = cached_workload()
-
-        def run():
-            return execute(
-                workload,
-                plan2(workload, threshold_mode=mode),
-                k=workload.config.k,
-            )
-
-        __, metrics = benchmark.pedantic(run, rounds=1, iterations=1)
-        record(benchmark, metrics, mode=mode)
-        print(
-            f"\nthreshold={mode}: scanned={metrics.tuples_scanned} "
-            f"cost={metrics.simulated_cost:.0f}"
-        )
-
-    def test_live_never_scans_more(self):
-        workload = cached_workload()
-        results = {}
-        for mode in ("drawn", "live"):
-            __, metrics = execute(
-                workload, plan2(workload, threshold_mode=mode), k=workload.config.k
-            )
-            results[mode] = metrics.tuples_scanned
-        assert results["live"] <= results["drawn"]
 
 
 class TestAccessPathAblation:

@@ -13,19 +13,24 @@ Expression nodes support operator overloading for convenient construction::
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from ..storage.row import Row
 from ..storage.schema import Schema
 
 Evaluator = Callable[[Row], Any]
 
+#: one execution's bind-variable values, by slot key (see
+#: :mod:`repro.algebra.parameters`)
+Params = Optional[Mapping[str, Any]]
+
 
 class Expression:
     """Base class of all scalar expressions."""
 
-    def compile(self, schema: Schema) -> Evaluator:
-        """Compile to a ``row -> value`` closure over the given schema."""
+    def compile(self, schema: Schema, params: Params = None) -> Evaluator:
+        """Compile to a ``row -> value`` closure over the given schema; a
+        bind variable compiles to its value in ``params``."""
         raise NotImplementedError
 
     def references(self) -> set[str]:
@@ -101,7 +106,7 @@ class ColumnRef(Expression):
     def __init__(self, name: str):
         self.name = name
 
-    def compile(self, schema: Schema) -> Evaluator:
+    def compile(self, schema: Schema, params: Params = None) -> Evaluator:
         position = schema.index_of(self.name)
         return lambda row: row[position]
 
@@ -120,7 +125,7 @@ class Literal(Expression):
     def __init__(self, value: Any):
         self.value = value
 
-    def compile(self, schema: Schema) -> Evaluator:
+    def compile(self, schema: Schema, params: Params = None) -> Evaluator:
         value = self.value
         return lambda row: value
 
@@ -158,10 +163,10 @@ class Arithmetic(Expression):
         self.left = left
         self.right = right
 
-    def compile(self, schema: Schema) -> Evaluator:
+    def compile(self, schema: Schema, params: Params = None) -> Evaluator:
         fn = _ARITHMETIC_OPS[self.op]
-        left = self.left.compile(schema)
-        right = self.right.compile(schema)
+        left = self.left.compile(schema, params)
+        right = self.right.compile(schema, params)
 
         def evaluate(row: Row) -> Any:
             a = left(row)
@@ -193,10 +198,10 @@ class Comparison(Expression):
         self.left = left
         self.right = right
 
-    def compile(self, schema: Schema) -> Evaluator:
+    def compile(self, schema: Schema, params: Params = None) -> Evaluator:
         fn = _COMPARISON_OPS[self.op]
-        left = self.left.compile(schema)
-        right = self.right.compile(schema)
+        left = self.left.compile(schema, params)
+        right = self.right.compile(schema, params)
 
         def evaluate(row: Row) -> bool:
             a = left(row)
@@ -230,8 +235,8 @@ class BooleanOp(Expression):
         self.op = op
         self.operands = tuple(operands)
 
-    def compile(self, schema: Schema) -> Evaluator:
-        compiled = [operand.compile(schema) for operand in self.operands]
+    def compile(self, schema: Schema, params: Params = None) -> Evaluator:
+        compiled = [operand.compile(schema, params) for operand in self.operands]
         if self.op == "not":
             inner = compiled[0]
             return lambda row: not inner(row)
@@ -259,8 +264,8 @@ class FunctionCall(Expression):
         self.fn = fn
         self.args = tuple(args)
 
-    def compile(self, schema: Schema) -> Evaluator:
-        compiled = [arg.compile(schema) for arg in self.args]
+    def compile(self, schema: Schema, params: Params = None) -> Evaluator:
+        compiled = [arg.compile(schema, params) for arg in self.args]
         fn = self.fn
         return lambda row: fn(*(c(row) for c in compiled))
 

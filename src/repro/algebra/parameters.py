@@ -3,15 +3,17 @@
 A parameterized statement (``WHERE h.price <= ?`` or ``<= :max_price``)
 binds to the same :class:`~repro.optimizer.query_spec.QuerySpec` shape for
 every constant — the placeholder becomes a :class:`Parameter` expression
-node whose compiled evaluator reads a *slot* instead of a baked-in literal.
-All placeholders of one statement share a :class:`ParameterSlots` object,
-owned by the spec; executing the statement writes values into the slots
-(:meth:`ParameterSlots.bind`) and the shared compiled closures pick them up
-at evaluation time.
+node naming a *slot*.  All placeholders of one statement share a
+:class:`ParameterSlots` object, owned by the spec, that declares the slots
+and checks a set of bindings against them (:meth:`ParameterSlots.validate`).
+It holds no values: the validated ``{slot: value}`` dict travels with one
+execution (``ExecutionContext.params``), and a :class:`Parameter` compiles
+against it to a constant.
 
 This is what turns the plan cache from exact-text reuse into *template*
 reuse: the cache key covers the parameter structure (which slots exist),
-never the bound values, so one cached plan serves every binding.
+never the bound values, so one value-free cached plan serves every binding
+— concurrently, since no execution writes into it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Mapping, Sequence
 
 from ..storage.schema import DataType, Schema
-from .expressions import Evaluator, Expression
+from .expressions import Evaluator, Expression, Params
 
 #: placeholder styles (one statement may use only one)
 POSITIONAL = "positional"
@@ -28,7 +30,7 @@ NAMED = "named"
 
 class ParameterError(Exception):
     """Raised on parameter problems: missing, extra or mistyped bindings,
-    mixing placeholder styles, or evaluating an unbound slot."""
+    mixing placeholder styles, or compiling a parameter without a value."""
 
 
 def style_of(key: str) -> str:
@@ -43,24 +45,20 @@ class ParameterSlots:
     occurrence) and ``":name"`` for named ones (a repeated name shares one
     slot).  Each slot may carry *expected types* inferred by the binder
     (e.g. a parameter compared against a FLOAT column expects a number);
-    :meth:`bind` validates bindings against them and rejects missing or
+    :meth:`validate` checks bindings against them and rejects missing or
     extra values with the offending keys spelled out.
 
-    Values live here — not in the expression tree and not in the plan — so
-    a cached template plan stays value-free and every execution simply
-    rebinds.  Bindings are read *during* execution; whole runs are atomic,
-    and cursors snapshot their bindings at open and :meth:`restore` them
-    before every fetch, so interleaved executions of one template stay
-    isolated from each other.
+    The slots are value-free: :meth:`validate` returns the checked values
+    instead of storing them, so a cached template plan stays immutable and
+    any number of executions may run it at once, each with its own values.
     """
 
-    __slots__ = ("_keys", "_style", "_expected", "_values")
+    __slots__ = ("_keys", "_style", "_expected")
 
     def __init__(self) -> None:
         self._keys: list[str] = []
         self._style: str | None = None
         self._expected: dict[str, set[DataType]] = {}
-        self._values: dict[str, Any] = {}
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -110,20 +108,24 @@ class ParameterSlots:
         return tuple(self._keys)
 
     # ------------------------------------------------------------------
-    # binding (execution-side)
+    # validation (execution-side)
     # ------------------------------------------------------------------
-    def bind(self, params: "Sequence[Any] | Mapping[str, Any] | None") -> None:
-        """Validate and install one full set of bindings.
+    def validate(
+        self, params: "Sequence[Any] | Mapping[str, Any] | None"
+    ) -> dict[str, Any]:
+        """One full set of bindings, checked: ``{slot key: value}``.
 
         Positional templates take a sequence (one value per ``?``, in
         order); named templates take a mapping (keys with or without the
         leading colon).  Raises :class:`ParameterError` on missing or extra
         values and on type mismatches against the binder's expectations.
+        Nothing is stored: the values belong to the one execution that
+        carries them.
         """
         if not self._keys:
             if params:
                 raise ParameterError("query takes no parameters")
-            return
+            return {}
         if params is None:
             raise ParameterError(
                 f"query has {len(self._keys)} unbound parameter(s) "
@@ -135,7 +137,7 @@ class ParameterSlots:
             values = self._match_positional(params)
         for key, value in values.items():
             self._check_type(key, value)
-        self._values = values
+        return values
 
     def _match_named(self, params: Any) -> dict[str, Any]:
         if not isinstance(params, Mapping):
@@ -200,77 +202,56 @@ class ParameterSlots:
             f"got {value!r} ({type(value).__name__})"
         )
 
-    def clear(self) -> None:
-        """Drop current bindings (slots become unbound again)."""
-        self._values = {}
-
-    @property
-    def is_bound(self) -> bool:
-        """Whether every slot currently holds a value."""
-        return all(key in self._values for key in self._keys)
-
-    def value(self, key: str) -> Any:
-        """The current binding of a slot (evaluation-time read)."""
-        try:
-            return self._values[key]
-        except KeyError:
-            raise ParameterError(
-                f"parameter {key} is unbound; pass params=... when executing"
-            ) from None
-
-    def current(self) -> dict[str, Any]:
-        """A snapshot of the current bindings (for introspection, and for
-        per-execution restore — see :meth:`restore`)."""
-        return dict(self._values)
-
-    def restore(self, values: Mapping[str, Any]) -> None:
-        """Reinstall a snapshot previously taken with :meth:`current`.
-
-        This is how interleaved executions of one template stay isolated:
-        a cursor snapshots its (already validated) bindings at open and
-        restores them before every fetch, so later runs of the same
-        template cannot silently change an open cursor's predicate.
-        """
-        self._values = dict(values)
-
 
 class Parameter(Expression):
     """A bind-variable placeholder inside an expression tree.
 
-    Compiles to a closure that reads its slot *at evaluation time*, so the
-    same compiled (and cached) evaluator serves every binding of the
-    template.  A parameter references no columns, and its cache-key token
+    Compiles against one execution's values (``compile(schema, params)``)
+    to a constant, so an operator compiled at open reads no shared state
+    per row.  A parameter references no columns, and its cache-key token
     is the slot key alone — never a value (see
     :func:`repro.planner.signature.expression_key`).
     """
 
-    __slots__ = ("key", "slots")
+    __slots__ = ("key",)
 
-    def __init__(self, key: str, slots: ParameterSlots):
+    def __init__(self, key: str):
         self.key = key
-        self.slots = slots
 
-    def compile(self, schema: Schema) -> Evaluator:
-        slots = self.slots
-        key = self.key
-        return lambda row: slots.value(key)
+    def compile(self, schema: Schema, params: Params = None) -> Evaluator:
+        value = param_value(params, self.key)
+        return lambda row: value
 
     def __repr__(self) -> str:
         return self.key
 
 
-def bind_slots(
+def param_value(params: Params, key: str) -> Any:
+    """The value of slot ``key`` in one execution's ``params`` — the one
+    read of a binding, for compiled closures and fused functions alike."""
+    try:
+        return params[key]
+    except (KeyError, TypeError):
+        raise ParameterError(
+            f"parameter {key} is unbound; pass params=... when executing"
+        ) from None
+
+
+def holds_parameters(expression: Expression) -> bool:
+    """Whether a :class:`Parameter` occurs anywhere in ``expression``."""
+    if isinstance(expression, Parameter):
+        return True
+    return any(holds_parameters(child) for child in expression.children())
+
+
+def validate_params(
     slots: ParameterSlots | None,
     params: "Sequence[Any] | Mapping[str, Any] | None",
-) -> None:
-    """Bind values into a (possibly absent) slot set.
-
-    The shared entry point of every execution path: validates that
-    non-parameterized statements receive no bindings and that parameterized
-    ones receive a complete, well-typed set.
-    """
-    if slots is None or not slots:
+) -> dict[str, Any]:
+    """:meth:`ParameterSlots.validate` on a (possibly absent) slot set: a
+    statement without parameters takes no bindings and gets ``{}``."""
+    if slots is None:
         if params:
             raise ParameterError("query takes no parameters")
-        return
-    slots.bind(params)
+        return {}
+    return slots.validate(params)

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from ..storage.row import Row
 from ..storage.schema import Schema
-from .expressions import Evaluator, Expression
+from .expressions import Evaluator, Expression, Params
 
 
 class BooleanPredicate:
@@ -61,8 +61,8 @@ class BooleanPredicate:
         """True when the condition spans more than one table."""
         return len(self.tables()) > 1
 
-    def compile(self, schema: Schema) -> Evaluator:
-        return self.expression.compile(schema)
+    def compile(self, schema: Schema, params: Params = None) -> Evaluator:
+        return self.expression.compile(schema, params)
 
 
 class RankingPredicate:

@@ -35,10 +35,11 @@ so cached plans never go stale.
 **Thread model.**  The storage layer is versioned (copy-on-write
 publication per table) and the planner's bookkeeping is lock-guarded, so
 concurrent *reads* are always safe and writers never block readers.
-Every SQL surface (``query``, prepared statements, sessions, cursors)
-binds a parameterized template and executes it atomically under the
-cached entry's ``execution_lock``, so threads may share templates freely;
-a :class:`Session` also serializes its own statements.  Without a
+Cached plans are value-free templates: every SQL surface (``query``,
+prepared statements, sessions, cursors) runs a template bound to its own
+``params`` (the values ride on the execution, never on the shared plan),
+so threads share templates freely and no run of a template waits for
+another; a :class:`Session` serializes only its own statements.  Without a
 ``snapshot`` a statement reads the current table versions independently
 (statement-level consistency only); the serving subsystem —
 :meth:`Database.serve` / :mod:`repro.server` — additionally gives every
@@ -403,9 +404,11 @@ class Database:
         """Fold one execution's per-operator actuals into the entry's
         :class:`~repro.observe.feedback.PlanFeedback` (built lazily at
         first execution, with the estimates of the cost model that chose
-        the plan, carried on the entry)."""
+        the plan, carried on the entry).  A bound entry folds into its
+        template's store, so every binding of a template shares one."""
         from ..observe.feedback import PlanFeedback
 
+        entry = entry.template or entry
         feedback = entry.feedback
         if feedback is None:
             feedback = PlanFeedback.build(plan, root, entry.estimates)
@@ -751,9 +754,9 @@ class Database:
 
         def statement() -> QueryResult:
             entry, hit = self.planner.prepare(
-                query, strategy=strategy, params=params, bind=False, **kwargs
+                query, strategy=strategy, params=params, **kwargs
             )
-            return self._run_entry(entry, hit, params, snapshot=snapshot)
+            return self._run_entry(entry, hit, snapshot=snapshot)
 
         return self._statement(query, "query", statement)
 
@@ -782,32 +785,30 @@ class Database:
         self,
         entry: CachedPlan,
         hit: bool,
-        params: Any,
         k: int | None = None,
         snapshot: DatabaseSnapshot | None = None,
     ) -> QueryResult:
-        """Run a cached plan for one statement — the funnel every SQL
-        surface shares.  Picks the plan for the ``k`` override, stamps the
-        trace with the regime, a compact signature key and the cache
-        outcome, binds ``params`` (atomically with the execution, under the
-        entry's ``execution_lock``, for a parameterized template) and
-        executes.  ``hit`` becomes ``QueryResult.plan_cached``."""
+        """Run a cached plan, bound to its statement's values
+        (:meth:`CachedPlan.bind <repro.planner.cache.CachedPlan.bind>`) —
+        the funnel every SQL surface shares.  Picks the plan for the ``k``
+        override, stamps the trace with the regime, a compact signature
+        key and the cache outcome, and executes.  ``hit`` becomes
+        ``QueryResult.plan_cached``."""
         plan, wanted = entry.executable_for(k)
         self.tracer.annotate(
             regime=entry.regime(),
             signature=f"sig:{abs(hash(entry.signature)):012x}",
             cache="hit" if hit else "miss",
         )
-        with entry.bound(params):
-            return self.execute(
-                plan,
-                entry.scoring,
-                k=wanted,
-                evaluators=entry.evaluators,
-                plan_cached=hit,
-                snapshot=snapshot,
-                entry=entry,
-            )
+        return self.execute(
+            plan,
+            entry.scoring,
+            k=wanted,
+            evaluators=entry.evaluators,
+            plan_cached=hit,
+            snapshot=snapshot,
+            entry=entry,
+        )
 
     def open_cursor(
         self, query: "str | QuerySpec", params: Any = None, **kwargs: Any
@@ -838,7 +839,9 @@ class Database:
         table versions every scan reads (snapshot-isolated execution);
         ``None`` reads the live catalog.  ``entry`` (the
         :class:`~repro.planner.cache.CachedPlan` this plan came from, when
-        known) receives per-operator estimated-vs-actual feedback.
+        known) supplies the execution's bind-variable values
+        (``entry.params``, set when the planner bound it) and receives
+        per-operator estimated-vs-actual feedback.
 
         This is the single execution funnel — every surface (embedded
         ``query``, prepared statements, server sessions) lands here, so
@@ -850,6 +853,7 @@ class Database:
             snapshot if snapshot is not None else self.catalog,
             scoring,
             evaluators=evaluators,
+            params=entry.params if entry is not None else None,
         )
         context.tracer = self.tracer
         start = time.perf_counter()
@@ -903,20 +907,16 @@ class Database:
 
         self._check_open()
         entry, __ = self.planner.prepare(
-            query,
-            strategy=strategy,
-            params=params,
-            bind=False,
-            **kwargs,
+            query, strategy=strategy, params=params, **kwargs
         )
-        with entry.bound(params):
-            report = explain_analyze(
-                self.catalog,
-                entry.spec,
-                entry.plan,
-                estimates=entry.estimates,
-                decisions=entry.decisions,
-            )
+        report = explain_analyze(
+            self.catalog,
+            entry.spec,
+            entry.plan,
+            estimates=entry.estimates,
+            decisions=entry.decisions,
+            params=entry.params,
+        )
         return report.render()
 
     def query_logical(

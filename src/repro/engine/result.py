@@ -106,29 +106,17 @@ class Cursor:
     Cursors obtained from a :class:`~repro.planner.PreparedQuery` (or
     ``Database.open_cursor``, which routes through one) execute the cached
     plan with its shared compiled evaluators — reopening a cursor on the
-    same statement skips enumeration and recompilation.
+    same statement skips enumeration and recompilation.  The cursor's
+    bind-variable values ride on its own ``context`` and are compiled in
+    when the plan opens, so a fetch reads nothing another execution of the
+    same template can change.
     """
 
-    def __init__(
-        self,
-        root,
-        context,
-        scoring: ScoringFunction,
-        plan: PlanNode,
-        entry=None,
-    ):
+    def __init__(self, root, context, scoring: ScoringFunction, plan: PlanNode):
         self._root = root
         self._context = context
         self.scoring = scoring
         self.plan = plan
-        #: bind-variable isolation for a parameterized cached ``entry``:
-        #: the cursor is opened with its bindings installed, snapshots
-        #: them, and restores them before every fetch under the entry's
-        #: execution lock, so other executions of the same template (any
-        #: thread, any surface) cannot change this cursor's predicates
-        parameters = entry.spec.parameters if entry is not None else None
-        self._entry = entry if parameters else None
-        self._bindings = parameters.current() if parameters else None
         self._root.open(context)
         self.schema: Schema = self._root.schema()
         self._closed = False
@@ -176,13 +164,7 @@ class Cursor:
             raise RuntimeError("cursor is closed")
         if self._exhausted:
             return None
-        entry = self._entry
-        if entry is None:
-            scored = self._root.next()
-        else:
-            with entry.execution_lock:
-                entry.spec.parameters.restore(self._bindings)
-                scored = self._root.next()
+        scored = self._root.next()
         if scored is None:
             self._exhausted = True
         return scored

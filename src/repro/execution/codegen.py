@@ -13,8 +13,9 @@ for a **single fused function** — scans drive plain ``for`` loops,
 predicate expressions are inlined (no closure per node), hash-join probes
 and projections run in the loop body, and the blocking top-k sort is the
 loop epilogue.  The source is ``compile()``d once and stored on the cached
-plan; parameter slots are read from the binding at call time, so one
-compiled function serves every binding of a prepared template.
+plan; bind variables are read from the calling execution's
+``context.params`` at call time, so one compiled function serves every
+binding of a prepared template, concurrently.
 
 Pipeline breakers become loop boundaries: every hash-join build runs as its
 own loop before the probe loop that uses it, and the sort materializes
@@ -73,7 +74,7 @@ from ..algebra.expressions import (
     FunctionCall,
     Literal,
 )
-from ..algebra.parameters import Parameter
+from ..algebra.parameters import Parameter, param_value
 from ..algebra.predicates import ScoringFunction
 from ..algebra.rank_relation import ScoredRow
 from ..storage.row import Row
@@ -271,9 +272,10 @@ class _Emitter:
             "_third": itemgetter(2),
             "_mul": mul,
             "_neg": neg,
+            "_param": param_value,
         }
         self._serial = 0
-        self._params: dict[tuple[int, str], str] = {}
+        self._params: dict[str, str] = {}
         self.param_lines: list[str] = []
         #: one term per operator emission; their sum is ``tuples_moved``
         self.move_terms: list[str] = []
@@ -296,19 +298,16 @@ class _Emitter:
 
     # -- expression emission -------------------------------------------
     def param_var(self, parameter: Parameter) -> str:
-        """Hoist a bind-variable read into the per-call prelude: bindings
-        cannot change mid-run (the template's execution lock serializes
-        bind + execute), so one slot read per call is equivalent to the
-        interpreter's per-row closure read and the loop body sees a plain
-        local."""
-        key = (id(parameter.slots), parameter.key)
+        """Hoist a bind-variable read into the per-call prelude: the values
+        belong to the calling execution (``context.params``) and cannot
+        change during its call, so one read per call is equivalent to the
+        row operators' compile-at-open constant and the loop body sees a
+        plain local."""
+        key = parameter.key
         var = self._params.get(key)
         if var is None:
-            slots_var = self.const(parameter.slots, "slots")
             var = self.fresh("param")
-            self.param_lines.append(
-                f"{var} = {slots_var}.value({parameter.key!r})"
-            )
+            self.param_lines.append(f"{var} = _param(context.params, {key!r})")
             self._params[key] = var
         return var
 

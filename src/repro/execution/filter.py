@@ -47,7 +47,9 @@ class Filter(PhysicalOperator):
 
     def _open(self) -> None:
         self.child.open(self.context)
-        self._evaluator = self.condition.compile(self.child.schema())
+        self._evaluator = self.condition.compile(
+            self.child.schema(), self.context.params
+        )
 
     def _next(self) -> ScoredRow | None:
         assert self._evaluator is not None

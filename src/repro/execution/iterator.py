@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Iterator
+from typing import Any, Iterator, Mapping
 
 from ..algebra.expressions import Evaluator
 from ..algebra.predicates import ScoringFunction
@@ -72,12 +72,17 @@ class EvaluatorCache:
 
 
 class ExecutionContext:
-    """Shared state of one plan execution: catalog, scoring, metrics.
+    """Shared state of one plan execution: catalog, scoring, metrics and
+    bind-variable values.
 
     ``evaluators`` may be supplied to share compiled predicate evaluators
     across executions (the prepared-statement warm path); when omitted a
-    private cache is created.  Per-run state — metrics and operator-naming
-    counters — is reset by :meth:`begin_run`.
+    private cache is created.  ``params`` are this execution's validated
+    bind-variable values (``{slot key: value}``): row operators compile
+    their conditions against them at open and a compiled segment's fused
+    function reads them at call time, so the plan itself stays value-free.
+    Per-run state — metrics and operator-naming counters — is reset by
+    :meth:`begin_run`.
 
     **Isolation audit (the snapshot contract).**  ``catalog`` may be the
     live :class:`~repro.storage.catalog.Catalog` *or* a
@@ -99,9 +104,11 @@ class ExecutionContext:
         catalog: Catalog,
         scoring: ScoringFunction,
         evaluators: EvaluatorCache | None = None,
+        params: "Mapping[str, Any] | None" = None,
     ):
         self.catalog = catalog
         self.scoring = scoring
+        self.params = params
         self.metrics = ExecutionMetrics()
         if evaluators is None:
             evaluators = EvaluatorCache(scoring)

@@ -13,9 +13,8 @@ Both inputs arrive in their own ``F_P`` order.  A join result built from a
 *future* tuple of side X can score at most the ``F_P`` of the last tuple
 drawn from X (substituting an actual score for a maximal one can only lower
 a monotone F), so the emission threshold is the max of the two sides'
-last-drawn bounds — the rank-join "corner bound".  Like
-:class:`~repro.execution.rank.Mu`, the joins support a ``"drawn"``
-(paper-faithful, default) and a ``"live"`` threshold mode.
+last-drawn bounds — the rank-join "corner bound" (§4.1's rule, as in
+:class:`~repro.execution.rank.Mu`).
 
 **Classical joins** (used by traditional materialize-then-sort plans and as
 baselines): :class:`NestedLoopJoin`, :class:`SortMergeJoin`,
@@ -35,8 +34,6 @@ from ..algebra.predicates import BooleanPredicate
 from ..algebra.rank_relation import ScoredRow
 from ..storage.schema import Schema
 from .iterator import PhysicalOperator, RankingQueue
-
-THRESHOLD_MODES = ("drawn", "live")
 
 
 class _BinaryJoin(PhysicalOperator):
@@ -73,49 +70,32 @@ class _RankJoin(_BinaryJoin):
     """Common machinery of the rank-aware joins: symmetric pulling, a
     ranking queue, and corner-bound emission thresholds."""
 
-    def __init__(
-        self,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        threshold_mode: str = "drawn",
-    ):
+    def __init__(self, left: PhysicalOperator, right: PhysicalOperator):
         super().__init__(left, right)
-        if threshold_mode not in THRESHOLD_MODES:
-            raise ValueError(f"unknown threshold mode: {threshold_mode!r}")
-        self.threshold_mode = threshold_mode
         self._queue = RankingQueue()
         self._left_done = False
         self._right_done = False
         #: F_P of each side's last drawn tuple, clamped to F_φ when drawn
         self._left_last = math.inf
         self._right_last = math.inf
-        #: the "drawn" corner bound, refreshed only when a side's bound or
-        #: done flag changes (on a draw), not on every pull
-        self._drawn_threshold = math.inf
+        #: the corner bound, refreshed only when a side's bound or done
+        #: flag changes (on a draw), not on every pull
+        self._threshold = math.inf
 
     def bound(self) -> float:
         return max(self._queue.peek_bound(), self._corner_bound())
 
-    def _side_bound(self, left: bool) -> float:
-        if self.threshold_mode == "live":
-            return (self.left if left else self.right).bound()
-        return self._left_last if left else self._right_last
-
     def _corner_bound(self) -> float:
-        """Max of the live sides' bounds (−inf once both are done)."""
+        """Max of the live sides' last-drawn bounds (−inf once both are
+        done)."""
         candidates = []
         if not self._left_done:
-            candidates.append(self._side_bound(left=True))
+            candidates.append(self._left_last)
         if not self._right_done:
-            candidates.append(self._side_bound(left=False))
+            candidates.append(self._right_last)
         if not candidates:
             return -math.inf
         return max(candidates)
-
-    def _threshold(self) -> float:
-        if self.threshold_mode == "live":
-            return self._corner_bound()
-        return self._drawn_threshold
 
     def _open_rank_join(self) -> None:
         self._open_children()
@@ -127,12 +107,11 @@ class _RankJoin(_BinaryJoin):
         max_possible = self.context.scoring.max_possible()
         self._left_last = max_possible
         self._right_last = max_possible
-        self._drawn_threshold = max_possible
+        self._threshold = max_possible
 
     def _next(self) -> ScoredRow | None:
         while True:
-            threshold = self._threshold()
-            if len(self._queue) and self._queue.peek_bound() >= threshold:
+            if len(self._queue) and self._queue.peek_bound() >= self._threshold:
                 return self._queue.pop()
             if self._left_done and self._right_done:
                 if len(self._queue):
@@ -147,7 +126,7 @@ class _RankJoin(_BinaryJoin):
             return True
         # Descend the input whose corner bound is larger: it constrains the
         # emission threshold, so advancing it unblocks the queue sooner.
-        return self._side_bound(left=True) >= self._side_bound(left=False)
+        return self._left_last >= self._right_last
 
     def _advance_one_input(self) -> None:
         pull_left = self._choose_left()
@@ -170,8 +149,7 @@ class _RankJoin(_BinaryJoin):
                 self._left_last = input_bound
             else:
                 self._right_last = input_bound
-        if self.threshold_mode == "drawn":
-            self._drawn_threshold = self._corner_bound()
+        self._threshold = self._corner_bound()
         if scored is not None:
             self._absorb(scored, from_left=pull_left)
 
@@ -194,9 +172,8 @@ class HRJN(_RankJoin):
         right: PhysicalOperator,
         left_key: str,
         right_key: str,
-        threshold_mode: str = "drawn",
     ):
-        super().__init__(left, right, threshold_mode)
+        super().__init__(left, right)
         self.left_key = left_key
         self.right_key = right_key
         self._left_hash: dict[Any, list[ScoredRow]] = {}
@@ -244,9 +221,8 @@ class NRJN(_RankJoin):
         left: PhysicalOperator,
         right: PhysicalOperator,
         condition: BooleanPredicate,
-        threshold_mode: str = "drawn",
     ):
-        super().__init__(left, right, threshold_mode)
+        super().__init__(left, right)
         self.condition = condition
         self._left_seen: list[ScoredRow] = []
         self._right_seen: list[ScoredRow] = []
@@ -259,7 +235,7 @@ class NRJN(_RankJoin):
         self._open_rank_join()
         self._left_seen = []
         self._right_seen = []
-        self._evaluator = self.condition.compile(self.schema())
+        self._evaluator = self.condition.compile(self.schema(), self.context.params)
 
     def _absorb(self, scored: ScoredRow, from_left: bool) -> None:
         assert self._evaluator is not None
@@ -316,7 +292,9 @@ class NestedLoopJoin(_BinaryJoin):
         self._inner_position = 0
         self._exhausted = False
         self._evaluator = (
-            self.condition.compile(self.schema()) if self.condition else None
+            self.condition.compile(self.schema(), self.context.params)
+            if self.condition
+            else None
         )
 
     def _materialize_inner(self) -> None:

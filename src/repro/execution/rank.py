@@ -7,17 +7,10 @@ can beat it: ``F_{P∪{p}}[t''] ≤ F_P[t''] ≤ threshold`` for every future
 ``t''`` (§4.1).  This is the single-predicate special case of the MPro/Upper
 scheduling algorithms the paper builds on.
 
-Two threshold modes are supported:
-
-* ``"drawn"`` (default, paper-faithful): the threshold is ``F_P[t']`` of the
-  *last tuple drawn* from the input — exactly the emission rule of §4.1
-  ("the top tuple t in the queue can be output when a t' is drawn from x
-  such that F_{P∪{p}}[t] ≥ F_P[t']").  Reproduces the tuple-flow counts of
-  Figure 6 exactly.
-* ``"live"``: the threshold is the producer's :meth:`bound` — a tighter
-  bound that also accounts for the producer's own buffered queue, emitting
-  earlier and drawing fewer input tuples.  An optimization beyond the paper,
-  kept for the ablation benchmarks.
+The threshold is ``F_P[t']`` of the *last tuple drawn* from the input —
+exactly the emission rule of §4.1 ("the top tuple t in the queue can be
+output when a t' is drawn from x such that F_{P∪{p}}[t] ≥ F_P[t']").  It
+reproduces the tuple-flow counts of Figure 6 exactly.
 """
 
 from __future__ import annotations
@@ -28,26 +21,16 @@ from ..algebra.rank_relation import ScoredRow
 from ..storage.schema import Schema
 from .iterator import PhysicalOperator, RankingQueue
 
-THRESHOLD_MODES = ("drawn", "live")
-
 
 class Mu(PhysicalOperator):
     """Rank operator µ_p: evaluate predicate ``p``, reorder incrementally."""
 
     kind = "rank"
 
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        predicate_name: str,
-        threshold_mode: str = "drawn",
-    ):
+    def __init__(self, child: PhysicalOperator, predicate_name: str):
         super().__init__()
-        if threshold_mode not in THRESHOLD_MODES:
-            raise ValueError(f"unknown threshold mode: {threshold_mode!r}")
         self.child = child
         self.predicate_name = predicate_name
-        self.threshold_mode = threshold_mode
         self._queue = RankingQueue()
         self._input_exhausted = False
         #: F_P of the last drawn input tuple, clamped to F_φ when drawn
@@ -73,12 +56,7 @@ class Mu(PhysicalOperator):
         # future input tuples, whose F_P cannot exceed the input threshold.
         if self._input_exhausted:
             return self._queue.peek_bound()
-        return max(self._queue.peek_bound(), self._input_threshold())
-
-    def _input_threshold(self) -> float:
-        if self.threshold_mode == "live":
-            return self.child.bound()
-        return self._last_input_bound
+        return max(self._queue.peek_bound(), self._last_input_bound)
 
     def _open(self) -> None:
         context = self.context
@@ -96,7 +74,7 @@ class Mu(PhysicalOperator):
     def _next(self) -> ScoredRow | None:
         context = self.context
         while True:
-            threshold = -math.inf if self._input_exhausted else self._input_threshold()
+            threshold = -math.inf if self._input_exhausted else self._last_input_bound
             if len(self._queue) and self._queue.peek_bound() >= threshold:
                 return self._queue.pop()
             if self._input_exhausted:

@@ -39,7 +39,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from ..algebra.expressions import Expression
+from ..algebra.expressions import Expression, Params
 from ..algebra.predicates import ScoringFunction
 from ..algebra.rank_relation import rank_order_key, ScoredRow
 from ..storage.catalog import Catalog
@@ -142,8 +142,11 @@ class CardinalityEstimator:
         sample: SampleDatabase | None = None,
         ratio: float = DEFAULT_SAMPLE_RATIO,
         seed: int = 0,
+        params: Params = None,
     ):
         self.spec = spec
+        #: the statement's bind-variable values, for its conditions
+        self.params = params
         self.sample = sample or SampleDatabase(catalog, ratio=ratio, seed=seed)
         self.scoring = spec.scoring
         self._memo: dict[str, SampleRun] = {}
@@ -173,7 +176,7 @@ class CardinalityEstimator:
             table = catalog.table(table_name)
             rows = [ScoredRow(r, {}) for r in table.rows()]
             for condition in spec.selections_on(table_name):
-                fn = condition.compile(table.schema)
+                fn = condition.compile(table.schema, self.params)
                 rows = [s for s in rows if fn(s.row)]
             if current is None:
                 current, schema, joined = rows, table.schema, frozenset({table_name})
@@ -184,7 +187,7 @@ class CardinalityEstimator:
                 j.predicate
                 for j in spec.join_conditions_between(joined, frozenset({table_name}))
             ]
-            evaluators = [c.compile(new_schema) for c in conditions]
+            evaluators = [c.compile(new_schema, self.params) for c in conditions]
             combined: list[ScoredRow] = []
             for left in current:
                 for right in rows:
@@ -205,7 +208,9 @@ class CardinalityEstimator:
     def selectivity(self, table: str, expression: Expression) -> float:
         """A single-table condition's selectivity, on the sample."""
         sample = self.sample.catalog.table(table)
-        return passing_fraction(list(sample.rows()), expression.compile(sample.schema))
+        return passing_fraction(
+            list(sample.rows()), expression.compile(sample.schema, self.params)
+        )
 
     # ------------------------------------------------------------------
     # step 3: per-subplan estimation with the propagation formulas
@@ -230,7 +235,9 @@ class CardinalityEstimator:
 
     def _execute_on_sample(self, plan: PlanNode) -> tuple[int, tuple[int, ...]]:
         """Run the subplan on the sample; count outputs scoring >= x'."""
-        context = ExecutionContext(self.sample.catalog, self.scoring)
+        context = ExecutionContext(
+            self.sample.catalog, self.scoring, params=self.params
+        )
         root = plan.build()
         root.open(context)
         try:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Any
 
 from ..algebra.expressions import ColumnRef
 from ..algebra.predicates import BooleanPredicate
@@ -138,11 +139,11 @@ class RankAwareOptimizer:
         greedy_mu: bool = False,
         enumerate_ranking: bool = True,
         enumerate_selections: bool = False,
-        threshold_mode: str = "drawn",
         allow_cartesian: bool = False,
         *,
         synopsis: JoinSynopsis | None = None,
         estimator=None,
+        params: dict[str, Any] | None = None,
     ):
         self.catalog = catalog
         self.spec = spec
@@ -150,16 +151,17 @@ class RankAwareOptimizer:
         #: given (the §5.2 CardinalityEstimator, as a reproduction
         #: baseline), else from the join synopsis
         #: (:mod:`repro.optimizer.synopsis`) — its uniform rows alone,
-        #: without the ranking dimension
+        #: without the ranking dimension.  ``params`` are the statement's
+        #: peeked bind-variable values: the estimator evaluates the
+        #: conditions with them, and nothing keeps them past this instance.
         self.estimator = estimator or engine_estimator(
-            catalog, spec, synopsis, ranked=enumerate_ranking
+            catalog, spec, synopsis, ranked=enumerate_ranking, params=params
         )
         self.cost_model = CostModel(catalog, spec, self.estimator)
         self.left_deep = left_deep
         self.greedy_mu = greedy_mu
         self.enumerate_ranking = enumerate_ranking
         self.enumerate_selections = enumerate_selections
-        self.threshold_mode = threshold_mode
         self.allow_cartesian = allow_cartesian
         #: memo: signature -> {physical_key -> Candidate}
         self.memo: dict[Signature, dict[tuple, Candidate]] = {}
@@ -264,7 +266,7 @@ class RankAwareOptimizer:
             for candidate in self._candidates(sr, rest, sb):
                 if not self._mu_allowed(candidate, predicate_name, sp):
                     continue
-                plan = MuPlan(candidate.plan, predicate_name, self.threshold_mode)
+                plan = MuPlan(candidate.plan, predicate_name)
                 self._consider(sr, sp, sb, plan)
         # filterPlan: the 3rd dimension's move — apply one more selection
         if self.enumerate_selections:
@@ -469,15 +471,13 @@ class RankAwareOptimizer:
             rest = [c.predicate for c in conditions if c is not primary]
             plans.append(
                 self._with_filters(
-                    HRJNPlan(
-                        left.plan, right.plan, left_key, right_key, self.threshold_mode
-                    ),
+                    HRJNPlan(left.plan, right.plan, left_key, right_key),
                     rest,
                 )
             )
         if conditions and both_ranked and has_rank_below:
             condition = self._conjunction(conditions)
-            plans.append(NRJNPlan(left.plan, right.plan, condition, self.threshold_mode))
+            plans.append(NRJNPlan(left.plan, right.plan, condition))
         if not has_rank_below:
             # Classical joins: valid only when no predicate has been
             # evaluated below (output order is then vacuously rank-valid).
@@ -552,9 +552,7 @@ class RankAwareOptimizer:
         base = self.estimator.estimate(plan)
         if base <= 0:
             return 0.0
-        extended = self.estimator.estimate(
-            MuPlan(plan, predicate_name, self.threshold_mode)
-        )
+        extended = self.estimator.estimate(MuPlan(plan, predicate_name))
         selectivity_reduction = 1.0 - min(extended / base, 1.0)
         return selectivity_reduction / cost
 

@@ -110,6 +110,7 @@ def explain_analyze(
     k: int | None = None,
     estimates: "dict | None" = None,
     decisions: "list | None" = None,
+    params: "dict | None" = None,
 ) -> AnalyzeReport:
     """Execute ``plan`` and report estimated-vs-actual per operator.
 
@@ -123,13 +124,14 @@ def explain_analyze(
     each is reported as one node, since the fused function has no
     per-operator twins to descend into; its time is the function call's.
     ``decisions`` (the per-segment regime pricing records) are rendered as
-    a footer when supplied.
+    a footer when supplied.  ``params`` are the execution's validated
+    bind-variable values.
     """
     if estimates is None:
-        estimator = engine_estimator(catalog, spec)
+        estimator = engine_estimator(catalog, spec, params=params)
         estimates = plan_estimates(plan, CostModel(catalog, spec, estimator))
     scoring: ScoringFunction = spec.scoring
-    context = ExecutionContext(catalog, scoring)
+    context = ExecutionContext(catalog, scoring, params=params)
     root = plan.build()
     root.open(context)
     try:

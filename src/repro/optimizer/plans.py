@@ -270,11 +270,10 @@ class FilterPlan(PlanNode):
 class MuPlan(PlanNode):
     """The rank operator µ_p."""
 
-    __slots__ = ("predicate_name", "threshold_mode")
+    __slots__ = ("predicate_name",)
 
-    def __init__(self, child: PlanNode, predicate_name: str, threshold_mode: str = "drawn"):
+    def __init__(self, child: PlanNode, predicate_name: str):
         self.predicate_name = predicate_name
-        self.threshold_mode = threshold_mode
         super().__init__([child])
 
     def _derive_rank_predicates(self) -> frozenset[str]:
@@ -283,7 +282,7 @@ class MuPlan(PlanNode):
         )
 
     def build(self) -> PhysicalOperator:
-        return Mu(self.children[0].build(), self.predicate_name, self.threshold_mode)
+        return Mu(self.children[0].build(), self.predicate_name)
 
     def label(self) -> str:
         return f"rank_{self.predicate_name}"
@@ -365,19 +364,11 @@ class LimitPlan(PlanNode):
 class HRJNPlan(PlanNode):
     """Hash rank-join on an equi condition."""
 
-    __slots__ = ("left_key", "right_key", "threshold_mode")
+    __slots__ = ("left_key", "right_key")
 
-    def __init__(
-        self,
-        left: PlanNode,
-        right: PlanNode,
-        left_key: str,
-        right_key: str,
-        threshold_mode: str = "drawn",
-    ):
+    def __init__(self, left: PlanNode, right: PlanNode, left_key: str, right_key: str):
         self.left_key = left_key
         self.right_key = right_key
-        self.threshold_mode = threshold_mode
         super().__init__([left, right])
 
     def build(self) -> PhysicalOperator:
@@ -386,7 +377,6 @@ class HRJNPlan(PlanNode):
             self.children[1].build(),
             self.left_key,
             self.right_key,
-            self.threshold_mode,
         )
 
     def label(self) -> str:
@@ -396,26 +386,14 @@ class HRJNPlan(PlanNode):
 class NRJNPlan(PlanNode):
     """Nested-loop rank-join on an arbitrary condition."""
 
-    __slots__ = ("condition", "threshold_mode")
+    __slots__ = ("condition",)
 
-    def __init__(
-        self,
-        left: PlanNode,
-        right: PlanNode,
-        condition: BooleanPredicate,
-        threshold_mode: str = "drawn",
-    ):
+    def __init__(self, left: PlanNode, right: PlanNode, condition: BooleanPredicate):
         self.condition = condition
-        self.threshold_mode = threshold_mode
         super().__init__([left, right])
 
     def build(self) -> PhysicalOperator:
-        return NRJN(
-            self.children[0].build(),
-            self.children[1].build(),
-            self.condition,
-            self.threshold_mode,
-        )
+        return NRJN(self.children[0].build(), self.children[1].build(), self.condition)
 
     def label(self) -> str:
         return f"NRJN({self.condition.name})"

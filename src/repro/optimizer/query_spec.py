@@ -67,8 +67,8 @@ class QuerySpec:
     selections: list[BooleanPredicate] = field(default_factory=list)
     join_conditions: list[JoinCondition] = field(default_factory=list)
     projection: list[str] | None = None
-    #: bind-variable slots shared by this spec's Parameter expressions
-    #: (None for fully literal queries); values are injected per execution
+    #: the bind-variable slots this spec's Parameter expressions name
+    #: (None for fully literal queries); values travel with each execution
     parameters: ParameterSlots | None = None
 
     def __post_init__(self) -> None:

@@ -26,6 +26,8 @@ enumerator does not cover.
 
 from __future__ import annotations
 
+from typing import Any
+
 from ..algebra.expressions import ColumnRef, Comparison, conjunction
 from ..algebra.laws import equivalence_closure
 from ..algebra.operators import (
@@ -118,16 +120,15 @@ class RuleBasedOptimizer:
         catalog: Catalog,
         spec: QuerySpec,
         max_plans: int = 300,
-        threshold_mode: str = "drawn",
         *,
         synopsis: JoinSynopsis | None = None,
+        params: dict[str, Any] | None = None,
     ):
         self.catalog = catalog
         self.spec = spec
-        self.estimator = engine_estimator(catalog, spec, synopsis)
+        self.estimator = engine_estimator(catalog, spec, synopsis, params=params)
         self.cost_model = CostModel(catalog, spec, self.estimator)
         self.max_plans = max_plans
-        self.threshold_mode = threshold_mode
         #: logical plans explored in the last optimize() call
         self.logical_plans_explored = 0
 
@@ -159,14 +160,11 @@ class RuleBasedOptimizer:
         if isinstance(plan, LogicalRankScan):
             if self._has_rank_index(plan.table_name, plan.predicate_name):
                 return [RankScanPlan(plan.table_name, plan.predicate_name)]
-            return [
-                MuPlan(SeqScanPlan(plan.table_name), plan.predicate_name,
-                       self.threshold_mode)
-            ]
+            return [MuPlan(SeqScanPlan(plan.table_name), plan.predicate_name)]
         if isinstance(plan, LogicalRank):
             out = []
             for child in self._implemented_children(plan):
-                out.append(MuPlan(child, plan.predicate_name, self.threshold_mode))
+                out.append(MuPlan(child, plan.predicate_name))
                 # Implementation rule: µ over a base scan with a matching
                 # rank index collapses to a rank-scan (Figure 7's
                 # "µ_p1 combined with scan ... to form an idxScan").
@@ -233,11 +231,9 @@ class RuleBasedOptimizer:
         keys = self._equi_keys(plan)
         ranked_below = bool(left.rank_predicates | right.rank_predicates)
         if keys and left.is_ranked and right.is_ranked:
-            out.append(
-                HRJNPlan(left, right, keys[0], keys[1], self.threshold_mode)
-            )
+            out.append(HRJNPlan(left, right, keys[0], keys[1]))
         if condition is not None and left.is_ranked and right.is_ranked:
-            out.append(NRJNPlan(left, right, condition, self.threshold_mode))
+            out.append(NRJNPlan(left, right, condition))
         if not ranked_below:
             out.append(NestedLoopJoinPlan(left, right, condition))
         if not out and left.is_ranked and right.is_ranked:
@@ -245,12 +241,7 @@ class RuleBasedOptimizer:
             from ..algebra.expressions import lit
 
             out.append(
-                NRJNPlan(
-                    left,
-                    right,
-                    BooleanPredicate(lit(True), "true"),
-                    self.threshold_mode,
-                )
+                NRJNPlan(left, right, BooleanPredicate(lit(True), "true"))
             )
         if not out:
             raise OptimizationError(

@@ -49,7 +49,8 @@ import random
 import threading
 from typing import Any
 
-from ..algebra.expressions import ColumnRef, Evaluator, Expression
+from ..algebra.expressions import ColumnRef, Evaluator, Expression, Params
+from ..algebra.parameters import holds_parameters
 from ..algebra.predicates import RankingPredicate
 from ..storage.catalog import Catalog
 from ..storage.index import ColumnIndex
@@ -218,11 +219,13 @@ class JoinSynopsis:
                     self._uniform[table] = rows
         return rows
 
-    def selectivity(self, table: str, expression: Expression) -> float:
+    def selectivity(
+        self, table: str, expression: Expression, params: Params = None
+    ) -> float:
         """The fraction of ``table``'s uniform rows that pass
-        ``expression`` (evaluated per call, so a parameter is read at its
-        peeked value)."""
-        fn = expression.compile(self.catalog.table(table).schema)
+        ``expression`` (evaluated per call, so a parameter takes its
+        peeked value in ``params``)."""
+        fn = expression.compile(self.catalog.table(table).schema, params)
         return passing_fraction(self.uniform(table), fn)
 
     # ------------------------------------------------------------------
@@ -246,8 +249,15 @@ class JoinSynopsis:
 
     def _walk_order(self, sr: frozenset[str]) -> list[tuple[str, Any, list]]:
         """``(table, edge, tests)`` per step: the equi edge to follow (or
-        None), and the other join conditions to test on arrival."""
-        conditions = [j for j in self.join_conditions if j.tables <= sr]
+        None), and the other join conditions to test on arrival.  A
+        condition holding a bind variable is no test: the walks are shared
+        by every binding, so each statement filters them with its own
+        values (:meth:`SynopsisEstimator._mask`)."""
+        conditions = [
+            j
+            for j in self.join_conditions
+            if j.tables <= sr and not holds_parameters(j.predicate.expression)
+        ]
         remaining = sorted(sr)
         visited: list[str] = []
         steps = []
@@ -420,28 +430,39 @@ class FullCardinalities:
 
     cutoff = -math.inf
 
-    def __init__(self, synopsis: JoinSynopsis):
+    def __init__(self, synopsis: JoinSynopsis, params: Params = None):
         self.synopsis = synopsis
+        #: the statement's peeked bind-variable values
+        self.params = params
 
     def estimate(self, plan: PlanNode) -> float:
         return math.inf
 
     def selectivity(self, table: str, expression: Expression) -> float:
         """A single-table condition's selectivity."""
-        return self.synopsis.selectivity(table, expression)
+        return self.synopsis.selectivity(table, expression, self.params)
 
 
 class SynopsisEstimator(FullCardinalities):
     """Ranked cardinalities for one statement, read off a join synopsis:
     ``estimate`` and ``cutoff`` (``x'``) with the ranking dimension."""
 
-    def __init__(self, synopsis: JoinSynopsis, spec: QuerySpec):
-        super().__init__(synopsis)
+    def __init__(
+        self, synopsis: JoinSynopsis, spec: QuerySpec, params: Params = None
+    ):
+        super().__init__(synopsis, params)
         self.spec = spec
         self.scoring = spec.scoring
         self._selection_tables = {
             c.name: next(iter(c.tables())) for c in spec.selections if c.tables()
         }
+        #: the join conditions the shared walks do not test (they hold a
+        #: bind variable), filtered here with this statement's values
+        self._parameterized_joins = [
+            j
+            for j in spec.join_conditions
+            if holds_parameters(j.predicate.expression)
+        ]
         self._selections: dict[tuple, list[bool]] = {}
         self._masks: dict[tuple, list[bool]] = {}
         self._above_memo: dict[tuple, bytes] = {}
@@ -619,7 +640,8 @@ class SynopsisEstimator(FullCardinalities):
         return term
 
     def _mask(self, sr: frozenset[str], sb: frozenset[str]) -> list[bool]:
-        """Whether each walk over ``sr`` passes every selection in ``sb``."""
+        """Whether each walk over ``sr`` passes every selection in ``sb``
+        and every parameterized join condition within ``sr``."""
         key = (sr, sb)
         mask = self._masks.get(key)
         if mask is None:
@@ -632,6 +654,15 @@ class SynopsisEstimator(FullCardinalities):
                     mask = [
                         ok and passes[w] for ok, w in zip(mask, walks.index)
                     ]
+            joins = [j for j in self._parameterized_joins if j.tables <= sr]
+            if joins:
+                schema = self.synopsis._schema(walks.order)
+                paths = zip(*(walks.rows(t) for t in walks.order))
+                tests = [j.predicate.compile(schema, self.params) for j in joins]
+                mask = [
+                    ok and all(fn(_merged(path)) for fn in tests)
+                    for ok, path in zip(mask, paths)
+                ]
             self._masks[key] = mask
         return mask
 
@@ -642,7 +673,9 @@ class SynopsisEstimator(FullCardinalities):
         passes = self._selections.get(key)
         if passes is None:
             condition = next(c for c in self.spec.selections if c.name == name)
-            fn = condition.compile(self.synopsis.catalog.table(table).schema)
+            fn = condition.compile(
+                self.synopsis.catalog.table(table).schema, self.params
+            )
             passes = self._selections[key] = [
                 row is not None and bool(fn(row)) for row in draw.rows[table]
             ]
@@ -654,12 +687,14 @@ def engine_estimator(
     spec: QuerySpec,
     synopsis: JoinSynopsis | None = None,
     ranked: bool = True,
+    params: Params = None,
 ) -> "SynopsisEstimator | FullCardinalities":
     """The estimator every engine optimizer prices with, reading
     ``synopsis`` (a fresh one when not given): ranked cardinalities and
     selectivities, or selectivities alone without the ranking dimension
-    (``ranked=False``)."""
+    (``ranked=False``).  ``params`` are the statement's peeked
+    bind-variable values."""
     synopsis = synopsis or JoinSynopsis(catalog, spec.join_conditions)
     if not ranked:
-        return FullCardinalities(synopsis)
-    return SynopsisEstimator(synopsis, spec)
+        return FullCardinalities(synopsis, params)
+    return SynopsisEstimator(synopsis, spec, params)

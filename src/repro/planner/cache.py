@@ -25,13 +25,13 @@ lost and no victim is evicted twice under contention.
 
 from __future__ import annotations
 
+import copy
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
-from ..algebra.parameters import bind_slots
+from ..algebra.parameters import validate_params
 from ..algebra.predicates import ScoringFunction
 from ..execution.iterator import EvaluatorCache
 from ..optimizer.plans import LimitPlan, PlanNode, ProjectPlan
@@ -55,6 +55,11 @@ class CachedPlan:
     ``k`` and ``scoring`` are snapshotted at prepare time — ``QuerySpec`` is
     mutable, and executing from a live ``spec.k`` would let a caller mutate
     an entry that is keyed under its original signature.
+
+    A cached entry is a value-free *template*: nothing an execution does
+    writes into it, so any number of threads may run it at once.  The
+    bind-variable values of one execution ride on a *bound* entry
+    (:meth:`bind`), which the plan cache never holds.
     """
 
     signature: QuerySignature
@@ -89,12 +94,11 @@ class CachedPlan:
     compile_seconds: float = 0.0
     #: cache-clock stamp of the last touch (maintained by PlanCache)
     last_used: int = 0
-    #: serializes *parameterized* executions of this entry: bind values
-    #: live in the spec's shared ParameterSlots and are read during
-    #: execution, so concurrent runs of one template must bind + execute
-    #: atomically (see :meth:`bound`; non-parameterized entries never
-    #: take it)
-    execution_lock: "threading.Lock" = field(default_factory=threading.Lock)
+    #: one execution's validated bind-variable values (``{slot key:
+    #: value}``) on a bound entry; None on a template
+    params: "dict[str, Any] | None" = None
+    #: the template a bound entry was made from (None on a template)
+    template: "CachedPlan | None" = field(default=None, repr=False)
     #: per-operator estimated-vs-actual row counts
     #: (:class:`~repro.observe.feedback.PlanFeedback`), built at first
     #: execution and folded into by every run — the hook the adaptive
@@ -106,18 +110,22 @@ class CachedPlan:
         any segment carries a fused function, else ``row``."""
         return "compiled" if self.compiled_segments else "row"
 
-    @contextmanager
-    def bound(self, params: Any) -> Iterator[None]:
-        """Install ``params`` into the entry's parameter slots for the
-        duration of the block — the one place any surface binds values
-        for execution.  A parameterized entry holds :attr:`execution_lock`
-        throughout, so one template's concurrent runs (any surface, any
-        thread, open cursors) never read each other's constants; for any
-        other entry this only rejects stray ``params``."""
-        parameters = self.spec.parameters
-        with self.execution_lock if parameters else nullcontext():
-            bind_slots(parameters, params)
-            yield
+    def bind(self, params: Any) -> "CachedPlan":
+        """This entry bound to one execution's ``params`` — the one place
+        any surface validates values for execution.
+
+        A template without parameters is returned itself (``params`` must
+        be empty).  Otherwise the result is a shallow copy carrying the
+        validated values as :attr:`params` and sharing everything else —
+        plan, compiled artifacts, evaluators — with the template, whose
+        feedback store its executions fold into (:attr:`template`)."""
+        values = validate_params(self.spec.parameters, params)
+        if not values:
+            return self
+        bound = copy.copy(self)
+        bound.params = values
+        bound.template = self.template or self
+        return bound
 
     @property
     def executable(self) -> PlanNode:

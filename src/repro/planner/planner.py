@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..algebra.operators import LogicalOperator
-from ..algebra.parameters import bind_slots
+from ..algebra.parameters import validate_params
 from ..observe.trace import _NULL_CONTEXT
 from ..execution.iterator import EvaluatorCache
 from ..optimizer.cost_model import CostModel, plan_estimates
@@ -53,7 +53,7 @@ STRATEGIES = ("rank-aware", "traditional", "rule-based")
 SYNOPSIS_CAPACITY = 64
 
 #: optimizer arguments the planner supplies itself — never knobs
-_ENGINE_ARGUMENTS = ("synopsis", "estimator")
+_ENGINE_ARGUMENTS = ("synopsis", "estimator", "params")
 
 #: accepted ``execution`` modes — the one regime selector (per engine and
 #: per statement):
@@ -224,11 +224,18 @@ class Planner:
     # ------------------------------------------------------------------
     # optimization
     # ------------------------------------------------------------------
-    def optimizer(self, spec: QuerySpec, **knobs: Any) -> RankAwareOptimizer:
-        """A rank-aware optimizer instance for a spec (for inspection)."""
+    def optimizer(
+        self, spec: QuerySpec, params: Any = None, **knobs: Any
+    ) -> RankAwareOptimizer:
+        """A rank-aware optimizer instance for a spec (for inspection),
+        peeking ``params`` when the spec has parameters."""
         self._check_knobs(knobs)
         return RankAwareOptimizer(
-            self.catalog, spec, synopsis=self.synopsis(spec), **knobs
+            self.catalog,
+            spec,
+            synopsis=self.synopsis(spec),
+            params=validate_params(spec.parameters, params),
+            **knobs,
         )
 
     def plan(
@@ -250,7 +257,6 @@ class Planner:
         strategy: str = "rank-aware",
         use_cache: bool = True,
         params: Any = None,
-        bind: bool = True,
         **knobs: Any,
     ) -> tuple[CachedPlan, bool]:
         """The full staged pipeline; returns ``(entry, was_cache_hit)``.
@@ -263,24 +269,17 @@ class Planner:
 
         ``params`` are the bind-variable values for parameterized queries.
         The signature never covers them, so every binding of one template
-        shares a single cache entry; on a hit the values are written into
-        the *entry's* parameter slots (the ones its compiled evaluators
-        read).  On a miss they also serve as *peeked* values: the estimator
-        evaluates the selections on the join synopsis's walk rows and
-        uniform rows, so the first binding shapes the template plan —
-        later bindings reuse it unchanged (standard bind-peeking semantics;
+        shares a single value-free cache entry; the entry returned is that
+        template bound to ``params`` (:meth:`CachedPlan.bind
+        <repro.planner.cache.CachedPlan.bind>`), so executing it needs no
+        further values and no lock.  On a miss the values are also *peeked*:
+        the optimizer receives them as an argument and evaluates the
+        selections on the join synopsis's walk rows and uniform rows with
+        them, so the first binding shapes the template plan — later
+        bindings reuse it unchanged (standard bind-peeking semantics;
         correctness never depends on the peeked values, only plan quality).
         A parameterized query prepared without ``params`` raises
         :class:`~repro.algebra.parameters.ParameterError`.
-
-        ``bind=False`` skips installing ``params`` into a cache *hit*'s
-        shared parameter slots: every SQL surface defers that bind to
-        :meth:`CachedPlan.bound <repro.planner.cache.CachedPlan.bound>`,
-        which holds the entry's ``execution_lock``, so one template's
-        interleaved executions cannot overwrite each other's values
-        mid-run.  A cache *miss* still bind-peeks ``params`` — the
-        freshly-built entry is not visible to any other thread until it is
-        put into the cache, so that bind cannot race.
         """
         if strategy not in STRATEGIES:
             raise ValueError(
@@ -302,13 +301,11 @@ class Planner:
         if use_cache:
             entry = self.cache.get(signature, generation)
             if entry is not None:
-                if bind:
-                    bind_slots(entry.spec.parameters, params)
-                return entry, True
-        bind_slots(spec.parameters, params)
+                return entry.bind(params), True
+        values = validate_params(spec.parameters, params)
         start = time.perf_counter()
         with self._span("optimize", strategy=strategy):
-            plan, cost_model = self._optimize(spec, strategy, knobs)
+            plan, cost_model = self._optimize(spec, strategy, knobs, values)
             plan = _from_order(plan, spec, self.catalog)
         decisions = None
         compiled_segments = 0
@@ -352,19 +349,24 @@ class Planner:
         )
         if use_cache:
             self.cache.put(entry)
-        return entry, False
+        return entry.bind(params), False
 
     def _optimize(
-        self, spec: QuerySpec, strategy: str, knobs: dict[str, Any]
+        self,
+        spec: QuerySpec,
+        strategy: str,
+        knobs: dict[str, Any],
+        params: dict[str, Any],
     ) -> tuple[PlanNode, CostModel]:
-        """Run the strategy's optimizer; returns the plan *and* the cost
-        model that priced it (the regime pass reuses it, so row-vs-compiled
-        is judged by the same model that chose the plan)."""
+        """Run the strategy's optimizer on the peeked ``params``; returns
+        the plan *and* the cost model that priced it (the regime pass
+        reuses it, so row-vs-compiled is judged by the same model that
+        chose the plan)."""
         self._check_knobs(knobs)
         synopsis = self.synopsis(spec)
         if strategy == "rank-aware":
             optimizer = RankAwareOptimizer(
-                self.catalog, spec, synopsis=synopsis, **knobs
+                self.catalog, spec, synopsis=synopsis, params=params, **knobs
             )
             return optimizer.optimize(), optimizer.cost_model
         if strategy == "traditional":
@@ -373,11 +375,15 @@ class Planner:
                     f"traditional strategy takes no knobs, got {sorted(knobs)}"
                 )
             optimizer = RankAwareOptimizer(
-                self.catalog, spec, synopsis=synopsis, enumerate_ranking=False
+                self.catalog,
+                spec,
+                enumerate_ranking=False,
+                synopsis=synopsis,
+                params=params,
             )
             return optimizer.optimize(), optimizer.cost_model
         rule_based = RuleBasedOptimizer(
-            self.catalog, spec, synopsis=synopsis, **knobs
+            self.catalog, spec, synopsis=synopsis, params=params, **knobs
         )
         return rule_based.optimize(), rule_based.cost_model
 

@@ -7,9 +7,11 @@ the planner generation and transparently re-plans when tables, indexes or
 statistics have moved underneath it (stale plans are never executed).
 
 Parameterized statements (``?`` / ``:name`` placeholders) are prepared
-*once per template*: ``run(params=...)`` injects the bindings into the
-cached plan's parameter slots, so every constant reuses the same plan and
-compiled evaluators.  The optimizer evaluates the selections on the join
+*once per template*: ``run(params=...)`` runs the cached, value-free plan
+bound to that run's values (:meth:`CachedPlan.bind
+<repro.planner.cache.CachedPlan.bind>`), so every constant reuses the same
+plan and compiled evaluators, and runs of one template never wait for
+each other.  The optimizer evaluates the selections on the join
 synopsis's rows — the walks and the uniform rows its selectivities come
 from — so it needs concrete values: a parameterized statement prepared
 without initial bindings defers planning to its first ``run(params=...)``
@@ -25,8 +27,8 @@ the shared plan cache.
 Every SQL surface — ``Database.query``, :meth:`PreparedQuery.run`,
 :meth:`Session.execute` — runs a statement through the same two steps on
 the database (the statement prologue, then the cached-plan funnel), so the
-``system.*`` interception, the trace annotations and the atomic bind +
-execute of a parameterized template hold identically on all of them.
+``system.*`` interception, the trace annotations and the per-execution
+binding of a parameterized template hold identically on all of them.
 """
 
 from __future__ import annotations
@@ -81,23 +83,21 @@ class PreparedQuery:
         self._query = query
         self._strategy = strategy
         self._knobs = dict(knobs)
-        planner = database.planner
-        spec = planner.bind(query) if isinstance(query, str) else query
+        spec = database.planner.bind(query) if isinstance(query, str) else query
         self._parameterized = bool(spec.parameters)
+        #: the cached template (never a bound copy), once planned
         self._entry: CachedPlan | None = None
         self._hit = False
-        self._pending_spec: QuerySpec | None = None
-        if self._parameterized and params is None:
-            # Defer planning to the first run(params=...): optimizing needs
-            # concrete values for the estimates (bind peeking).
-            self._pending_spec = spec
-        else:
-            self._entry, self._hit = planner.prepare(
-                spec, strategy=strategy, params=params, bind=False, **knobs
-            )
+        #: the bound spec, until the first planning consumes it
+        self._pending_spec: QuerySpec | None = spec
         #: whether the current entry has been executed before (its first
         #: run after a cold build must not report plan_cached=True)
         self._ran = False
+        # A parameterized statement without params defers planning to the
+        # first run(params=...): optimizing needs concrete values for the
+        # estimates (bind peeking).
+        if not self._parameterized or params is not None:
+            self._refresh(params)
 
     # -- introspection -----------------------------------------------------
     @property
@@ -151,15 +151,14 @@ class PreparedQuery:
         ``params`` are required whenever (re-)planning has to happen —
         while planning is still deferred, and after a catalog change
         orphaned the cached template (re-optimization peeks the values,
-        exactly like ``run``).  When supplied they are always validated
-        and bound, so a warm ``explain`` gives the same feedback on
-        misnamed or mistyped bindings as ``run`` would; a warm ``explain``
-        without ``params`` just prints the current template plan.
+        exactly like ``run``).  When supplied they are always validated,
+        so a warm ``explain`` gives the same feedback on misnamed or
+        mistyped bindings as ``run`` would; a warm ``explain`` without
+        ``params`` just prints the current template plan.
         """
         entry = self._refresh(params)
         if params is not None:
-            with entry.bound(params):  # validates exactly as run() would
-                pass
+            entry.bind(params)  # validates exactly as run() would
         return entry.plan.explain()
 
     # -- execution ---------------------------------------------------------
@@ -169,13 +168,10 @@ class PreparedQuery:
         planner = self._db.planner
         if self._entry is None or self._entry.generation != planner.generation:
             query = self._query if self._pending_spec is None else self._pending_spec
-            self._entry, self._hit = planner.prepare(
-                query,
-                strategy=self._strategy,
-                params=params,
-                bind=False,
-                **self._knobs,
+            entry, self._hit = planner.prepare(
+                query, strategy=self._strategy, params=params, **self._knobs
             )
+            self._entry = entry.template or entry
             self._pending_spec = None
             self._ran = False
         return self._entry
@@ -206,37 +202,36 @@ class PreparedQuery:
         """
 
         def statement() -> "QueryResult":
-            entry = self._refresh(params)
+            entry = self._refresh(params).bind(params)
             hit = self._hit or self._ran
             self._ran = True
-            return self._db._run_entry(entry, hit, params, k, snapshot)
+            return self._db._run_entry(entry, hit, k, snapshot)
 
         return self._db._statement(self._query, "prepared", statement)
 
     def cursor(self, params: Any = None) -> "Cursor":
         """An incremental cursor over the prepared plan (limit stripped).
 
-        The cursor snapshots its (validated) bindings at open and restores
-        them before every fetch, under the template's execution lock, so
-        other executions of the same template — other ``run``/``cursor``
-        calls with different ``params``, on any thread or surface that
-        shares the cached plan — cannot change an open cursor's predicates
-        mid-stream.
+        The cursor's execution carries its own validated ``params``: its
+        operators compile them in at open, so other executions of the same
+        template — other ``run``/``cursor`` calls with different
+        ``params``, on any thread or surface that shares the cached plan —
+        neither change an open cursor's predicates nor wait for it.
         """
         from ..engine.result import Cursor
 
-        entry = self._refresh(params)
+        entry = self._refresh(params).bind(params)
         # Stripping the λ also strips its top-k hint, so a sort or compiled
         # segment below delivers the full ordering the cursor needs.
         unlimited = strip_limit(entry.executable)
         context = ExecutionContext(
-            self._db.catalog, entry.scoring, evaluators=entry.evaluators
+            self._db.catalog,
+            entry.scoring,
+            evaluators=entry.evaluators,
+            params=entry.params,
         )
         context.begin_run()
-        with entry.bound(params):
-            return Cursor(
-                unlimited.build(), context, entry.scoring, unlimited, entry=entry
-            )
+        return Cursor(unlimited.build(), context, entry.scoring, unlimited)
 
 
 class Session:
@@ -254,10 +249,10 @@ class Session:
     * Statements of one session serialize on its statement lock, so a
       session may be shared between threads (and a server client that
       pipelines requests gets in-order, one-at-a-time execution).
-    * A parameterized statement binds into the cached template's shared
-      parameter slots under the entry's ``execution_lock`` (see
-      :meth:`CachedPlan.bound <repro.planner.cache.CachedPlan.bound>`), so
-      interleaved runs of one template never read each other's constants.
+    * Nothing else serializes: a parameterized statement runs the shared
+      cached template bound to its own values (see :meth:`CachedPlan.bind
+      <repro.planner.cache.CachedPlan.bind>`), so runs of one template on
+      other sessions neither read its constants nor wait for it.
     * A session holds at most one open **transaction** (:meth:`begin` /
       :meth:`commit` / :meth:`rollback`).  While it is open, every
       ``execute`` reads the BEGIN-time snapshot plus the transaction's own
@@ -356,13 +351,9 @@ class Session:
         if transaction is not None:
             snapshot = transaction.read_view()
         entry, hit = self._db.planner.prepare(
-            query,
-            strategy=self.strategy,
-            params=params,
-            bind=False,
-            **self.settings,
+            query, strategy=self.strategy, params=params, **self.settings
         )
-        result = self._db._run_entry(entry, hit, params, k, snapshot)
+        result = self._db._run_entry(entry, hit, k, snapshot)
         self.queries_executed += 1
         self.rows_returned += len(result)
         self.simulated_cost += result.metrics.simulated_cost

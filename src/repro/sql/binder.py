@@ -144,7 +144,7 @@ class Binder:
         if isinstance(node, LiteralNode):
             return Literal(node.value)
         if isinstance(node, ParameterNode):
-            return Parameter(self._slots.declare(node.key), self._slots)
+            return Parameter(self._slots.declare(node.key))
         if isinstance(node, ColumnNode):
             return ColumnRef(self._qualify(node.reference(), alias_map))
         if isinstance(node, BinaryOpNode):

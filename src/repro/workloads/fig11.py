@@ -53,49 +53,32 @@ def plan1(workload: Workload, k: int | None = None) -> PlanNode:
     return LimitPlan(ranked, k)
 
 
-def plan2(workload: Workload, k: int | None = None, threshold_mode: str = "drawn") -> PlanNode:
+def plan2(workload: Workload, k: int | None = None) -> PlanNode:
     """Fully rank-aware plan: rank-scans, µ before joins, HRJN (Figure 11b)."""
     k = workload.config.k if k is None else k
-    a = MuPlan(
-        FilterPlan(RankScanPlan("A", "f1"), _selection(workload, "A.b")),
-        "f2",
-        threshold_mode,
-    )
-    b = MuPlan(
-        FilterPlan(RankScanPlan("B", "f3"), _selection(workload, "B.b")),
-        "f4",
-        threshold_mode,
-    )
-    ab = HRJNPlan(a, b, "A.jc1", "B.jc1", threshold_mode)
+    a = MuPlan(FilterPlan(RankScanPlan("A", "f1"), _selection(workload, "A.b")), "f2")
+    b = MuPlan(FilterPlan(RankScanPlan("B", "f3"), _selection(workload, "B.b")), "f4")
+    ab = HRJNPlan(a, b, "A.jc1", "B.jc1")
     c = RankScanPlan("C", "f5")
-    abc = HRJNPlan(ab, c, "B.jc2", "C.jc2", threshold_mode)
+    abc = HRJNPlan(ab, c, "B.jc2", "C.jc2")
     return LimitPlan(abc, k)
 
 
-def plan3(workload: Workload, k: int | None = None, threshold_mode: str = "drawn") -> PlanNode:
+def plan3(workload: Workload, k: int | None = None) -> PlanNode:
     """Plan2 with B accessed by sequential scan + µ_f3 µ_f4 (Figure 11c)."""
     k = workload.config.k if k is None else k
-    a = MuPlan(
-        FilterPlan(RankScanPlan("A", "f1"), _selection(workload, "A.b")),
-        "f2",
-        threshold_mode,
-    )
+    a = MuPlan(FilterPlan(RankScanPlan("A", "f1"), _selection(workload, "A.b")), "f2")
     b = MuPlan(
-        MuPlan(
-            FilterPlan(SeqScanPlan("B"), _selection(workload, "B.b")),
-            "f3",
-            threshold_mode,
-        ),
+        MuPlan(FilterPlan(SeqScanPlan("B"), _selection(workload, "B.b")), "f3"),
         "f4",
-        threshold_mode,
     )
-    ab = HRJNPlan(a, b, "A.jc1", "B.jc1", threshold_mode)
+    ab = HRJNPlan(a, b, "A.jc1", "B.jc1")
     c = RankScanPlan("C", "f5")
-    abc = HRJNPlan(ab, c, "B.jc2", "C.jc2", threshold_mode)
+    abc = HRJNPlan(ab, c, "B.jc2", "C.jc2")
     return LimitPlan(abc, k)
 
 
-def plan4(workload: Workload, k: int | None = None, threshold_mode: str = "drawn") -> PlanNode:
+def plan4(workload: Workload, k: int | None = None) -> PlanNode:
     """Hybrid plan: µ's above a sort-merge join of A⋈B, HRJN with C
     (Figure 11d)."""
     k = workload.config.k if k is None else k
@@ -104,9 +87,9 @@ def plan4(workload: Workload, k: int | None = None, threshold_mode: str = "drawn
     ab = SortMergeJoinPlan(a, b, "A.jc1", "B.jc1")
     ranked = ab
     for predicate_name in ("f1", "f2", "f3", "f4"):
-        ranked = MuPlan(ranked, predicate_name, threshold_mode)
+        ranked = MuPlan(ranked, predicate_name)
     c = RankScanPlan("C", "f5")
-    abc = HRJNPlan(ranked, c, "B.jc2", "C.jc2", threshold_mode)
+    abc = HRJNPlan(ranked, c, "B.jc2", "C.jc2")
     return LimitPlan(abc, k)
 
 

@@ -130,7 +130,11 @@ def observe(db, sql, params=None):
     the observable sequence and the metric totals."""
     entry, __ = db.planner.prepare(sql, strategy="traditional", params=params)
     result = db.execute(
-        entry.executable, entry.scoring, k=entry.k, evaluators=entry.evaluators
+        entry.executable,
+        entry.scoring,
+        k=entry.k,
+        evaluators=entry.evaluators,
+        entry=entry,
     )
     rows = [
         (tuple(sr.row.values), sr.row.rid, dict(sr.scores))

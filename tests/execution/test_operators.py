@@ -165,29 +165,6 @@ class TestMu:
         assert context.metrics.tuples_scanned == 6
         mu.close()
 
-    def test_invalid_threshold_mode(self, paper_db):
-        with pytest.raises(ValueError):
-            Mu(SeqScan("S"), "p3", threshold_mode="bogus")
-
-    def test_live_mode_not_worse(self, paper_db):
-        """'live' thresholds can only reduce the tuples drawn."""
-        drawn_context = ctx(paper_db)
-        run_plan(Mu(Mu(RankScan("S", "p3"), "p5"), "p4"), drawn_context, k=1)
-        live_context = ctx(paper_db)
-        run_plan(
-            Mu(
-                Mu(RankScan("S", "p3"), "p5", threshold_mode="live"),
-                "p4",
-                threshold_mode="live",
-            ),
-            live_context,
-            k=1,
-        )
-        assert (
-            live_context.metrics.tuples_scanned
-            <= drawn_context.metrics.tuples_scanned
-        )
-
 
 class TestFilter:
     def test_preserves_order(self, paper_db):

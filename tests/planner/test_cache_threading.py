@@ -5,13 +5,15 @@ Eight threads hammer one :class:`PlanCache` — and, separately, one real
 gives must survive: no lost entries, no double evictions, consistent
 hit/miss totals, capacity never exceeded.  The embedded surfaces
 (``db.query``, cursors, sessions) sharing one parameterized template
-across threads must each get the top-k of their own bindings.
+across threads must each get the top-k of their own bindings, and no run
+of a template may wait for another run (or open cursor) of it.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -302,3 +304,122 @@ class TestSharedTemplateAcrossThreads:
 
         run_concurrently(*(lambda cap=cap: client(cap) for cap in caps))
         assert not wrong, f"{len(wrong)} of 60 answers used another cap"
+
+
+# ----------------------------------------------------------------------
+# a run of a template never waits for another run of it
+# ----------------------------------------------------------------------
+BLOCKED = "SELECT * FROM h WHERE h.price <= :cap ORDER BY slow(h.price) LIMIT 5"
+#: how long a run of the template may take beside a blocked one
+PATIENCE_S = 2.0
+
+
+@pytest.fixture()
+def gated_db():
+    """The capped table, ranked by ``slow`` — a predicate without a rank
+    index, so row execution evaluates it at run time — which blocks
+    inside the run of whichever thread is set as ``gate.holder`` until
+    ``gate.release`` is set."""
+    gate = SimpleNamespace(
+        holder=None, entered=threading.Event(), release=threading.Event()
+    )
+
+    def slow(price: float) -> float:
+        if threading.current_thread() is gate.holder:
+            gate.entered.set()
+            gate.release.wait(30)
+        return price
+
+    db = Database(execution="row")
+    db.create_table("h", [("id", DataType.INT), ("price", DataType.FLOAT)])
+    db.insert("h", [(i, i / CAPPED_ROWS) for i in range(CAPPED_ROWS)])
+    db.register_predicate("slow", ["h.price"], slow)
+    db.analyze()
+    db.gate = gate
+    yield db
+    gate.release.set()
+
+
+def top_prices(cap: float) -> list[float]:
+    """The five prices just below ``cap`` (the capped template's answer)."""
+    top = [i / CAPPED_ROWS for i in range(CAPPED_ROWS) if i / CAPPED_ROWS <= cap]
+    return sorted(top, reverse=True)[:5]
+
+
+def blocked_thread(db, target) -> threading.Thread:
+    """Start ``target`` on a thread that blocks inside the template's
+    ranking predicate; returns once it is blocked there."""
+    thread = threading.Thread(target=target)
+    db.gate.holder = thread
+    thread.start()
+    assert db.gate.entered.wait(PATIENCE_S), "the gated run never started"
+    return thread
+
+
+def finishes(target) -> bool:
+    """Whether ``target`` completes on another thread within the patience."""
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(PATIENCE_S)
+    return not thread.is_alive()
+
+
+class TestNoTemplateLock:
+    def test_a_run_completes_beside_a_blocked_run_of_its_template(self, gated_db):
+        db = gated_db
+        db.query(BLOCKED, params={"cap": 0.5})  # plan the template unblocked
+        answers: dict[float, list] = {}
+
+        def run(cap: float) -> None:
+            answers[cap] = [row[1] for row in db.query(BLOCKED, params={"cap": cap})]
+
+        holder = blocked_thread(db, lambda: run(0.2))
+        try:
+            assert finishes(lambda: run(0.6)), (
+                "a run of the template waited for another run of it"
+            )
+            assert answers[0.6] == top_prices(0.6)
+        finally:
+            db.gate.release.set()
+            holder.join(60)
+        assert not holder.is_alive()
+        assert answers[0.2] == top_prices(0.2)
+
+    def test_a_run_completes_beside_a_blocked_cursor_fetch(self, gated_db):
+        db = gated_db
+        prepared = db.prepare(BLOCKED, params={"cap": 0.5})
+        fetched: list[float] = []
+
+        def fetch() -> None:
+            with prepared.cursor(params={"cap": 0.1}) as cursor:
+                fetched.extend(row[1] for row in cursor.fetch_many(5))
+
+        holder = blocked_thread(db, fetch)
+        try:
+            answer: list = []
+            assert finishes(
+                lambda: answer.extend(prepared.run(params={"cap": 0.9}).rows)
+            ), "a run of the template waited for a cursor's fetch"
+            assert [row[1] for row in answer] == top_prices(0.9)
+        finally:
+            db.gate.release.set()
+            holder.join(60)
+        assert not holder.is_alive()
+        assert fetched == top_prices(0.1)
+
+    def test_a_cursor_keeps_its_cap_across_another_threads_run(self, gated_db):
+        db = gated_db
+        prepared = db.prepare(BLOCKED, params={"cap": 0.5})
+        with prepared.cursor(params={"cap": 0.1}) as cursor:
+            first = cursor.fetch_next()
+            answer: list = []
+            assert finishes(
+                lambda: answer.extend(prepared.run(params={"cap": 0.9}).rows)
+            )
+            rest = list(cursor)
+        assert [row[1] for row in answer] == top_prices(0.9)
+        prices = [first[1]] + [row[1] for row in rest]
+        assert prices == sorted(
+            (i / CAPPED_ROWS for i in range(CAPPED_ROWS) if i / CAPPED_ROWS <= 0.1),
+            reverse=True,
+        )

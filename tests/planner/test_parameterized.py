@@ -17,6 +17,7 @@ import pytest
 
 from repro import ParameterError
 from repro.cli import build_demo_database
+from repro.optimizer.synopsis import SynopsisEstimator
 from repro.planner import spec_signature
 
 TEMPLATE = (
@@ -258,3 +259,34 @@ class TestSessionParameterized:
         high = session.execute(sql, params={"min_price": 200.0})
         assert all(row[1] >= 200.0 for row in high.rows)
         assert low.rows != high.rows
+
+
+BUDGET = (
+    "SELECT * FROM hotel, restaurant WHERE hotel.area = restaurant.area "
+    "AND hotel.price + restaurant.price <= :budget "
+    "ORDER BY cheap(hotel.price) + tasty(restaurant.price) LIMIT 5"
+)
+
+
+class TestParameterizedJoinCondition:
+    def test_each_binding_matches_its_literal(self, db):
+        for budget in (100.0, 200.0, 400.0):
+            got = db.query(BUDGET, params={"budget": budget})
+            assert got.rows == db.query(BUDGET.replace(":budget", repr(budget))).rows
+            assert all(row[1] + row[6] <= budget for row in got.rows)
+
+    def test_the_shared_walks_hold_no_value(self, db):
+        """The synopsis's walks do not test the parameterized condition;
+        each statement filters them with its own values."""
+        spec = db.bind(BUDGET)
+        synopsis = db.planner.synopsis(spec)
+        answers = [
+            SynopsisEstimator(synopsis, spec, {":budget": budget}).answers()
+            for budget in (50.0, 200.0, 10_000.0)
+        ]
+        assert answers[0] < answers[1] < answers[2]
+        condition = " AND hotel.price + restaurant.price <= :budget"
+        free = db.bind(BUDGET.replace(condition, ""))
+        unfiltered = SynopsisEstimator(db.planner.synopsis(free), free).answers()
+        assert answers[2] == unfiltered
+

@@ -10,7 +10,7 @@ from repro.sql.ast import ParameterNode
 from repro.sql.binder import BindError
 from repro.sql.lexer import LexError, TokenType, tokenize
 from repro.sql.parser import ParseError, parse
-from repro.storage.schema import DataType
+from repro.storage.schema import DataType, Schema
 
 
 @pytest.fixture
@@ -115,7 +115,8 @@ class TestBinder:
             "SELECT * FROM hotel WHERE hotel.stars >= :min_stars "
             "ORDER BY cheap(hotel.price) LIMIT 5"
         )
-        spec.parameters.bind({"min_stars": 2.5})  # floats fine against INT
+        # floats fine against INT
+        assert spec.parameters.validate({"min_stars": 2.5}) == {":min_stars": 2.5}
 
     def test_arithmetic_comparison_infers_numeric(self, db):
         spec = db.bind(
@@ -124,7 +125,7 @@ class TestBinder:
         )
         assert spec.parameters.expected(":cap") == {DataType.FLOAT}
         with pytest.raises(ParameterError, match="expects float"):
-            spec.parameters.bind({"cap": "oops"})
+            spec.parameters.validate({"cap": "oops"})
 
     def test_literal_comparison_infers_type(self, db):
         spec = db.bind(
@@ -159,60 +160,69 @@ class TestParameterSlots:
 
     def test_positional_bind_in_order(self):
         slots = self._slots("?1", "?2")
-        slots.bind([10, 20])
-        assert slots.value("?1") == 10 and slots.value("?2") == 20
+        assert slots.validate([10, 20]) == {"?1": 10, "?2": 20}
 
     def test_positional_count_mismatch(self):
         slots = self._slots("?1", "?2")
         with pytest.raises(ParameterError, match="takes 2 positional"):
-            slots.bind([10])
+            slots.validate([10])
         with pytest.raises(ParameterError, match="takes 2 positional"):
-            slots.bind([10, 20, 30])
+            slots.validate([10, 20, 30])
 
     def test_positional_rejects_mapping_and_strings(self):
         slots = self._slots("?1")
         with pytest.raises(ParameterError, match="sequence"):
-            slots.bind({"?1": 1})
+            slots.validate({"?1": 1})
         with pytest.raises(ParameterError, match="sequence"):
-            slots.bind("x")
+            slots.validate("x")
 
     def test_named_accepts_bare_and_colon_keys(self):
         slots = self._slots(":a", ":b")
-        slots.bind({"a": 1, ":b": 2})
-        assert slots.value(":a") == 1 and slots.value(":b") == 2
+        assert slots.validate({"a": 1, ":b": 2}) == {":a": 1, ":b": 2}
 
     def test_named_missing_and_extra_reported(self):
         slots = self._slots(":a", ":b")
         with pytest.raises(ParameterError, match="missing :b.*unexpected :c"):
-            slots.bind({"a": 1, "c": 3})
+            slots.validate({"a": 1, "c": 3})
 
     def test_named_duplicate_bare_and_colon_forms_rejected(self):
         slots = self._slots(":cap")
         with pytest.raises(ParameterError, match="bound twice"):
-            slots.bind({"cap": 100.0, ":cap": 60.0})
+            slots.validate({"cap": 100.0, ":cap": 60.0})
 
     def test_named_rejects_sequence(self):
         slots = self._slots(":a")
         with pytest.raises(ParameterError, match="mapping"):
-            slots.bind([1])
+            slots.validate([1])
 
     def test_no_parameters_rejects_bindings(self):
         slots = ParameterSlots()
         with pytest.raises(ParameterError, match="takes no parameters"):
-            slots.bind({"a": 1})
-        slots.bind(None)  # no-op
+            slots.validate({"a": 1})
+        assert slots.validate(None) == {}
+
+    def test_missing_bindings_rejected(self):
+        slots = self._slots(":a")
+        with pytest.raises(ParameterError, match="unbound parameter"):
+            slots.validate(None)
 
     def test_unbound_value_read_raises(self):
-        slots = self._slots(":a")
+        # A parameter compiled without a value for its slot.
         with pytest.raises(ParameterError, match="unbound"):
-            slots.value(":a")
+            Parameter(":a").compile(Schema([]), {})
+        with pytest.raises(ParameterError, match="unbound"):
+            Parameter(":a").compile(Schema([]))
+
+    def test_compiles_to_its_value(self):
+        evaluate = Parameter(":a").compile(Schema([]), {":a": 7})
+        assert evaluate(None) == 7
 
     def test_type_expectations_enforced(self):
         slots = self._slots(":a")
         slots.expect(":a", DataType.FLOAT)
         with pytest.raises(ParameterError, match="expects float"):
-            slots.bind({"a": "not-a-number"})
-        slots.bind({"a": 3})  # ints satisfy FLOAT
+            slots.validate({"a": "not-a-number"})
+        assert slots.validate({"a": 3}) == {":a": 3}  # ints satisfy FLOAT
 
     def test_multi_context_expectations_are_any_of(self):
         # `hotel.name = :x OR hotel.price = :x` → {TEXT, FLOAT}; either a
@@ -220,10 +230,10 @@ class TestParameterSlots:
         slots = self._slots(":x")
         slots.expect(":x", DataType.TEXT)
         slots.expect(":x", DataType.FLOAT)
-        slots.bind({"x": "h3"})
-        slots.bind({"x": 99.0})
+        assert slots.validate({"x": "h3"}) == {":x": "h3"}
+        assert slots.validate({"x": 99.0}) == {":x": 99.0}
         with pytest.raises(ParameterError, match="expects float or text"):
-            slots.bind({"x": True})
+            slots.validate({"x": True})
 
     def test_mixed_styles_rejected_at_declare(self):
         slots = ParameterSlots()
@@ -231,9 +241,11 @@ class TestParameterSlots:
         with pytest.raises(ParameterError, match="mix"):
             slots.declare(":name")
 
-    def test_clear_unbinds(self):
+    def test_validation_stores_nothing(self):
+        # Each call returns its own values; the slots stay value-free.
         slots = self._slots(":a")
-        slots.bind({"a": 1})
-        assert slots.is_bound
-        slots.clear()
-        assert not slots.is_bound
+        first = slots.validate({"a": 1})
+        second = slots.validate({"a": 2})
+        assert first == {":a": 1} and second == {":a": 2}
+        first[":a"] = 99
+        assert slots.validate({"a": 3}) == {":a": 3}
