@@ -92,6 +92,58 @@ class TestTemplateSharing:
         assert first.rows != second.rows
 
 
+def execute_entry(db, entry, hit):
+    """Run a prepared entry the way the two-step embedded path does:
+    ``planner.prepare`` then ``db.execute`` with the entry and no params."""
+    return db.execute(
+        entry.executable, entry.scoring, k=entry.k,
+        evaluators=entry.evaluators, plan_cached=hit, entry=entry,
+    )
+
+
+class TestBoundEntries:
+    def test_a_template_without_parameters_binds_to_itself(self, db):
+        entry, __ = db.planner.prepare(literal(200.0))
+        assert entry.params is None
+        assert entry.bind(None) is entry
+        assert entry.bind({}) is entry
+
+    def test_a_bound_entry_shares_the_template(self, db):
+        first, __ = db.planner.prepare(TEMPLATE, params={"max_price": 150.0})
+        second, hit = db.planner.prepare(TEMPLATE, params={"max_price": 300.0})
+        assert hit
+        assert first is not second
+        assert first.params != second.params
+        assert first.template is second.template
+        for bound in (first, second):
+            assert bound.plan is bound.template.plan
+            assert bound.evaluators is bound.template.evaluators
+        assert first.template.params is None
+
+    def test_the_cache_holds_only_unbound_templates(self, db):
+        for price in (120.0, 240.0, 360.0):
+            db.query(TEMPLATE, params={"max_price": price})
+        entries = db.planner.cache.entries()
+        assert len(entries) == 1
+        assert all(e.params is None and e.template is None for e in entries)
+
+    def test_prepare_then_execute_runs_the_bound_values(self, db):
+        for price in (100.0, 250.0):
+            entry, hit = db.planner.prepare(TEMPLATE, params={"max_price": price})
+            got = execute_entry(db, entry, hit)
+            assert got.rows == db.query(literal(price)).rows
+            assert all(row[1] <= price for row in got.rows)
+
+    def test_every_binding_folds_into_the_templates_feedback(self, db):
+        prices = (100.0, 200.0, 300.0)
+        for price in prices:
+            entry, hit = db.planner.prepare(TEMPLATE, params={"max_price": price})
+            execute_entry(db, entry, hit)
+        feedback = entry.template.feedback
+        assert feedback is not None
+        assert feedback.nodes[0].executions == len(prices)
+
+
 class TestSignatures:
     def test_parameterized_never_collides_with_literal(self, db):
         parameterized = db.bind(TEMPLATE)
