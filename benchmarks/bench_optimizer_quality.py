@@ -2,7 +2,7 @@
 
 The paper's §6.1 motivates the optimizer by showing the hand-built plans
 differ by orders of magnitude.  This bench closes the loop: the 2-D DP
-optimizer (and its heuristic and rule-based variants) must pick a plan that
+optimizer (and its heuristic variant) must pick a plan that
 is competitive with the best of the four Figure-11 hand plans — and far
 better than the worst — measured by executed simulated cost.
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.optimizer import RankAwareOptimizer, RuleBasedOptimizer, optimize_traditional
+from repro.optimizer import RankAwareOptimizer, optimize_traditional
 from repro.workloads import ALL_PLANS
 
 from .conftest import cached_workload, execute, record
@@ -41,9 +41,7 @@ def test_hand_plans(benchmark, plan_name):
     record(benchmark, metrics, plan=plan_name)
 
 
-@pytest.mark.parametrize(
-    "mode", ["dp", "dp_heuristic", "rule_based", "traditional"]
-)
+@pytest.mark.parametrize("mode", ["dp", "dp_heuristic", "traditional"])
 def test_optimizer_chosen(benchmark, mode):
     workload = cached_workload()
 
@@ -58,12 +56,6 @@ def test_optimizer_chosen(benchmark, mode):
                 workload.spec,
                 left_deep=True,
                 greedy_mu=True,
-            ).optimize()
-        elif mode == "rule_based":
-            plan = RuleBasedOptimizer(
-                workload.catalog,
-                workload.spec,
-                max_plans=120,
             ).optimize()
         else:
             plan = optimize_traditional(
@@ -82,7 +74,7 @@ def test_quality_report(benchmark):
         pytest.skip("run the parametrized cases first")
     print("\nE9: executed simulated cost, hand plans vs optimizer choices")
     for label in ("plan1", "plan2", "plan3", "plan4", "dp", "dp_heuristic",
-                  "rule_based", "traditional"):
+                  "traditional"):
         if label in _costs:
             print(f"  {label:<14} {_costs[label]:>12.0f}")
     # All strategies answer identically.

@@ -6,7 +6,7 @@ sides to rule out duplicates.
 
 Scenario: two union-compatible catalogues of the same product space (two
 regional warehouses).  We ask three questions through hand-built logical
-plans executed via the rule-based optimizer path:
+plans, each node implemented by its cheapest physical operator:
 
 * top products available in *either* warehouse        (union),
 * top products available in *both*                    (intersection),
@@ -73,9 +73,7 @@ def main() -> None:
     ]
     for title, set_plan in questions:
         plan = LogicalLimit(set_plan, 5)
-        result = db.query_logical(
-            plan, spec, max_plans=30
-        )
+        result = db.query_logical(plan, spec)
         print(f"Top 5 {title}:")
         for row, score in zip(result.rows, result.scores):
             print(f"  {row[0]:<12} score={score:.3f}")

@@ -762,14 +762,15 @@ class Database:
 
     def _statement(
         self,
-        query: "str | QuerySpec",
+        query: "str | QuerySpec | LogicalOperator",
         surface: str,
         run: "Callable[[], QueryResult]",
     ) -> QueryResult:
-        """The prologue every SQL surface (``query``, prepared runs,
-        sessions) opens a statement with: reject a closed database, answer
-        ``system.*`` introspection without planning or tracing it, and run
-        everything else as ``run()`` inside one trace labelled ``surface``."""
+        """The prologue every statement surface (``query``, prepared runs,
+        sessions, ``query_logical``) opens a statement with: reject a closed
+        database, answer ``system.*`` introspection without planning or
+        tracing it, and run everything else as ``run()`` inside one trace
+        labelled ``surface``."""
         self._check_open()
         if isinstance(query, str):
             virtual = _system_tables.maybe_execute(
@@ -777,7 +778,11 @@ class Database:
             )
             if virtual is not None:
                 return virtual
-        sql = query if isinstance(query, str) else "<QuerySpec>"
+            sql = query
+        elif isinstance(query, QuerySpec):
+            sql = "<QuerySpec>"
+        else:
+            sql = "<logical plan>"
         with self.tracer.trace(sql, surface=surface):
             return run()
 
@@ -924,17 +929,24 @@ class Database:
         logical: LogicalOperator,
         spec: QuerySpec,
         k: int | None = None,
-        **kwargs: Any,
     ) -> QueryResult:
-        """Optimize and execute a hand-built *logical* plan.
+        """Implement and execute a hand-built *logical* plan.
 
-        Routes through the rule-based (transformation + implementation
-        rules) optimizer, which supports the full algebra including the
-        rank-aware set operations ∪, ∩, − — use this for queries the SQL
-        dialect cannot express, e.g. the union of two ranked relations.
+        The implementation rules
+        (:class:`~repro.optimizer.rule_based.RuleBasedOptimizer`) cover the
+        full algebra including the rank-aware set operations ∪, ∩, − —
+        use this for queries the SQL dialect cannot express, e.g. the
+        union of two ranked relations.  The tree is implemented as given,
+        cheapest physical operator per node; nothing rewrites it.
         ``spec`` supplies the scoring function, ``k`` and the statistics
-        context (its table list should cover the plan's tables).
+        context (its table list should cover the plan's tables).  The
+        statement is traced under the ``logical`` surface.
         """
-        self._check_open()
-        physical = self.planner.plan_logical(logical, spec, **kwargs)
-        return self.execute(physical, spec.scoring, k=k if k is not None else spec.k)
+
+        def statement() -> QueryResult:
+            physical = self.planner.plan_logical(logical, spec)
+            return self.execute(
+                physical, spec.scoring, k=k if k is not None else spec.k
+            )
+
+        return self._statement(logical, "logical", statement)

@@ -37,7 +37,7 @@ from .plans import (
     SortPlan,
 )
 from .query_spec import JoinCondition, QuerySpec
-from .rule_based import RuleBasedOptimizer, canonical_logical_plan
+from .rule_based import RuleBasedOptimizer
 from .synopsis import JoinSynopsis, SynopsisEstimator
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
     "RankUnionPlan",
     "RuleBasedOptimizer",
     "SampleDatabase",
-    "canonical_logical_plan",
     "explain_analyze",
     "SampleRun",
     "ScanSelectPlan",

@@ -9,12 +9,15 @@ rank-relation.  Plans for a signature are generated three ways:
 * ``joinPlan`` — joining plans for ``(SR1, SP1)`` and ``(SR2, SP2)``;
 * ``rankPlan`` — appending a µ operator to a plan for ``(SR, SP − {p})``;
 * ``scanPlan`` — access paths for single relations with at most one
-  predicate (seq-scan, rank-scan, scan-based selection, column-order scan).
+  predicate (seq-scan, rank-scan, scan-based selection).
 
-Per signature only the cheapest plan is kept, except that plans with
-distinct *physical properties* (interesting column order — only possible
-when ``SP = φ`` — and rank-ordered-ness) survive alongside, exactly as in
-System R.
+Per signature only the cheapest plan is kept, except that a rank-ordered
+plan and an unordered one survive alongside: rank-orderedness is the one
+physical property the algebra has.  Column order is not one — the cost
+model prices a column-order scan like a seq-scan and a sort-merge join no
+cheaper than a hash join on the same inputs, so System R's interesting-order
+class could never win and is not enumerated (Fig. 11's Plan 1 builds those
+operators by hand).
 
 Heuristics (Figure 10), both optional:
 
@@ -33,10 +36,9 @@ from typing import Any
 from ..algebra.expressions import ColumnRef
 from ..algebra.predicates import BooleanPredicate
 from ..storage.catalog import Catalog
-from ..storage.index import ColumnIndex, MultiKeyIndex, RankIndex
+from ..storage.index import MultiKeyIndex, RankIndex
 from .cost_model import CostModel
 from .plans import (
-    ColumnOrderScanPlan,
     FilterPlan,
     HRJNPlan,
     HashJoinPlan,
@@ -49,7 +51,6 @@ from .plans import (
     RankScanPlan,
     ScanSelectPlan,
     SeqScanPlan,
-    SortMergeJoinPlan,
     SortPlan,
 )
 from .query_spec import JoinCondition, QuerySpec
@@ -72,13 +73,13 @@ class Candidate:
     tie_key: tuple | None = None
 
     @property
-    def physical_key(self) -> tuple:
-        return (self.plan.column_order, self.plan.is_ranked)
+    def physical_key(self) -> bool:
+        return self.plan.is_ranked
 
 
 #: operator kinds in tie-break order (see ``RankAwareOptimizer._tie_key``):
-#: plain scans before index-ordered ones, hash before sort-merge before
-#: nested-loop joins, rank-joins before their nested-loop form
+#: plain scans before index-ordered ones, hash before nested-loop joins,
+#: rank-joins before their nested-loop form
 _KIND_ORDER = {
     kind: position
     for position, kind in enumerate(
@@ -91,12 +92,10 @@ _KIND_ORDER = {
             HRJNPlan,
             NRJNPlan,
             HashJoinPlan,
-            SortMergeJoinPlan,
             NestedLoopJoinPlan,
             SeqScanPlan,
             RankScanPlan,
             ScanSelectPlan,
-            ColumnOrderScanPlan,
         )
     )
 }
@@ -163,8 +162,8 @@ class RankAwareOptimizer:
         self.enumerate_ranking = enumerate_ranking
         self.enumerate_selections = enumerate_selections
         self.allow_cartesian = allow_cartesian
-        #: memo: signature -> {physical_key -> Candidate}
-        self.memo: dict[Signature, dict[tuple, Candidate]] = {}
+        #: memo: signature -> {physical_key (rank-ordered?) -> Candidate}
+        self.memo: dict[Signature, dict[bool, Candidate]] = {}
         #: number of plans generated (for enumeration-efficiency reports)
         self.plans_generated = 0
         self._evaluable_on: dict[frozenset[str], frozenset[str]] = {}
@@ -292,7 +291,7 @@ class RankAwareOptimizer:
                 for sp1, sp2 in self._predicate_splits(sp, sr1, sr2):
                     for left in self._candidates(sr1, sp1, sb1):
                         for right in self._candidates(sr2, sp2, sb2):
-                            for plan in self._join_plans(left, right, sr1, sr2, sr):
+                            for plan in self._join_plans(left, right, sr1, sr2):
                                 self._consider(sr, sp, sb, plan)
 
     def _relation_splits(self, sr: frozenset[str]):
@@ -391,40 +390,31 @@ class RankAwareOptimizer:
         selections = [
             c for c in self.spec.selections_on(table) if c.name in sb
         ]
-        catalog_table = self.catalog.table(table)
-        plans: list[PlanNode] = []
         if not sp:
-            plans.append(self._with_filters(SeqScanPlan(table), selections))
-            for index in catalog_table.indexes.values():
-                if isinstance(index, ColumnIndex):
+            return [self._with_filters(SeqScanPlan(table), selections)]
+        (predicate_name,) = sp
+        plans: list[PlanNode] = []
+        for index in self.catalog.table(table).indexes.values():
+            if isinstance(index, RankIndex) and index.predicate_name == predicate_name:
+                plans.append(
+                    self._with_filters(
+                        RankScanPlan(table, predicate_name), selections
+                    )
+                )
+            if (
+                isinstance(index, MultiKeyIndex)
+                and index.predicate_name == predicate_name
+            ):
+                consumed, remaining = self._match_bool_selection(
+                    index.bool_column, selections
+                )
+                if consumed is not None:
                     plans.append(
                         self._with_filters(
-                            ColumnOrderScanPlan(table, index.column), selections
+                            ScanSelectPlan(table, index.bool_column, predicate_name),
+                            remaining,
                         )
                     )
-        else:
-            (predicate_name,) = sp
-            for index in catalog_table.indexes.values():
-                if isinstance(index, RankIndex) and index.predicate_name == predicate_name:
-                    plans.append(
-                        self._with_filters(
-                            RankScanPlan(table, predicate_name), selections
-                        )
-                    )
-                if (
-                    isinstance(index, MultiKeyIndex)
-                    and index.predicate_name == predicate_name
-                ):
-                    consumed, remaining = self._match_bool_selection(
-                        index.bool_column, selections
-                    )
-                    if consumed is not None:
-                        plans.append(
-                            self._with_filters(
-                                ScanSelectPlan(table, index.bool_column, predicate_name),
-                                remaining,
-                            )
-                        )
         return plans
 
     @staticmethod
@@ -453,26 +443,24 @@ class RankAwareOptimizer:
         right: Candidate,
         sr1: frozenset[str],
         sr2: frozenset[str],
-        sr: frozenset[str],
     ) -> list[PlanNode]:
         conditions = self.spec.join_conditions_between(sr1, sr2)
         if not conditions and not self.allow_cartesian:
             return []
         equi = [c for c in conditions if self.condition_keys(c, sr1, sr2)]
+        if equi:
+            # The first equi-condition keys HRJN / hash join; the rest
+            # filter above it.
+            left_key, right_key = self.condition_keys(equi[0], sr1, sr2)
+            rest = [c.predicate for c in conditions if c is not equi[0]]
         plans: list[PlanNode] = []
         both_ranked = left.plan.is_ranked and right.plan.is_ranked
         has_rank_below = bool(left.plan.rank_predicates | right.plan.rank_predicates)
 
         if equi and both_ranked:
-            primary = equi[0]
-            keys = self.condition_keys(primary, sr1, sr2)
-            assert keys is not None
-            left_key, right_key = keys
-            rest = [c.predicate for c in conditions if c is not primary]
             plans.append(
                 self._with_filters(
-                    HRJNPlan(left.plan, right.plan, left_key, right_key),
-                    rest,
+                    HRJNPlan(left.plan, right.plan, left_key, right_key), rest
                 )
             )
         if conditions and both_ranked and has_rank_below:
@@ -482,17 +470,6 @@ class RankAwareOptimizer:
             # Classical joins: valid only when no predicate has been
             # evaluated below (output order is then vacuously rank-valid).
             if equi:
-                primary = equi[0]
-                keys = self.condition_keys(primary, sr1, sr2)
-                assert keys is not None
-                left_key, right_key = keys
-                rest = [c.predicate for c in conditions if c is not primary]
-                plans.append(
-                    self._with_filters(
-                        SortMergeJoinPlan(left.plan, right.plan, left_key, right_key),
-                        rest,
-                    )
-                )
                 plans.append(
                     self._with_filters(
                         HashJoinPlan(left.plan, right.plan, left_key, right_key),

@@ -1,35 +1,27 @@
-"""Volcano/Cascades-style rule-based optimization (§5, first half).
+"""Implementation rules for hand-built logical plans (§5, first half).
 
-The paper notes that for *top-down, rule-based* optimizers, the algebraic
-laws of Figure 5 become **transformation rules** (rewriting between
-equivalent logical expressions) and the physical algorithms of §4.2 become
-**implementation rules** (mapping logical operators to physical ones).
+The paper notes that for rule-based optimizers the physical algorithms of
+§4.2 become **implementation rules**, mapping logical operators to physical
+ones.  This module holds those rules for the plans the SQL dialect cannot
+express — chiefly the rank-aware set operations ∪, ∩ and −, which the
+``(SR, SP)`` DP of :mod:`repro.optimizer.enumeration` does not cover:
 
-This module provides exactly that pipeline, complementing the bottom-up DP
-of :mod:`repro.optimizer.enumeration`:
+* scans map to seq-scans, and µ over a base scan to a rank-scan when the
+  table has a matching rank index;
+* σ maps to Filter, µ to Mu, τ to Sort, λ to Limit, π to Project;
+* ⋈ maps to HRJN / NRJN over ranked inputs, else to a nested-loop join;
+* ∪, ∩ and − map to their rank-aware operators.
 
-1. build the canonical logical plan of Eq. 1 from a :class:`QuerySpec`
-   (product of the base tables → selections → monolithic sort → limit);
-2. close it under the law rewriter (:func:`repro.algebra.laws.transformations`),
-   bounded — the Volcano memo;
-3. *implement* each logical plan: map scans to seq-/rank-scans (preferring
-   indexes), σ to Filter, µ to Mu, ⋈ to HRJN/NRJN/classical joins, τ to
-   Sort, ∪/∩/− to their rank-aware operators;
-4. cost every complete physical plan with the shared cost model and keep
-   the cheapest.
-
-The search is less thorough than the DP enumerator (it does not reorder
-joins beyond what the closure reaches) but demonstrates the transformation-
-rule path and is useful for queries with set operations, which the DP
-enumerator does not cover.
+:meth:`RuleBasedOptimizer.optimize` implements the tree bottom-up and keeps
+the cheapest alternative per node under the shared cost model.  It does not
+rewrite the tree: the transformation rules (the laws of Figure 5,
+:mod:`repro.algebra.laws`) are checked for equivalence but not searched —
+every SQL statement is planned by the DP.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from ..algebra.expressions import ColumnRef, Comparison, conjunction
-from ..algebra.laws import equivalence_closure
+from ..algebra.expressions import ColumnRef, Comparison
 from ..algebra.operators import (
     LogicalDifference,
     LogicalIntersect,
@@ -69,85 +61,25 @@ from .plans import (
 from .query_spec import QuerySpec
 
 
-def canonical_logical_plan(spec: QuerySpec, catalog: Catalog) -> LogicalOperator:
-    """The Eq. 1 canonical form: π λ_k τ_F σ_B (R1 ⋈ ... ⋈ Rh).
-
-    Join conditions are attached to the joins they connect (the standard
-    σ-over-× to ⋈ rewrite, which classical optimizers always apply);
-    single-table selections stay in one σ_B above, and the monolithic sort
-    τ_F sits on top — the shape the rank-aware laws then improve.
-    """
-    plan: LogicalOperator | None = None
-    joined: frozenset[str] = frozenset()
-    attached: set[int] = set()
-    for table_name in spec.tables:
-        scan = LogicalScan(table_name, catalog.table(table_name).schema)
-        if plan is None:
-            plan, joined = scan, frozenset({table_name})
-            continue
-        new_joined = joined | {table_name}
-        conditions = [
-            (i, j)
-            for i, j in enumerate(spec.join_conditions)
-            if i not in attached and j.tables <= new_joined
-        ]
-        condition: BooleanPredicate | None = None
-        if conditions:
-            attached.update(i for i, __ in conditions)
-            expressions = [j.predicate.expression for __, j in conditions]
-            names = " and ".join(j.predicate.name for __, j in conditions)
-            condition = BooleanPredicate(conjunction(expressions), names)
-        plan = LogicalJoin(plan, scan, condition)
-        joined = new_joined
-    assert plan is not None
-    selections = [c.expression for c in spec.selections]
-    if selections:
-        plan = LogicalSelect(
-            plan, BooleanPredicate(conjunction(selections), "B")
-        )
-    plan = LogicalSort(plan, spec.scoring)
-    plan = LogicalLimit(plan, spec.k)
-    if spec.projection:
-        plan = LogicalProject(plan, spec.projection)
-    return plan
-
-
 class RuleBasedOptimizer:
-    """Transformation-rule search over the law closure, then costing."""
+    """Implementation rules over a hand-built logical plan, then costing."""
 
     def __init__(
         self,
         catalog: Catalog,
         spec: QuerySpec,
-        max_plans: int = 300,
         *,
         synopsis: JoinSynopsis | None = None,
-        params: dict[str, Any] | None = None,
     ):
         self.catalog = catalog
         self.spec = spec
-        self.estimator = engine_estimator(catalog, spec, synopsis, params=params)
+        self.estimator = engine_estimator(catalog, spec, synopsis)
         self.cost_model = CostModel(catalog, spec, self.estimator)
-        self.max_plans = max_plans
-        #: logical plans explored in the last optimize() call
-        self.logical_plans_explored = 0
 
-    def optimize(self, logical: LogicalOperator | None = None) -> PlanNode:
-        """Search the closure of the (canonical) logical plan; return the
-        cheapest implementable physical plan."""
-        root = logical or canonical_logical_plan(self.spec, self.catalog)
-        closure = equivalence_closure(root, self.spec.scoring, self.max_plans)
-        self.logical_plans_explored = len(closure)
-        best: PlanNode | None = None
-        best_cost = float("inf")
-        for candidate in closure:
-            for physical in self.implement(candidate):
-                cost = self.cost_model.cost(physical)
-                if cost < best_cost:
-                    best, best_cost = physical, cost
-        if best is None:
-            raise OptimizationError("no implementable plan in the closure")
-        return best
+    def optimize(self, logical: LogicalOperator) -> PlanNode:
+        """The cheapest physical implementation of ``logical``, built
+        bottom-up: each node keeps its cheapest alternative."""
+        return self._best_child(logical)
 
     # ------------------------------------------------------------------
     # implementation rules: logical operator -> physical alternatives

@@ -1,8 +1,8 @@
 """Staged query planning: parse → bind → optimize → cache → prepared reuse.
 
 This package owns everything between SQL text and an executable physical
-plan.  :class:`Planner` unifies the three optimizer paths behind named
-strategies; :class:`PlanCache` memoizes chosen plans by normalized query
+plan.  :class:`Planner` runs the one ``(SR, SP)`` DP under two named
+strategies (``rank-aware`` | ``traditional``); :class:`PlanCache` memoizes chosen plans by normalized query
 signature; :class:`PreparedQuery` and :class:`Session` expose reuse to
 clients.  See ``docs/architecture.md`` for the full lifecycle map.
 """

@@ -1,20 +1,24 @@
 """The unified planner: parse → bind → optimize behind one interface.
 
 Before this layer existed, ``engine/database.py`` wired the SQL front end
-and the three optimizers (:class:`~repro.optimizer.enumeration.RankAwareOptimizer`,
-:func:`~repro.optimizer.enumeration.optimize_traditional`,
-:class:`~repro.optimizer.rule_based.RuleBasedOptimizer`) together ad hoc,
-re-running the full ``(SR, SP)`` DP enumeration on every ``query()`` call.
-:class:`Planner` owns that pipeline as explicit stages:
+and the optimizers together ad hoc, re-running the full ``(SR, SP)`` DP
+enumeration on every ``query()`` call.  :class:`Planner` owns that pipeline
+as explicit stages:
 
 1. **parse** — SQL text to AST (:mod:`repro.sql.parser`);
 2. **bind** — AST to a canonical :class:`~repro.optimizer.query_spec.QuerySpec`;
 3. **optimize** — spec to a physical :class:`~repro.optimizer.plans.PlanNode`
-   under a named *strategy* (``rank-aware`` | ``traditional`` | ``rule-based``)
-   and explicit knobs;
+   by the one DP (:class:`~repro.optimizer.enumeration.RankAwareOptimizer`)
+   under a named *strategy* (``rank-aware`` | ``traditional``, the DP
+   without its ranking dimension) and explicit knobs;
 4. **cache** — the chosen plan, keyed by the normalized signature, together
    with its compiled-evaluator cache so warm executions skip both
    enumeration and predicate recompilation.
+
+Hand-built logical plans (:meth:`Planner.plan_logical`, the set-operation
+path) skip the DP: the implementation rules of
+:class:`~repro.optimizer.rule_based.RuleBasedOptimizer` map them bottom-up,
+cheapest alternative per node, and nothing caches them.
 
 The planner never executes plans — that remains the engine's job — and it
 never mutates the catalog beyond what binding requires.  Any change to
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..algebra.operators import LogicalOperator
@@ -46,8 +50,8 @@ from ..storage.catalog import Catalog
 from .cache import CachedPlan, PlanCache
 from .signature import plan_signature
 
-#: the optimization strategies the planner unifies
-STRATEGIES = ("rank-aware", "traditional", "rule-based")
+#: the optimization strategies: the DP with and without its ranking dimension
+STRATEGIES = ("rank-aware", "traditional")
 
 #: join synopses kept per planner (least recently used dropped first)
 SYNOPSIS_CAPACITY = 64
@@ -113,7 +117,6 @@ class PlannerMetrics:
     compile_seconds: float = 0.0
     #: join synopses drawn (first use of a join graph, or a stale one)
     synopses_built: int = 0
-    by_strategy: dict[str, int] = field(default_factory=dict)
 
     def summary(self) -> dict[str, float]:
         return {
@@ -329,9 +332,6 @@ class Planner:
             if compiled_segments:
                 self.metrics.plans_compiled += 1
                 self.metrics.compile_seconds += compile_seconds
-            self.metrics.by_strategy[strategy] = (
-                self.metrics.by_strategy.get(strategy, 0) + 1
-            )
         entry = CachedPlan(
             signature=signature,
             spec=spec,
@@ -358,46 +358,32 @@ class Planner:
         knobs: dict[str, Any],
         params: dict[str, Any],
     ) -> tuple[PlanNode, CostModel]:
-        """Run the strategy's optimizer on the peeked ``params``; returns
+        """Run the DP under the strategy on the peeked ``params``; returns
         the plan *and* the cost model that priced it (the regime pass
         reuses it, so row-vs-compiled is judged by the same model that
         chose the plan)."""
         self._check_knobs(knobs)
-        synopsis = self.synopsis(spec)
-        if strategy == "rank-aware":
-            optimizer = RankAwareOptimizer(
-                self.catalog, spec, synopsis=synopsis, params=params, **knobs
-            )
-            return optimizer.optimize(), optimizer.cost_model
         if strategy == "traditional":
             if knobs:
                 raise TypeError(
                     f"traditional strategy takes no knobs, got {sorted(knobs)}"
                 )
-            optimizer = RankAwareOptimizer(
-                self.catalog,
-                spec,
-                enumerate_ranking=False,
-                synopsis=synopsis,
-                params=params,
-            )
-            return optimizer.optimize(), optimizer.cost_model
-        rule_based = RuleBasedOptimizer(
-            self.catalog, spec, synopsis=synopsis, params=params, **knobs
+            knobs = {"enumerate_ranking": False}
+        optimizer = RankAwareOptimizer(
+            self.catalog, spec, synopsis=self.synopsis(spec), params=params, **knobs
         )
-        return rule_based.optimize(), rule_based.cost_model
+        return optimizer.optimize(), optimizer.cost_model
 
-    def plan_logical(
-        self, logical: LogicalOperator, spec: QuerySpec, **knobs: Any
-    ) -> PlanNode:
-        """Optimize a hand-built logical plan (rule-based path, uncached —
-        logical trees carry no normalized signature)."""
+    def plan_logical(self, logical: LogicalOperator, spec: QuerySpec) -> PlanNode:
+        """Implement a hand-built logical plan bottom-up, cheapest
+        alternative per node (uncached — logical trees carry no normalized
+        signature)."""
         start = time.perf_counter()
-        self._check_knobs(knobs)
-        optimizer = RuleBasedOptimizer(
-            self.catalog, spec, synopsis=self.synopsis(spec), **knobs
-        )
-        plan = optimizer.optimize(logical=logical)
+        with self._span("optimize"):
+            optimizer = RuleBasedOptimizer(
+                self.catalog, spec, synopsis=self.synopsis(spec)
+            )
+            plan = optimizer.optimize(logical)
         elapsed = time.perf_counter() - start
         with self._lock:
             self.metrics.plan_seconds += elapsed

@@ -16,7 +16,7 @@ from .index import ColumnIndex, Index, MultiKeyIndex, RankIndex
 from .row import Row
 from .schema import Column, DataType, Schema, SchemaError
 from .snapshot import DatabaseSnapshot
-from .stats import ColumnStats, Histogram, TableStats, analyze_table
+from .stats import ColumnStats, TableStats, analyze_table
 from .table import ColumnarView, Table, TableVersion
 from .transaction import (
     SerializationError,
@@ -39,7 +39,6 @@ __all__ = [
     "DataType",
     "DatabaseSnapshot",
     "FaultInjector",
-    "Histogram",
     "Index",
     "InjectedCrash",
     "MultiKeyIndex",

@@ -1,53 +1,20 @@
 """Table statistics.
 
-The optimizer's cost model needs the classical statistics a System-R style
-optimizer keeps: row counts, per-column distinct-value counts (for join and
-equality selectivity), min/max, null fraction, and equi-width histograms for
-range selectivity.  :func:`analyze_table` computes them in one pass, the way
+The catalog keeps the few classical statistics the engine still reads:
+row counts, per-column distinct-value counts (the cost model's equi-join
+selectivity) and min/max (the binder's ``p_max`` for arithmetic ranking
+predicates).  Selection selectivities and ranked cardinalities come from
+the join synopsis (:mod:`repro.optimizer.synopsis`), not from here.
+:func:`analyze_table` computes the statistics in one pass, the way
 ``ANALYZE`` does.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
 from .table import Table
-
-DEFAULT_HISTOGRAM_BUCKETS = 16
-
-
-@dataclass
-class Histogram:
-    """Equi-width histogram over a numeric column."""
-
-    low: float
-    high: float
-    counts: list[int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def selectivity_le(self, value: float) -> float:
-        """Estimated fraction of values ``<= value``."""
-        if self.total == 0:
-            return 0.0
-        if value >= self.high:
-            return 1.0
-        if value < self.low:
-            return 0.0
-        width = (self.high - self.low) / len(self.counts) or 1.0
-        bucket = min(int((value - self.low) / width), len(self.counts) - 1)
-        below = sum(self.counts[:bucket])
-        # Linear interpolation within the bucket.
-        frac = ((value - self.low) - bucket * width) / width
-        return (below + frac * self.counts[bucket]) / self.total
-
-    def selectivity_between(self, low: float, high: float) -> float:
-        """Estimated fraction of values in ``[low, high]``."""
-        return max(0.0, self.selectivity_le(high) - self.selectivity_le(low))
 
 
 @dataclass
@@ -56,16 +23,8 @@ class ColumnStats:
 
     name: str
     n_distinct: int = 0
-    null_fraction: float = 0.0
     min_value: Any = None
     max_value: Any = None
-    histogram: Histogram | None = None
-
-    def equality_selectivity(self) -> float:
-        """Estimated selectivity of ``col = constant`` (uniformity assumption)."""
-        if self.n_distinct <= 0:
-            return 1.0
-        return (1.0 - self.null_fraction) / self.n_distinct
 
 
 @dataclass
@@ -91,43 +50,19 @@ class TableStats:
         return 1.0 / denominator
 
 
-def analyze_table(table: Table, histogram_buckets: int = DEFAULT_HISTOGRAM_BUCKETS) -> TableStats:
+def analyze_table(table: Table) -> TableStats:
     """Compute :class:`TableStats` for a table in a single pass."""
     stats = TableStats(table.name, row_count=table.row_count)
-    n = table.row_count
     names = table.schema.column_names()
     values_by_column: list[list[Any]] = [[] for __ in names]
-    nulls = [0] * len(names)
     for row in table.rows():
         for i, value in enumerate(row.values):
-            if value is None:
-                nulls[i] += 1
-            else:
+            if value is not None:
                 values_by_column[i].append(value)
-    for i, name in enumerate(names):
-        values = values_by_column[i]
-        col = ColumnStats(name)
-        col.null_fraction = (nulls[i] / n) if n else 0.0
-        col.n_distinct = len(set(values))
-        if values and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-            col.min_value = min(values)
-            col.max_value = max(values)
-            col.histogram = _build_histogram(values, histogram_buckets)
-        elif values:
+    for name, values in zip(names, values_by_column):
+        col = ColumnStats(name, n_distinct=len(set(values)))
+        if values:
             col.min_value = min(values)
             col.max_value = max(values)
         stats.columns[name] = col
     return stats
-
-
-def _build_histogram(values: list[float], buckets: int) -> Histogram:
-    low = float(min(values))
-    high = float(max(values))
-    if math.isclose(low, high):
-        return Histogram(low, high, [len(values)])
-    counts = [0] * buckets
-    width = (high - low) / buckets
-    for v in values:
-        bucket = min(int((v - low) / width), buckets - 1)
-        counts[bucket] += 1
-    return Histogram(low, high, counts)

@@ -66,9 +66,7 @@ class TestLogicalSetQueries:
         db, scoring, ratings, streaming, cinema = movie_db
         left, right = ranked_sides(db)
         plan = LogicalLimit(LogicalUnion(left, right), 5)
-        result = db.query_logical(
-            plan, spec_for(db, scoring, 5), max_plans=30
-        )
+        result = db.query_logical(plan, spec_for(db, scoring, 5))
         expected = sorted(
             (final_score(ratings, t) for t in streaming | cinema), reverse=True
         )[:5]
@@ -78,9 +76,7 @@ class TestLogicalSetQueries:
         db, scoring, ratings, streaming, cinema = movie_db
         left, right = ranked_sides(db)
         plan = LogicalLimit(LogicalIntersect(left, right), 5)
-        result = db.query_logical(
-            plan, spec_for(db, scoring, 5), max_plans=30
-        )
+        result = db.query_logical(plan, spec_for(db, scoring, 5))
         both = streaming & cinema
         expected = sorted(
             (final_score(ratings, t) for t in both), reverse=True
@@ -91,9 +87,7 @@ class TestLogicalSetQueries:
         db, scoring, ratings, streaming, cinema = movie_db
         left, right = ranked_sides(db)
         plan = LogicalLimit(LogicalDifference(left, right), 10)
-        result = db.query_logical(
-            plan, spec_for(db, scoring, 10), max_plans=30
-        )
+        result = db.query_logical(plan, spec_for(db, scoring, 10))
         only_streaming = streaming - cinema
         got_titles = {row[0] for row in result.rows}
         assert got_titles <= only_streaming
@@ -103,7 +97,55 @@ class TestLogicalSetQueries:
         db, scoring, *__ = movie_db
         left, right = ranked_sides(db)
         plan = LogicalLimit(LogicalUnion(left, right), 3)
-        result = db.query_logical(
-            plan, spec_for(db, scoring, 3), max_plans=30
-        )
+        result = db.query_logical(plan, spec_for(db, scoring, 3))
         assert "rankUnion" in result.explain()
+
+    @pytest.mark.parametrize(
+        "operator,k,fingerprint",
+        [
+            (LogicalUnion, 5, "limit(5)(rankUnion(rank_critic(seqScan(streaming)),"
+             "rank_fresh(seqScan(cinema))))"),
+            (LogicalIntersect, 5, "limit(5)(rankIntersect(rank_critic("
+             "seqScan(streaming)),rank_fresh(seqScan(cinema))))"),
+            (LogicalDifference, 10, "limit(10)(rankDifference(rank_critic("
+             "seqScan(streaming)),rank_fresh(seqScan(cinema))))"),
+        ],
+    )
+    def test_set_op_plans_are_pinned(self, movie_db, operator, k, fingerprint):
+        """Each node of the hand-built tree keeps its cheapest
+        implementation: µ over a seq-scan (no rank index) under the
+        rank-aware set operator."""
+        db, scoring, *__ = movie_db
+        left, right = ranked_sides(db)
+        plan = LogicalLimit(operator(left, right), k)
+        result = db.query_logical(plan, spec_for(db, scoring, k))
+        assert result.plan.fingerprint() == fingerprint
+
+
+class TestLogicalSurface:
+    def test_traced_as_its_own_statement(self, movie_db):
+        """``query_logical`` opens a statement like every other surface:
+        one ``query.count`` and one ``system.queries`` row per call."""
+        db, scoring, *__ = movie_db
+        left, right = ranked_sides(db)
+        plan = LogicalLimit(LogicalUnion(left, right), 5)
+        queries = db.registry.get("query.count")
+        before = queries.value
+        rows = len(db.query("SELECT * FROM system.queries").rows)
+        db.query_logical(plan, spec_for(db, scoring, 5))
+        assert queries.value == before + 1
+        records = db.query("SELECT * FROM system.queries").to_dicts()
+        assert len(records) == rows + 1
+        assert records[0]["surface"] == "logical"
+        assert records[0]["sql"] == "<logical plan>"
+
+    def test_max_plans_is_gone(self, movie_db):
+        """The tree is implemented as given — there is no closure search
+        to bound."""
+        db, scoring, *__ = movie_db
+        left, right = ranked_sides(db)
+        plan = LogicalLimit(LogicalUnion(left, right), 5)
+        with pytest.raises(TypeError):
+            db.query_logical(plan, spec_for(db, scoring, 5), max_plans=30)
+        with pytest.raises(TypeError):
+            db.planner.plan_logical(plan, spec_for(db, scoring, 5), max_plans=30)

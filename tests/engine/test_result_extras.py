@@ -61,9 +61,7 @@ class TestSpecQueries:
         logical = LogicalRank(
             LogicalScan("t", db.catalog.table("t").schema), "px"
         )
-        result = db.query_logical(
-            logical, spec, k=2, max_plans=10
-        )
+        result = db.query_logical(logical, spec, k=2)
         assert len(result) == 2
 
 

@@ -1,5 +1,4 @@
-"""Optimizer access-path selection: rank-scan, scan-based selection,
-interesting orders."""
+"""Optimizer access-path selection: rank-scan and scan-based selection."""
 
 import random
 
@@ -96,21 +95,3 @@ class TestScanSelect:
         )[: spec.k]
         assert [context.upper_bound(s) for s in out] == pytest.approx(expected)
 
-
-class TestInterestingOrders:
-    def test_column_order_plans_kept_alongside(self, example5):
-        """Plans with an interesting column order survive pruning even when
-        costlier (System-R's physical-property rule)."""
-        optimizer = RankAwareOptimizer(
-            example5.catalog, example5.spec
-        )
-        optimizer.optimize()
-        signature = (
-            frozenset({"R"}),
-            frozenset(),
-            optimizer._selection_names(frozenset({"R"})),
-        )
-        candidates = optimizer.memo[signature]
-        orders = {c.plan.column_order for c in candidates.values()}
-        assert None in orders  # the plain seq-scan class
-        assert "R.a" in orders  # the idxScan_a interesting order

@@ -19,6 +19,7 @@ import pytest
 
 from repro.optimizer import (
     CardinalityEstimator,
+    ColumnOrderScanPlan,
     FilterPlan,
     HRJNPlan,
     LimitPlan,
@@ -34,6 +35,7 @@ from repro.optimizer.plans import (
     SortMergeJoinPlan,
     SortPlan,
 )
+from repro.storage import ColumnIndex
 from repro.workloads import WorkloadConfig, build_workload, plan2
 
 SHAPES = {
@@ -50,19 +52,19 @@ KS = (1, 10, 100)
 #: and the plans the DP generated for them
 SECTION_5_2_PICKS = {
     ("rank-aware", "S1"): (
-        "rank_f1(filter(A.b)(idxScan_f2(A)))", 10),
+        "rank_f1(filter(A.b)(idxScan_f2(A)))", 7),
     ("rank-aware", "S2"): (
         "rank_f1(HRJN(A.jc1=B.jc1)(filter(A.b)(idxScan_f2(A)),"
-        "idxScan_f3(B)))", 139),
+        "idxScan_f3(B)))", 56),
     ("rank-aware", "S3"): (
         "rank_f1(rank_f3(HRJN(A.jc1=B.jc1)(filter(A.b)(idxScan_f2(A)),"
-        "HRJN(B.jc2=C.jc2)(filter(B.b)(idxScan_f4(B)),idxScan_f5(C)))))", 890),
-    ("traditional", "S1"): ("sort(filter(A.b)(seqScan(A)))", 2),
+        "HRJN(B.jc2=C.jc2)(filter(B.b)(idxScan_f4(B)),idxScan_f5(C)))))", 501),
+    ("traditional", "S1"): ("sort(filter(A.b)(seqScan(A)))", 1),
     ("traditional", "S2"): (
-        "sort(hashJoin(A.jc1=B.jc1)(filter(A.b)(seqScan(A)),seqScan(B)))", 53),
+        "sort(hashJoin(A.jc1=B.jc1)(filter(A.b)(seqScan(A)),seqScan(B)))", 8),
     ("traditional", "S3"): (
         "sort(hashJoin(C.jc2=B.jc2)(seqScan(C),hashJoin(A.jc1=B.jc1)("
-        "filter(A.b)(seqScan(A)),filter(B.b)(seqScan(B)))))", 199),
+        "filter(A.b)(seqScan(A)),filter(B.b)(seqScan(B)))))", 27),
 }
 
 #: the one §5.2 pick that won a cost tie on generation order (every
@@ -187,6 +189,37 @@ class TestStability:
         two = Candidate(HRJNPlan(right, left, "B.jc1", "A.jc1"), 5.0)
         assert optimizer._wins(one, two) != optimizer._wins(two, one)
         assert optimizer._best([one, two]) is optimizer._best([two, one])
+
+
+class TestOnePhysicalProperty:
+    @pytest.mark.parametrize("strategy", ["rank-aware", "traditional"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_no_column_order_class_in_the_memo(self, db, shape, strategy):
+        """Rank-orderedness is the DP's one physical property: with column
+        indexes on every join column, no memo entry holds a column-order
+        scan or a sort-merge join (the cost model prices the one like a
+        seq-scan and the other no cheaper than a hash join)."""
+        for table in ("A", "B", "C"):
+            assert any(
+                isinstance(index, ColumnIndex)
+                for index in db.catalog.table(table).indexes.values()
+            )
+        spec = db.bind(statement(shape, 10))
+        optimizer = RankAwareOptimizer(
+            db.catalog,
+            spec,
+            synopsis=db.planner.synopsis(spec),
+            enumerate_ranking=strategy == "rank-aware",
+        )
+        optimizer.optimize()
+        for bucket in optimizer.memo.values():
+            assert set(bucket) <= {True, False}
+            for key, candidate in bucket.items():
+                assert candidate.plan.is_ranked == key
+                assert not any(
+                    isinstance(node, (ColumnOrderScanPlan, SortMergeJoinPlan))
+                    for node in candidate.plan.walk()
+                )
 
 
 def answer(result):

@@ -47,7 +47,7 @@ def join_db():
 
 
 def optimizer_for(catalog, spec):
-    return RuleBasedOptimizer(catalog, spec, max_plans=40)
+    return RuleBasedOptimizer(catalog, spec)
 
 
 class TestJoinImplementation:

@@ -66,7 +66,6 @@ class TestCacheHits:
         metrics = db.planner.metrics
         assert metrics.prepares == 2
         assert metrics.plans_built == 1
-        assert metrics.by_strategy == {"rank-aware": 1}
         assert db.planner.cache.stats.hit_rate == 0.5
 
 

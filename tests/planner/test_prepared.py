@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_demo_database
+from repro.planner.planner import STRATEGIES
 
 SQL = "SELECT * FROM hotel ORDER BY cheap(hotel.price) LIMIT 5"
 
@@ -74,6 +75,17 @@ class TestPreparedQuery:
     def test_unknown_strategy_rejected(self, db):
         with pytest.raises(ValueError):
             db.prepare(SQL, strategy="quantum")
+
+    def test_rule_based_strategy_is_retired(self, db):
+        """One plan search: every SQL statement is planned by the DP, so
+        ``rank-aware`` and ``traditional`` are the only strategies."""
+        assert STRATEGIES == ("rank-aware", "traditional")
+        with pytest.raises(ValueError, match="unknown strategy"):
+            db.query(SQL, strategy="rule-based")
+        with pytest.raises(ValueError, match="unknown strategy"):
+            db.prepare(SQL, strategy="rule-based")
+        with pytest.raises(ValueError, match="unknown strategy"):
+            db.session(strategy="rule-based").execute(SQL)
 
 
 class TestSession:

@@ -50,7 +50,7 @@ def test_the_pick_joins_small_first(db, strategy):
 
 
 @pytest.mark.parametrize("execution", ["row", "compiled", "auto"])
-@pytest.mark.parametrize("strategy", ["rank-aware", "traditional", "rule-based"])
+@pytest.mark.parametrize("strategy", ["rank-aware", "traditional"])
 def test_columns_and_values_in_from_order(db, strategy, execution):
     big = {row[0]: row.values for row in db.catalog.table("big").rows()}
     small = {row[0]: row.values for row in db.catalog.table("small").rows()}

@@ -4,27 +4,6 @@ import pytest
 
 from repro.algebra.predicates import RankingPredicate
 from repro.storage import Catalog, CatalogError, DataType, Schema, analyze_table
-from repro.storage.stats import Histogram
-
-
-class TestHistogram:
-    def test_selectivity_le_bounds(self):
-        histogram = Histogram(0.0, 10.0, [10, 10, 10, 10])
-        assert histogram.selectivity_le(-1) == 0.0
-        assert histogram.selectivity_le(10.0) == 1.0
-        assert histogram.selectivity_le(11.0) == 1.0
-
-    def test_selectivity_le_interpolates(self):
-        histogram = Histogram(0.0, 10.0, [10, 10, 10, 10])
-        assert abs(histogram.selectivity_le(5.0) - 0.5) < 1e-9
-
-    def test_selectivity_between(self):
-        histogram = Histogram(0.0, 10.0, [10, 10, 10, 10])
-        assert abs(histogram.selectivity_between(2.5, 7.5) - 0.5) < 1e-9
-
-    def test_empty(self):
-        histogram = Histogram(0.0, 1.0, [0])
-        assert histogram.selectivity_le(0.5) == 0.0
 
 
 class TestAnalyzeTable:
@@ -55,27 +34,11 @@ class TestAnalyzeTable:
         assert stats.column("k").n_distinct == 3
         assert stats.column("s").n_distinct == 2
 
-    def test_null_fraction(self):
-        __, table = self.make_catalog()
-        stats = analyze_table(table)
-        assert abs(stats.column("s").null_fraction - 0.25) < 1e-9
-
     def test_min_max(self):
         __, table = self.make_catalog()
         stats = analyze_table(table)
         assert stats.column("x").min_value == 0.5
         assert stats.column("x").max_value == 3.5
-
-    def test_numeric_histogram_built(self):
-        __, table = self.make_catalog()
-        stats = analyze_table(table)
-        assert stats.column("x").histogram is not None
-        assert stats.column("s").histogram is None
-
-    def test_equality_selectivity(self):
-        __, table = self.make_catalog()
-        stats = analyze_table(table)
-        assert abs(stats.column("k").equality_selectivity() - 1 / 3) < 1e-9
 
     def test_join_selectivity(self):
         catalog, table = self.make_catalog()

@@ -231,7 +231,7 @@ def assert_paths_identical(catalog, scoring, plan_node, k=None):
     return compiled
 
 
-@pytest.mark.parametrize("strategy", ["rank-aware", "traditional", "rule-based"])
+@pytest.mark.parametrize("strategy", ["rank-aware", "traditional"])
 def test_workload_query_parity(strategy):
     """The workload query under every optimizer strategy, both regimes."""
     workload = parity_workload()
@@ -324,7 +324,7 @@ class TestCompilePass:
     def all_plans(self):
         workload = parity_workload()
         plans = [builder(workload) for builder in ALL_PLANS.values()]
-        for strategy in ("rank-aware", "traditional", "rule-based"):
+        for strategy in ("rank-aware", "traditional"):
             plans.append(
                 workload.database.planner.plan(
                     workload.spec,
