@@ -1,14 +1,24 @@
 """Tests for the implementation rules that plan hand-built logical trees."""
 
+from repro.algebra.expressions import col
 from repro.algebra.operators import (
     LogicalJoin,
     LogicalLimit,
     LogicalRank,
     LogicalScan,
+    LogicalSelect,
     LogicalSort,
 )
+from repro.algebra.predicates import BooleanPredicate
 from repro.execution import ExecutionContext, run_plan
-from repro.optimizer import RuleBasedOptimizer, SortPlan
+from repro.optimizer import (
+    FilterPlan,
+    HRJNPlan,
+    RankAwareOptimizer,
+    RankScanPlan,
+    RuleBasedOptimizer,
+    SortPlan,
+)
 
 
 class TestImplementationRules:
@@ -73,3 +83,106 @@ class TestOptimize:
         got = [round(context.upper_bound(s), 9) for s in out]
         expected = [round(v, 9) for v in example5.brute_force_scores(example5.spec.k)]
         assert got == expected
+
+
+def rank_aware_tree(example5):
+    """Example 5 as a rank-aware tree: µ's pushed below the join."""
+    (join,) = example5.spec.join_conditions
+    return LogicalLimit(
+        LogicalJoin(
+            LogicalRank(LogicalScan("R", example5.R.schema), "p1"),
+            LogicalRank(
+                LogicalRank(LogicalScan("S", example5.S.schema), "p3"), "p4"
+            ),
+            join.predicate,
+        ),
+        example5.spec.k,
+    )
+
+
+def materialize_then_sort_tree(example5):
+    """Example 5 as Eq. 1: join everything, then one monolithic sort."""
+    (join,) = example5.spec.join_conditions
+    return LogicalLimit(
+        LogicalSort(
+            LogicalJoin(
+                LogicalScan("R", example5.R.schema),
+                LogicalScan("S", example5.S.schema),
+                join.predicate,
+            ),
+            example5.scoring,
+        ),
+        example5.spec.k,
+    )
+
+
+def top_scores(example5, plan):
+    context = ExecutionContext(example5.catalog, example5.scoring)
+    out = run_plan(plan.build(), context, k=example5.spec.k)
+    return [round(context.upper_bound(s), 9) for s in out]
+
+
+class TestEndToEnd:
+    def test_rule_based_answers_match_brute_force(self, example5):
+        plan = RuleBasedOptimizer(example5.catalog, example5.spec).optimize(
+            rank_aware_tree(example5)
+        )
+        (join,) = plan.children
+        assert isinstance(join, HRJNPlan)
+        assert isinstance(join.children[0], RankScanPlan)
+        expected = [round(v, 9) for v in example5.brute_force_scores(example5.spec.k)]
+        assert top_scores(example5, plan) == expected
+
+    def test_rule_based_beats_canonical(self, example5):
+        """Under the shared cost model the rank-aware tree is far cheaper
+        than the materialize-then-sort tree of the same query."""
+        optimizer = RuleBasedOptimizer(example5.catalog, example5.spec)
+        ranked = optimizer.optimize(rank_aware_tree(example5))
+        canonical = optimizer.optimize(materialize_then_sort_tree(example5))
+        assert optimizer.cost_model.cost(ranked) < optimizer.cost_model.cost(
+            canonical
+        )
+
+    def test_comparable_to_dp_optimizer(self, example5):
+        """The DP pick is never costlier than the hand-built rank-aware
+        tree (it searches that tree's join orders too), and both return
+        the brute-force top-k."""
+        rule = RuleBasedOptimizer(example5.catalog, example5.spec)
+        rule_plan = rule.optimize(rank_aware_tree(example5))
+        dp_plan = RankAwareOptimizer(example5.catalog, example5.spec).optimize()
+        assert rule.cost_model.cost(dp_plan) <= rule.cost_model.cost(rule_plan)
+        expected = [round(v, 9) for v in example5.brute_force_scores(example5.spec.k)]
+        for plan in (rule_plan, dp_plan):
+            assert top_scores(example5, plan) == expected
+
+    def test_selection_is_implemented_as_a_filter(self, example5):
+        """σ keeps its place in the tree as a Filter, and the rank join
+        above it still returns the top-k of the filtered join."""
+        (join,) = example5.spec.join_conditions
+        condition = BooleanPredicate(col("S.y") > 0.5, "S.y>0.5")
+        logical = LogicalLimit(
+            LogicalJoin(
+                LogicalRank(LogicalScan("R", example5.R.schema), "p1"),
+                LogicalSelect(
+                    LogicalRank(
+                        LogicalRank(LogicalScan("S", example5.S.schema), "p3"),
+                        "p4",
+                    ),
+                    condition,
+                ),
+                join.predicate,
+            ),
+            example5.spec.k,
+        )
+        plan = RuleBasedOptimizer(example5.catalog, example5.spec).optimize(logical)
+        assert any(isinstance(node, FilterPlan) for node in plan.walk())
+        expected = sorted(
+            (
+                r[1] + s[1] + s[2]
+                for r in example5.R.rows()
+                for s in example5.S.rows()
+                if r[0] == s[0] and s[1] > 0.5
+            ),
+            reverse=True,
+        )[: example5.spec.k]
+        assert top_scores(example5, plan) == [round(v, 9) for v in expected]

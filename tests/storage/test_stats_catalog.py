@@ -40,6 +40,26 @@ class TestAnalyzeTable:
         assert stats.column("x").min_value == 0.5
         assert stats.column("x").max_value == 3.5
 
+    def test_min_max_skip_nulls(self):
+        __, table = self.make_catalog()
+        stats = analyze_table(table)
+        assert stats.column("s").min_value == "a"
+        assert stats.column("s").max_value == "b"
+
+    def test_all_null_column(self):
+        catalog = Catalog()
+        table = catalog.create_table(
+            "n", Schema.of(("k", DataType.INT), ("v", DataType.FLOAT))
+        )
+        table.insert_many([(1, None), (2, None)])
+        stats = analyze_table(table)
+        column = stats.column("v")
+        assert column.n_distinct == 0
+        assert column.min_value is None and column.max_value is None
+        # No distinct values on either side: the join selectivity falls
+        # back to 1 rather than dividing by zero.
+        assert stats.join_selectivity("v", stats, "v") == 1.0
+
     def test_join_selectivity(self):
         catalog, table = self.make_catalog()
         other = catalog.create_table("u", Schema.of(("k", DataType.INT)))
